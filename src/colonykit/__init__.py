@@ -9,9 +9,7 @@ from .asymptotics import (
     BranchVerdict,
     Expansion,
     amplitude_prediction,
-    branch_stability,
     epsilon_for_sigma,
-    eta,
     eta_by_quadrature,
     evaluate_approximate_steady_state,
     expansion_coefficients,
@@ -68,9 +66,7 @@ from .pde_solver import (
     count_peaks,
     modal_spectrum,
     simulate,
-    stable_dt,
     stationary_residual,
-    step,
 )
 
 __version__ = "0.1.0"

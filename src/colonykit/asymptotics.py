@@ -43,13 +43,11 @@ __all__ = [
     "BranchVerdict",
     "Expansion",
     "expansion_coefficients",
-    "eta",
     "eta_by_quadrature",
     "adjoint_projection_first_order",
     "evaluate_approximate_steady_state",
     "epsilon_for_sigma",
     "amplitude_prediction",
-    "branch_stability",
 ]
 
 
@@ -66,7 +64,9 @@ class Expansion:
 
     eta and gamma2 are populated only for the admissible mode (j == i_a);
     they quantify the slow eigenvalue gamma ~ eps**2 * gamma2 that decides
-    the stability of the admissible branch.
+    the stability of the admissible branch.  verdict is the near-onset
+    stability of the mode-j branch: unstable for any j != i_a, and for the
+    admissible branch stable exactly when eta > 0.
     """
 
     j: int
@@ -183,28 +183,6 @@ def expansion_coefficients(
         gamma2=gamma2_val,
         verdict=verdict,
     )
-
-
-def eta(p: ModelParams, m: MotilityModel, summary: BifurcationSummary) -> float:
-    """Stability constant of the admissible-mode branch (closed form)."""
-    return expansion_coefficients(summary.i_a, p, m, summary).eta
-
-
-def branch_stability(j: int, summary: BifurcationSummary, e: Expansion) -> BranchVerdict:
-    """Stability verdict for the mode-j branch near onset.
-
-    Any branch with j != i_a is unstable; the admissible branch is stable
-    exactly when eta > 0.
-    """
-    if j != summary.i_a:
-        return BranchVerdict.UNSTABLE_WRONG_MODE
-    if e.eta is None:
-        raise ValueError("expansion lacks eta; compute it with the matching mode scan")
-    if e.eta > 0:
-        return BranchVerdict.STABLE_ADMISSIBLE
-    if e.eta < 0:
-        return BranchVerdict.UNSTABLE_ADMISSIBLE
-    return BranchVerdict.INDETERMINATE
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ import argparse
 import json
 import struct
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 
@@ -116,12 +115,7 @@ def cmd_expand(args) -> int:
     modes = cfg.expand.modes
     if modes is None:
         modes = tuple(range(1, summary.i_c + 1))
-
-    def one(j):
-        return expansion_coefficients(j, cfg.params, cfg.motility, summary)
-
-    with ThreadPoolExecutor(max_workers=max(1, args.threads)) as pool:
-        expansions = list(pool.map(one, modes))
+    expansions = [expansion_coefficients(j, cfg.params, cfg.motility, summary) for j in modes]
     rows = []
     for e in expansions:
         rows.append(
@@ -257,8 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="experiment configuration file (YAML)")
         sp.add_argument("--out", default="out", help="output directory (default: ./out)")
         sp.add_argument("--seed", type=int, default=None, help="override the config seed")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="parallel workers for independent computations")
 
     sp = sub.add_parser("analyze", help="mode scan and uniform-state classification")
     common(sp)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 
@@ -100,6 +101,8 @@ class _Section:
             raise ConfigError(
                 f"{self._where(key)}: expected {getattr(kind, '__name__', kind)}, got {val!r}"
             )
+        if isinstance(val, float) and not math.isfinite(val):
+            raise ConfigError(f"{self._where(key)}: must be a finite number, got {val}")
         if minimum is not None:
             if exclusive and not val > minimum:
                 raise ConfigError(f"{self._where(key)}: must be > {minimum}, got {val}")
@@ -174,7 +177,6 @@ class ContinuationSettings:
 @dataclass(frozen=True)
 class ReproduceSettings:
     n: int = 512
-    include_slow: bool = True
 
 
 @dataclass(frozen=True)
@@ -302,10 +304,7 @@ def parse_config(text: str, seed_override: int | None = None) -> ExperimentConfi
 
     reproduce = ReproduceSettings()
     if (rsec := top.subsection("reproduce")) is not None:
-        reproduce = ReproduceSettings(
-            n=rsec.take("n", int, default=512, minimum=16),
-            include_slow=rsec.take("include_slow", bool, default=True),
-        )
+        reproduce = ReproduceSettings(n=rsec.take("n", int, default=512, minimum=16))
         rsec.finish()
 
     top.finish()

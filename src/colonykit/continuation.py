@@ -1,8 +1,8 @@
 """Nonconstant steady states by Newton iteration and branch tracing.
 
-The discretized stationary system (same mirror-closure Laplacian as the
-time stepper) is solved with an analytically assembled banded Jacobian in
-the interleaved ordering (u_0, v_0, u_1, v_1, ...), bandwidth (2, 3).
+The discrete stationary system of ``discrete`` (the one the time stepper's
+steady states solve) is solved by Newton with its analytically assembled
+banded Jacobian in the interleaved ordering (u_0, v_0, u_1, v_1, ...).
 Branches in the growth rate are traced by pseudo-arclength continuation:
 secant predictor, Newton corrector on the bordered system, adaptive step.
 The state part of the arclength metric is mean-squared so domain resolution
@@ -19,6 +19,13 @@ import numpy as np
 from scipy.linalg import LinAlgError, solve_banded
 
 from .asymptotics import epsilon_for_sigma, evaluate_approximate_steady_state, expansion_coefficients
+from .discrete import (
+    JACOBIAN_BANDS,
+    interleave,
+    jacobian_banded,
+    residual,
+    residual_sigma_derivative,
+)
 from .errors import (
     ColonyKitError,
     NewtonConvergenceError,
@@ -27,7 +34,7 @@ from .errors import (
 )
 from .linear_analysis import BifurcationSummary, ModelParams, scan_modes
 from .motility import MotilityModel
-from .pde_solver import Field, _laplacian
+from .pde_solver import Field
 
 __all__ = [
     "BranchPoint",
@@ -52,6 +59,7 @@ class Termination(Enum):
     AMPLITUDE_BOUND = "amplitude_bound"
     NEWTON_FAILURE = "newton_failure"
     FOLD_LIMIT = "fold_limit"
+    MAX_POINTS = "max_points"
 
 
 @dataclass(frozen=True)
@@ -69,49 +77,9 @@ class BranchCurve:
         return np.array([bp.amplitude for bp in self.points])
 
 
-def _stationary_residual_vector(u, v, h, D, sigma, m) -> np.ndarray:
-    rv = np.asarray(m.evaluate(v, 0), dtype=float)
-    res_u = _laplacian(rv * u, h) + sigma * u * (1.0 - u)
-    res_v = D * _laplacian(v, h) - v + u
-    out = np.empty(2 * u.size)
-    out[0::2] = res_u
-    out[1::2] = res_v
-    return out
-
-
-def _jacobian_banded(u, v, h, D, sigma, m) -> np.ndarray:
-    """Banded Jacobian of the interleaved stationary system, layout for
-    scipy.linalg.solve_banded with bandwidths (2, 3)."""
-    npts = u.size
-    hh = h * h
-    rv = np.asarray(m.evaluate(v, 0), dtype=float)
-    rpv_u = np.asarray(m.evaluate(v, 1), dtype=float) * u
-    # zero-flux stencil weights: row i couples i-1, i, i+1 with the
-    # off-diagonal weight doubled at the mirrored boundaries
-    sup_w = np.full(npts - 1, 1.0 / hh)
-    sup_w[0] = 2.0 / hh
-    sub_w = np.full(npts - 1, 1.0 / hh)
-    sub_w[-1] = 2.0 / hh
-
-    ab = np.zeros((6, 2 * npts))
-    even = np.arange(0, 2 * npts, 2)
-    odd = even + 1
-    ab[3, even] = -2.0 * rv / hh + sigma * (1.0 - 2.0 * u)
-    ab[3, odd] = -2.0 * D / hh - 1.0
-    ab[1, even[1:]] = sup_w * rv[1:]
-    ab[5, even[:-1]] = sub_w * rv[:-1]
-    ab[2, odd] = -2.0 * rpv_u / hh
-    ab[0, odd[1:]] = sup_w * rpv_u[1:]
-    ab[4, odd[:-1]] = sub_w * rpv_u[:-1]
-    ab[1, odd[1:]] = D * sup_w
-    ab[5, odd[:-1]] = D * sub_w
-    ab[4, even] = 1.0
-    return ab
-
-
 def _solve_linearized(ab, rhs):
     try:
-        return solve_banded((2, 3), ab, rhs, check_finite=False)
+        return solve_banded(JACOBIAN_BANDS, ab, rhs, check_finite=False)
     except LinAlgError as exc:
         raise SingularJacobianError(f"stationary linearization is singular: {exc}") from exc
 
@@ -137,7 +105,7 @@ def newton_steady(
     h = init.h
     res = math.inf
     for it in range(max_iters + 1):
-        F = _stationary_residual_vector(u, v, h, p.D, p.sigma, m)
+        F = residual(u, v, h, p.D, p.sigma, m)
         if not np.all(np.isfinite(F)):
             raise NewtonConvergenceError("residual became non-finite during Newton iteration")
         res = float(np.max(np.abs(F)))
@@ -151,7 +119,7 @@ def newton_steady(
             )
         if it == max_iters:
             break
-        ab = _jacobian_banded(u, v, h, p.D, p.sigma, m)
+        ab = jacobian_banded(u, v, h, p.D, p.sigma, m)
         delta = _solve_linearized(ab, F)
         u -= delta[0::2]
         v -= delta[1::2]
@@ -184,24 +152,18 @@ def _corrector(u, v, sigma, tan_u, tan_s, anchor_u, anchor_s, ds, h, D, m, metri
 
     Returns (u, v, sigma, iters, residual) or raises a Newton error.
     """
-    npts = u.size
     for it in range(1, max_iters + 1):
-        F = _stationary_residual_vector(u, v, h, D, sigma, m)
+        F = residual(u, v, h, D, sigma, m)
         if not np.all(np.isfinite(F)):
             raise NewtonConvergenceError("corrector produced non-finite residual")
-        X = np.empty(2 * npts)
-        X[0::2] = u
-        X[1::2] = v
-        N = metric.dot(tan_u, tan_s, X - anchor_u, sigma - anchor_s) - ds
+        N = metric.dot(tan_u, tan_s, interleave(u, v) - anchor_u, sigma - anchor_s) - ds
         res = float(np.max(np.abs(F)))
         if res < tol and abs(N) < max(1e-12, 1e-6 * abs(ds)):
             return u, v, sigma, it - 1, res
 
-        ab = _jacobian_banded(u, v, h, D, sigma, m)
-        F_sigma = np.zeros(2 * npts)
-        F_sigma[0::2] = u * (1.0 - u)
+        ab = jacobian_banded(u, v, h, D, sigma, m)
         a = _solve_linearized(ab, F)
-        b = _solve_linearized(ab, F_sigma)
+        b = _solve_linearized(ab, residual_sigma_derivative(u))
         denom = tan_s - metric.dot(tan_u, 0.0, b, 0.0)
         if abs(denom) < 1e-14:
             raise SingularJacobianError("bordered system is singular (tangent orthogonal)")
@@ -237,8 +199,8 @@ def trace_branch(
     Seeds with the second-order approximate state at sigma0_j - seed_offset,
     then follows the branch by pseudo-arclength steps (doubling after fast
     corrector convergence, halving on failure).  Terminates on sigma_min,
-    a box-bound violation, corrector failure at the minimum step, or a fold
-    budget (which also caps runaway point counts).
+    a box-bound violation, corrector failure at the minimum step, a fold
+    budget, or the max_points cap on the point count.
     """
     if ds <= 0:
         raise ValueError(f"ds must be > 0, got {ds}")
@@ -267,12 +229,6 @@ def trace_branch(
     h = p.l / n
     metric = _ArclengthState(2 * (n + 1))
 
-    def pack(bp: BranchPoint) -> np.ndarray:
-        X = np.empty(2 * (n + 1))
-        X[0::2] = bp.field.u
-        X[1::2] = bp.field.v
-        return X
-
     # second point by a natural step in sigma to start the secant tangent
     sigma_next = sigma_seed - min(ds, seed_offset)
     try:
@@ -281,8 +237,8 @@ def trace_branch(
         raise SeedFailureError(f"could not take the first continuation step: {exc}") from exc
     points.append(bp1)
 
-    X_prev, s_prev = pack(points[-2]), points[-2].sigma
-    X_cur, s_cur = pack(points[-1]), points[-1].sigma
+    X_prev, s_prev = interleave(bp0.field.u, bp0.field.v), bp0.sigma
+    X_cur, s_cur = interleave(bp1.field.u, bp1.field.v), bp1.sigma
     tan_u = X_cur - X_prev
     tan_s = s_cur - s_prev
     scale = metric.norm(tan_u, tan_s)
@@ -297,7 +253,7 @@ def trace_branch(
             termination = Termination.REACHED_SIGMA_MIN
             break
         if len(points) >= max_points:
-            termination = Termination.FOLD_LIMIT
+            termination = Termination.MAX_POINTS
             break
         u_pred = X_cur[0::2] + step_size * tan_u[0::2]
         v_pred = X_cur[1::2] + step_size * tan_u[1::2]
@@ -333,7 +289,7 @@ def trace_branch(
         points.append(bp)
 
         X_prev, s_prev = X_cur, s_cur
-        X_cur, s_cur = pack(bp), bp.sigma
+        X_cur, s_cur = interleave(u_new, v_new), s_new
         new_tan_u = X_cur - X_prev
         new_tan_s = s_cur - s_prev
         scale = metric.norm(new_tan_u, new_tan_s)

@@ -1,0 +1,115 @@
+"""The spatially discrete colony model shared by every solver.
+
+Uniform grid x_i = i h, i = 0..N, on [0, l].  Zero-flux ends are closed by
+mirror ghost nodes (w_{-1} = w_1, w_{N+1} = w_{N-1}), which doubles the
+inward off-diagonal weight of the 3-point Laplacian in both boundary rows.
+The discrete stationary system is
+
+    Lap_h(r(v) u) + sigma u (1 - u) = 0
+    D Lap_h v - v + u              = 0
+
+with the motility product w = r(v) u formed before the Laplacian is
+applied (divergence form).  The time stepper's steady states solve it and
+continuation traces its nonconstant branches.  This module is the only
+place the stencil is written down: the Laplacian, the stationary residual
+in the interleaved ordering (u_0, v_0, u_1, v_1, ...), its banded Jacobian,
+and the backward-Euler band matrix of the signal equation.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .motility import MotilityModel
+
+__all__ = [
+    "JACOBIAN_BANDS",
+    "interleave",
+    "laplacian",
+    "residual",
+    "residual_sigma_derivative",
+    "jacobian_banded",
+    "signal_band",
+]
+
+# (lower, upper) bandwidths of the interleaved Jacobian, as scipy.linalg.solve_banded takes them
+JACOBIAN_BANDS = (2, 3)
+
+
+def interleave(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Node-major state vector (u_0, v_0, u_1, v_1, ...)."""
+    out = np.empty(2 * u.size)
+    out[0::2] = u
+    out[1::2] = v
+    return out
+
+
+def laplacian(w: np.ndarray, h: float, out: np.ndarray | None = None) -> np.ndarray:
+    """3-point second difference with mirror (zero-flux) ghost closure."""
+    if out is None:
+        out = np.empty_like(w)
+    hh = h * h
+    out[1:-1] = (w[:-2] - 2.0 * w[1:-1] + w[2:]) / hh
+    out[0] = 2.0 * (w[1] - w[0]) / hh
+    out[-1] = 2.0 * (w[-2] - w[-1]) / hh
+    return out
+
+
+def residual(u, v, h: float, D: float, sigma: float, m: MotilityModel) -> np.ndarray:
+    """Interleaved residual of the discrete stationary system."""
+    rv = np.asarray(m.evaluate(v, 0), dtype=float)
+    res_u = laplacian(rv * u, h) + sigma * u * (1.0 - u)
+    res_v = D * laplacian(v, h) - v + u
+    return interleave(res_u, res_v)
+
+
+def residual_sigma_derivative(u) -> np.ndarray:
+    """Interleaved derivative of the residual with respect to sigma."""
+    out = np.zeros(2 * u.size)
+    out[0::2] = u * (1.0 - u)
+    return out
+
+
+def jacobian_banded(u, v, h: float, D: float, sigma: float, m: MotilityModel) -> np.ndarray:
+    """Banded Jacobian of the interleaved residual, laid out for
+    scipy.linalg.solve_banded with bandwidths JACOBIAN_BANDS."""
+    npts = u.size
+    hh = h * h
+    rv = np.asarray(m.evaluate(v, 0), dtype=float)
+    rpv_u = np.asarray(m.evaluate(v, 1), dtype=float) * u
+    # zero-flux stencil weights: row i couples i-1, i, i+1 with the
+    # off-diagonal weight doubled at the mirrored boundaries
+    sup_w = np.full(npts - 1, 1.0 / hh)
+    sup_w[0] = 2.0 / hh
+    sub_w = np.full(npts - 1, 1.0 / hh)
+    sub_w[-1] = 2.0 / hh
+
+    ab = np.zeros((6, 2 * npts))
+    even = np.arange(0, 2 * npts, 2)
+    odd = even + 1
+    ab[3, even] = -2.0 * rv / hh + sigma * (1.0 - 2.0 * u)
+    ab[3, odd] = -2.0 * D / hh - 1.0
+    ab[1, even[1:]] = sup_w * rv[1:]
+    ab[5, even[:-1]] = sub_w * rv[:-1]
+    ab[2, odd] = -2.0 * rpv_u / hh
+    ab[0, odd[1:]] = sup_w * rpv_u[1:]
+    ab[4, odd[:-1]] = sub_w * rpv_u[:-1]
+    ab[1, odd[1:]] = D * sup_w
+    ab[5, odd[:-1]] = D * sub_w
+    ab[4, even] = 1.0
+    return ab
+
+
+def signal_band(dt: float, h: float, D: float, out: np.ndarray) -> np.ndarray:
+    """Fill the (3, N+1) array out with (1 + dt) I - dt D Lap_h, the
+    backward-Euler matrix of the signal equation, laid out for
+    scipy.linalg.solve_banded with bandwidths (1, 1)."""
+    c = D * dt / (h * h)
+    out[0].fill(-c)
+    out[0, 0] = 0.0
+    out[0, 1] = -2.0 * c
+    out[1].fill(1.0 + dt + 2.0 * c)
+    out[2].fill(-c)
+    out[2, -1] = 0.0
+    out[2, -2] = -2.0 * c
+    return out

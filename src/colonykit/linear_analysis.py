@@ -53,12 +53,12 @@ class ModelParams:
     l: float = 20.0
 
     def __post_init__(self):
-        if self.D <= 0:
-            raise ValueError(f"D must be > 0, got {self.D}")
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
-        if self.l <= 0:
-            raise ValueError(f"l must be > 0, got {self.l}")
+        if not (math.isfinite(self.D) and self.D > 0):
+            raise ValueError(f"D must be finite and > 0, got {self.D}")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
+        if not (math.isfinite(self.l) and self.l > 0):
+            raise ValueError(f"l must be finite and > 0, got {self.l}")
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ working range, and r'(1) + r(1) < 0 for an instability window to exist.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -44,8 +45,10 @@ class LogisticDecay:
     center: float = 1.0
 
     def __post_init__(self):
-        if self.steepness <= 0:
-            raise ValueError(f"steepness must be > 0, got {self.steepness}")
+        if not (math.isfinite(self.steepness) and self.steepness > 0):
+            raise ValueError(f"steepness must be finite and > 0, got {self.steepness}")
+        if not math.isfinite(self.center):
+            raise ValueError(f"center must be finite, got {self.center}")
 
     def evaluate(self, v, order: int = 0):
         k = self.steepness
@@ -72,10 +75,10 @@ class ExponentialDecay:
     rate: float = 1.0
 
     def __post_init__(self):
-        if self.r0 <= 0:
-            raise ValueError(f"r0 must be > 0, got {self.r0}")
-        if self.rate <= 0:
-            raise ValueError(f"rate must be > 0, got {self.rate}")
+        if not (math.isfinite(self.r0) and self.r0 > 0):
+            raise ValueError(f"r0 must be finite and > 0, got {self.r0}")
+        if not (math.isfinite(self.rate) and self.rate > 0):
+            raise ValueError(f"rate must be finite and > 0, got {self.rate}")
 
     def evaluate(self, v, order: int = 0):
         if order not in (0, 1, 2, 3):

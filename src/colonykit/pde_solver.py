@@ -1,19 +1,19 @@
 """Finite-difference time integration of the colony model on [0, l].
 
 Semi-discrete system on a uniform grid of N+1 nodes with zero-flux
-boundaries (mirror ghost nodes):
+boundaries:
 
     du/dt = Lap_h(r(v) u) + sigma u (1 - u)
     dv/dt = D Lap_h v - v + u
 
-The motility product w = r(v) u is formed first and the standard 3-point
-Laplacian applied to w, matching the divergence form of the model; with
-sigma = 0 the trapezoidal mass of u is conserved to rounding.  Time
-stepping is IMEX: the stiff linear v-equation is advanced by backward
-Euler through a tridiagonal solve, everything else explicitly, with the
-step size capped by the explicit diffusion bound dt <= safety h^2 / max r.
-Any steady state of the scheme solves the spatially discrete stationary
-system exactly, independent of dt.
+The discrete operators (mirror-closure Laplacian, stationary residual and
+the signal equation's backward-Euler matrix) come from ``discrete``, the
+same model continuation solves; with sigma = 0 the trapezoidal mass of u is
+conserved to rounding.  Time stepping is IMEX: the stiff linear v-equation
+is advanced by backward Euler through a tridiagonal solve, everything else
+explicitly, with the step size capped by the explicit diffusion bound
+dt <= safety h^2 / max r.  Any steady state of the scheme solves the
+spatially discrete stationary system exactly, independent of dt.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from scipy.linalg import solve_banded
 from scipy.signal import find_peaks
 
 from .asymptotics import expansion_coefficients, second_order_profiles
+from .discrete import laplacian, residual, signal_band
 from .errors import BlowUpError, PositivityLossError
 from .linear_analysis import ModelParams
 from .motility import MotilityModel
@@ -38,9 +39,7 @@ __all__ = [
     "SimConfig",
     "Event",
     "Trajectory",
-    "step",
     "simulate",
-    "stable_dt",
     "stationary_residual",
     "ModalSpectrum",
     "modal_spectrum",
@@ -138,37 +137,12 @@ class SimConfig:
             raise ValueError("dt_safety must lie in (0, 1]")
 
 
-def _laplacian(w: np.ndarray, h: float, out: np.ndarray | None = None) -> np.ndarray:
-    """3-point second difference with mirror (zero-flux) ghost closure."""
-    if out is None:
-        out = np.empty_like(w)
-    hh = h * h
-    out[1:-1] = (w[:-2] - 2.0 * w[1:-1] + w[2:]) / hh
-    out[0] = 2.0 * (w[1] - w[0]) / hh
-    out[-1] = 2.0 * (w[-2] - w[-1]) / hh
-    return out
-
-
-def stable_dt(v: np.ndarray, m: MotilityModel, h: float, safety: float = 0.4) -> float:
-    """Explicit-diffusion step bound safety * h**2 / max r(v)."""
-    return safety * h * h / float(np.max(m.evaluate(v, 0)))
-
-
 def _imex_step(u, v, rv, dt, h, D, sigma, lap_buf, ab_buf):
     """One IMEX step given r(v) precomputed; returns new (u, v) arrays."""
     w = rv * u
-    lap = _laplacian(w, h, lap_buf)
+    lap = laplacian(w, h, lap_buf)
     u_new = u + dt * (lap + sigma * u * (1.0 - u))
-
-    c = D * dt / (h * h)
-    ab_buf[0].fill(-c)
-    ab_buf[0, 0] = 0.0
-    ab_buf[0, 1] = -2.0 * c
-    ab_buf[1].fill(1.0 + dt + 2.0 * c)
-    ab_buf[2].fill(-c)
-    ab_buf[2, -1] = 0.0
-    ab_buf[2, -2] = -2.0 * c
-    v_new = solve_banded((1, 1), ab_buf, v + dt * u_new,
+    v_new = solve_banded((1, 1), signal_band(dt, h, D, ab_buf), v + dt * u_new,
                          overwrite_b=True, check_finite=False)
     return u_new, v_new
 
@@ -180,19 +154,6 @@ def _check_state(u_old, v_old, u_new, v_new, b_max, t):
         raise BlowUpError(f"solution norm exceeded bound {b_max} at t={t:.6g}")
     if (np.min(u_new) <= 0 and np.min(u_old) > 0) or (np.min(v_new) <= 0 and np.min(v_old) > 0):
         raise PositivityLossError(f"positivity lost at t={t:.6g}")
-
-
-def step(f: Field, p: ModelParams, m: MotilityModel, dt: float, b_max: float = 100.0) -> Field:
-    """Advance one time step.  dt is the caller's responsibility; use
-    stable_dt for the explicit bound."""
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    rv = np.asarray(m.evaluate(f.v, 0), dtype=float)
-    lap_buf = np.empty_like(f.u)
-    ab_buf = np.empty((3, f.u.size))
-    u_new, v_new = _imex_step(f.u, f.v, rv, dt, f.h, p.D, p.sigma, lap_buf, ab_buf)
-    _check_state(f.u, f.v, u_new, v_new, b_max, dt)
-    return Field(u=u_new, v=v_new, l=f.l)
 
 
 def initial_field(init: InitSpec, p: ModelParams, m: MotilityModel, n: int) -> Field:
@@ -244,10 +205,6 @@ class Trajectory:
 
     def field(self, i: int) -> Field:
         return Field(u=self.u_history[i], v=self.v_history[i], l=self.l)
-
-    @property
-    def snapshots(self):
-        return [(float(t), self.field(i)) for i, t in enumerate(self.times)]
 
     @property
     def settle_time(self) -> float:
@@ -320,10 +277,8 @@ def count_peaks(f: Field, prominence: float | None = None) -> float:
 
 def stationary_residual(f: Field, p: ModelParams, m: MotilityModel) -> tuple[float, float]:
     """Max-norms of both discretized stationary equations."""
-    rv = np.asarray(m.evaluate(f.v, 0), dtype=float)
-    res_u = _laplacian(rv * f.u, f.h) + p.sigma * f.u * (1.0 - f.u)
-    res_v = p.D * _laplacian(f.v, f.h) - f.v + f.u
-    return float(np.max(np.abs(res_u))), float(np.max(np.abs(res_v)))
+    res = residual(f.u, f.v, f.h, p.D, p.sigma, m)
+    return float(np.max(np.abs(res[0::2]))), float(np.max(np.abs(res[1::2])))
 
 
 def _series_with_floor(values, established):

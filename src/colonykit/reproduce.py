@@ -23,7 +23,6 @@ import numpy as np
 
 from .asymptotics import (
     BranchVerdict,
-    branch_stability,
     eta_by_quadrature,
     expansion_coefficients,
     second_order_profiles,
@@ -381,7 +380,7 @@ def _crit_stability_verdicts(ctx) -> CriterionResult:
     verdicts = {}
     ok = True
     for j in range(1, 12):
-        v = branch_stability(j, ctx.summary, ctx.expansion(j))
+        v = ctx.expansion(j).verdict
         verdicts[j] = v.value
         expected = BranchVerdict.STABLE_ADMISSIBLE if j == 6 else BranchVerdict.UNSTABLE_WRONG_MODE
         ok &= v == expected

@@ -9,9 +9,7 @@ from colonykit import (
     ModelParams,
     NonpositiveSigma0Error,
     amplitude_prediction,
-    branch_stability,
     epsilon_for_sigma,
-    eta,
     eta_by_quadrature,
     evaluate_approximate_steady_state,
     expansion_coefficients,
@@ -73,23 +71,24 @@ class TestCoefficients:
 
 
 class TestEta:
-    def test_reference_value(self, summary):
-        assert eta(P, REF, summary) == pytest.approx(10.3042, rel=1e-3)
+    def test_reference_value(self, summary, exp6):
+        assert summary.i_a == exp6.j
+        assert exp6.eta == pytest.approx(10.3042, rel=1e-3)
 
-    def test_quadrature_oracle_agrees(self, summary):
-        closed = eta(P, REF, summary)
+    def test_quadrature_oracle_agrees(self, summary, exp6):
         quad = eta_by_quadrature(P, REF, summary)
-        assert quad == pytest.approx(closed, rel=1e-6)
+        assert quad == pytest.approx(exp6.eta, rel=1e-6)
 
     def test_quadrature_oracle_with_asymmetric_taylor_data(self):
         # nonzero second and third derivatives exercise every forcing term
         for m in (LogisticDecay(steepness=6.0, center=1.1), ExponentialDecay(r0=np.e ** 2, rate=2.0)):
             p = ModelParams(D=1.0, sigma=0.1, l=20.0)
             s = scan_modes(p, m)
-            assert eta_by_quadrature(p, m, s) == pytest.approx(eta(p, m, s), rel=1e-6)
+            closed = expansion_coefficients(s.i_a, p, m, s).eta
+            assert eta_by_quadrature(p, m, s) == pytest.approx(closed, rel=1e-6)
 
-    def test_first_order_projection_vanishes(self, summary):
-        scale = abs(eta(P, REF, summary))
+    def test_first_order_projection_vanishes(self, summary, exp6):
+        scale = abs(exp6.eta)
         assert abs(adjoint_projection_first_order(P, REF, summary)) < 1e-9 * scale
 
     def test_gamma2_negative_when_eta_positive(self, exp6):
@@ -186,12 +185,10 @@ class TestBranchStability:
     def test_reference_verdicts(self, summary):
         for j in range(1, 12):
             e = expansion_coefficients(j, P, REF, summary)
-            v = branch_stability(j, summary, e)
             if j == 6:
-                assert v is BranchVerdict.STABLE_ADMISSIBLE
+                assert e.verdict is BranchVerdict.STABLE_ADMISSIBLE
             else:
-                assert v is BranchVerdict.UNSTABLE_WRONG_MODE
-            assert e.verdict is v
+                assert e.verdict is BranchVerdict.UNSTABLE_WRONG_MODE
 
     def test_unstable_admissible_with_shallow_motility(self):
         # shallow logistic: the cubic contribution is too weak to stabilize
@@ -201,7 +198,7 @@ class TestBranchStability:
         s = scan_modes(p, m)
         e = expansion_coefficients(s.i_a, p, m, s)
         assert e.eta < 0
-        assert branch_stability(s.i_a, s, e) is BranchVerdict.UNSTABLE_ADMISSIBLE
+        assert e.verdict is BranchVerdict.UNSTABLE_ADMISSIBLE
         assert e.gamma2 > 0
 
 

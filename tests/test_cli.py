@@ -165,6 +165,20 @@ class TestCommands:
         path.write_text(cfg)
         assert main(["continue", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("old, new", [
+        ("D: 1.0", "D: .nan"),
+        ("sigma: 0.32", "sigma: .nan"),
+        ("l: 20.0", "l: .inf"),
+        ("center: 1.0", "center: .nan"),
+    ])
+    def test_nonfinite_number_is_config_error(self, tmp_path, capsys, old, new):
+        path = tmp_path / "nonfinite.yaml"
+        path.write_text(GOOD_CONFIG.replace(old, new))
+        assert main(["analyze", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "must be a finite number" in err
+        assert "Traceback" not in err
+
     def test_missing_section_is_config_error(self, tmp_path):
         cfg = "params: {sigma: 0.3}\nmotility: {family: logistic_decay}\n"
         path = tmp_path / "nosim.yaml"

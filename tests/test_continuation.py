@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from colonykit import (
+    CustomMotility,
     ExplicitField,
+    ExponentialDecay,
     Field,
     LogisticDecay,
     ModelParams,
@@ -20,7 +22,7 @@ from colonykit import (
     stationary_residual,
     trace_branch,
 )
-from colonykit.continuation import _jacobian_banded, _stationary_residual_vector
+from colonykit.discrete import jacobian_banded, residual
 
 REF = LogisticDecay(steepness=8.0, center=1.0)
 
@@ -36,7 +38,12 @@ def asymptotic_field(j, sigma, n=256):
 
 
 class TestJacobian:
-    def test_matches_finite_differences(self):
+    @pytest.mark.parametrize("m", [
+        REF,
+        ExponentialDecay(r0=np.e ** 2, rate=2.0),
+        CustomMotility(lambda v: 2.0 / (1.0 + v ** 2)),
+    ], ids=["logistic", "exponential", "custom"])
+    def test_matches_finite_differences(self, m):
         # analytic banded assembly vs column-wise finite differences
         rng = np.random.default_rng(5)
         n = 12
@@ -44,7 +51,7 @@ class TestJacobian:
         u = 1.0 + 0.1 * rng.uniform(-1, 1, n + 1)
         v = 1.0 + 0.1 * rng.uniform(-1, 1, n + 1)
         sigma, D = 0.37, 1.0
-        ab = _jacobian_banded(u, v, h, D, sigma, REF)
+        ab = jacobian_banded(u, v, h, D, sigma, m)
         m_size = 2 * (n + 1)
         dense = np.zeros((m_size, m_size))
         for col in range(m_size):
@@ -53,10 +60,10 @@ class TestJacobian:
                 if 0 <= band_row < 6:
                     dense[row, col] = ab[band_row, col]
 
-        def residual(u_, v_):
-            return _stationary_residual_vector(u_, v_, h, D, sigma, REF)
+        def F(u_, v_):
+            return residual(u_, v_, h, D, sigma, m)
 
-        base = residual(u, v)
+        base = F(u, v)
         eps = 1e-7
         for col in range(m_size):
             du = u.copy()
@@ -65,7 +72,7 @@ class TestJacobian:
                 du[col // 2] += eps
             else:
                 dv[col // 2] += eps
-            fd_col = (residual(du, dv) - base) / eps
+            fd_col = (F(du, dv) - base) / eps
             np.testing.assert_allclose(dense[:, col], fd_col, rtol=2e-5, atol=2e-4)
 
 
@@ -161,6 +168,11 @@ class TestTraceBranch:
         curve = trace_branch(6, params(0.3), REF, sigma_min=0.6)
         assert curve.points == ()
         assert curve.termination is Termination.REACHED_SIGMA_MIN
+
+    def test_point_cap_reported(self):
+        curve = trace_branch(6, params(0.3), REF, sigma_min=0.05, max_points=5)
+        assert curve.termination is Termination.MAX_POINTS
+        assert len(curve.points) == 5
 
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):

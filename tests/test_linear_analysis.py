@@ -213,7 +213,8 @@ class TestClassification:
 
 
 class TestModelParams:
-    @pytest.mark.parametrize("kwargs", [dict(D=0.0), dict(sigma=-0.1), dict(l=-5.0)])
+    @pytest.mark.parametrize("kwargs", [dict(D=0.0), dict(sigma=-0.1), dict(l=-5.0),
+                                        dict(D=np.nan), dict(sigma=np.nan), dict(l=np.inf)])
     def test_validation(self, kwargs):
         defaults = dict(D=1.0, sigma=0.3, l=20.0)
         defaults.update(kwargs)

@@ -42,6 +42,18 @@ class TestLogisticDecay:
             LogisticDecay(steepness=-1.0)
 
 
+@pytest.mark.parametrize("family, kwargs", [
+    (LogisticDecay, dict(steepness=np.nan)),
+    (LogisticDecay, dict(steepness=np.inf)),
+    (LogisticDecay, dict(center=np.nan)),
+    (ExponentialDecay, dict(r0=np.nan)),
+    (ExponentialDecay, dict(rate=np.inf)),
+])
+def test_rejects_nonfinite_parameters(family, kwargs):
+    with pytest.raises(ValueError):
+        family(**kwargs)
+
+
 class TestDerivativeConsistency:
     """Analytic order-n derivative vs central difference of order n-1."""
 

@@ -16,11 +16,9 @@ from colonykit import (
     eigenvalue_lambda,
     modal_spectrum,
     simulate,
-    stable_dt,
     stationary_residual,
-    step,
 )
-from colonykit.pde_solver import _imex_step, initial_field
+from colonykit.pde_solver import initial_field
 
 REF = LogisticDecay(steepness=8.0, center=1.0)
 
@@ -57,58 +55,57 @@ class TestField:
             Field(u=np.ones(65), v=np.ones(64), l=20.0)
 
 
+def run_from(f, sigma, **kwargs):
+    """simulate from an explicit field at the given growth rate."""
+    cfg = SimConfig(params=params(sigma), motility=REF, init=ExplicitField(f), n=f.n, **kwargs)
+    return simulate(cfg)
+
+
 class TestStep:
+    """Properties of a single IMEX step, observed through simulate."""
+
     def test_uniform_state_is_fixed_point(self):
         f = uniform_field(1.0)
-        g = step(f, params(), REF, dt=1e-3)
-        np.testing.assert_array_equal(g.u, f.u)
-        np.testing.assert_array_equal(g.v, f.v)
+        traj = run_from(f, 0.3, dt=1e-3, t_end=5.0)
+        assert traj.steady
+        np.testing.assert_array_equal(traj.final.u, f.u)
+        np.testing.assert_array_equal(traj.final.v, f.v)
 
     def test_extinct_state_is_fixed_point(self):
         f = uniform_field(0.0)
-        g = step(f, params(), REF, dt=1e-3)
-        np.testing.assert_array_equal(g.u, f.u)
-        assert g.is_extinct
+        traj = run_from(f, 0.3, dt=1e-3, t_end=5.0)
+        assert traj.steady
+        np.testing.assert_array_equal(traj.final.u, f.u)
+        assert traj.final.is_extinct
 
     def test_mass_conserved_without_growth(self):
         # with sigma = 0 the density equation is in divergence form, so the
         # trapezoidal mass is preserved to rounding over many steps
-        p = params(sigma=0.0)
         n = 128
         rng = np.random.default_rng(1)
-        u = 1.0 + 0.1 * rng.uniform(-1, 1, n + 1)
-        v = 1.0 + 0.1 * rng.uniform(-1, 1, n + 1)
-        h = 20.0 / n
-        wts = np.full(n + 1, h)
+        f = Field(u=1.0 + 0.1 * rng.uniform(-1, 1, n + 1),
+                  v=1.0 + 0.1 * rng.uniform(-1, 1, n + 1), l=20.0)
+        traj = run_from(f, 0.0, t_end=100.0, steady_tol=1e-14, snapshot_every=5.0)
+        wts = np.full(n + 1, f.h)
         wts[0] *= 0.5
         wts[-1] *= 0.5
-        mass0 = wts @ u
-        lap = np.empty(n + 1)
-        ab = np.empty((3, n + 1))
-        for _ in range(10_000):
-            rv = REF.evaluate(v, 0)
-            dt = stable_dt(v, REF, h)
-            u, v = _imex_step(u, v, rv, dt, h, p.D, p.sigma, lap, ab)
-        assert abs(wts @ u - mass0) < 1e-12 * abs(mass0) * 100
+        mass = traj.u_history @ wts
+        assert len(mass) == 21
+        assert np.max(np.abs(mass - mass[0])) <= 1e-12 * mass[0]
 
     def test_positivity_loss_detected(self):
-        # a huge explicit step drives the density negative
-        f = cosine_field(6, 0.5, n=64)
-        with pytest.raises((PositivityLossError, BlowUpError)):
-            g = f
-            for _ in range(50):
-                g = step(g, params(sigma=0.3), REF, dt=0.5)
+        # r(5) is tiny, so the explicit bound does not bind and the given
+        # step overshoots the logistic decay below zero
+        with pytest.raises(PositivityLossError):
+            run_from(uniform_field(5.0), 1.0, dt=0.5, t_end=10.0)
 
     def test_blow_up_detected(self):
-        f = uniform_field(50.0)
         with pytest.raises(BlowUpError):
-            g = f
-            for _ in range(100):
-                g = step(g, params(sigma=1.0), REF, dt=0.9)
+            run_from(uniform_field(50.0), 1.0, dt=0.9, t_end=10.0)
 
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ValueError):
-            step(uniform_field(), params(), REF, dt=0.0)
+            SimConfig(params=params(), motility=REF, init=UniformPerturbed(), dt=0.0)
 
 
 class TestModalSpectrum:
