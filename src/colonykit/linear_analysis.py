@@ -107,10 +107,7 @@ def bifurcation_sigma(j: int, p: ModelParams, m: MotilityModel) -> float:
     """Growth rate at which mode j's dispersion root crosses zero."""
     if j < 1:
         raise ValueError(f"mode index must be >= 1, got {j}")
-    lam = eigenvalue_lambda(j, p.l)
-    r1 = m.evaluate(1.0, 0)
-    rp1 = m.evaluate(1.0, 1)
-    return -(rp1 / (1.0 + p.D * lam) + r1) * lam
+    return _bifurcation_sigma(eigenvalue_lambda(j, p.l), p, *_taylor_at_one(m))
 
 
 def dispersion_roots(lam: float, p: ModelParams, m: MotilityModel) -> tuple[complex, complex]:
@@ -120,8 +117,19 @@ def dispersion_roots(lam: float, p: ModelParams, m: MotilityModel) -> tuple[comp
     """
     if lam < 0:
         raise ValueError(f"eigenvalue must be >= 0, got {lam}")
-    r1 = m.evaluate(1.0, 0)
-    rp1 = m.evaluate(1.0, 1)
+    return _dispersion_roots(lam, p, *_taylor_at_one(m))
+
+
+def _taylor_at_one(m: MotilityModel) -> tuple[float, float]:
+    """(r(1), r'(1)), the only motility data the linear analysis reads."""
+    return m.evaluate(1.0, 0), m.evaluate(1.0, 1)
+
+
+def _bifurcation_sigma(lam: float, p: ModelParams, r1: float, rp1: float) -> float:
+    return -(rp1 / (1.0 + p.D * lam) + r1) * lam
+
+
+def _dispersion_roots(lam: float, p: ModelParams, r1: float, rp1: float) -> tuple[complex, complex]:
     b = (p.D + r1) * lam + 1.0 + p.sigma
     c = (p.sigma + r1 * lam) * (1.0 + p.D * lam) + rp1 * lam
     disc = b * b - 4.0 * c
@@ -145,8 +153,10 @@ def critical_sigma(p: ModelParams, m: MotilityModel) -> tuple[float, float]:
     Requires r'(1) + r(1) < 0; otherwise no eigenvalue destabilizes the
     uniform state and NoInstabilityWindowError is raised.
     """
-    r1 = m.evaluate(1.0, 0)
-    rp1 = m.evaluate(1.0, 1)
+    return _critical_sigma(p, *_taylor_at_one(m))
+
+
+def _critical_sigma(p: ModelParams, r1: float, rp1: float) -> tuple[float, float]:
     if rp1 + r1 > 0:
         raise NoInstabilityWindowError(
             f"r'(1) + r(1) = {rp1 + r1:.6g} > 0: uniform state stable for every growth rate"
@@ -164,11 +174,13 @@ def default_mode_limit(p: ModelParams, m: MotilityModel) -> int:
     times the mode count reaching lambda_star is a safe ceiling.  Falls back
     to a small fixed window when no instability band exists.
     """
-    r1 = m.evaluate(1.0, 0)
-    rp1 = m.evaluate(1.0, 1)
+    return _mode_limit(p, *_taylor_at_one(m))
+
+
+def _mode_limit(p: ModelParams, r1: float, rp1: float) -> int:
     if rp1 + r1 >= 0:
         return max(16, 2 * math.ceil(p.l / math.pi))
-    _, lambda_star = critical_sigma(p, m)
+    _, lambda_star = _critical_sigma(p, r1, rp1)
     return max(4, 4 * math.ceil(p.l * math.sqrt(lambda_star) / math.pi))
 
 
@@ -179,23 +191,23 @@ def scan_modes(p: ModelParams, m: MotilityModel, j_max: int | None = None) -> Bi
     bracket i_c) and NoPositiveModesError if no grid mode has a positive
     bifurcation value.
     """
-    sigma_c, lambda_star = critical_sigma(p, m)  # also enforces the window precondition
+    r1, rp1 = _taylor_at_one(m)
+    sigma_c, lambda_star = _critical_sigma(p, r1, rp1)  # also enforces the window precondition
     if j_max is None:
-        j_max = default_mode_limit(p, m)
+        j_max = _mode_limit(p, r1, rp1)
     if j_max < 1:
         raise ValueError(f"j_max must be >= 1, got {j_max}")
 
     modes = []
     for j in range(1, j_max + 1):
         lam = eigenvalue_lambda(j, p.l)
-        sig = bifurcation_sigma(j, p, m)
         modes.append(
             ModeInfo(
                 j=j,
                 lambda_j=lam,
-                sigma_j=sig,
+                sigma_j=_bifurcation_sigma(lam, p, r1, rp1),
                 a_j=1.0 + p.D * lam,
-                rho_pair=dispersion_roots(lam, p, m),
+                rho_pair=_dispersion_roots(lam, p, r1, rp1),
             )
         )
 
@@ -246,21 +258,20 @@ def classify_uniform_state(
     the envelope maximum sigma_c can leave no grid mode unstable while no
     stability criterion applies; that window reports INDETERMINATE.
     """
-    r1 = m.evaluate(1.0, 0)
-    rp1 = m.evaluate(1.0, 1)
+    r1, rp1 = _taylor_at_one(m)
     if j_max is None:
-        j_max = default_mode_limit(p, m)
+        j_max = _mode_limit(p, r1, rp1)
 
     rates = {}
     for j in range(0, j_max + 1):
         lam = eigenvalue_lambda(j, p.l)
-        rates[j] = dispersion_roots(lam, p, m)[0].real
+        rates[j] = _dispersion_roots(lam, p, r1, rp1)[0].real
     max_rate = max(rates.values())
     unstable = tuple(j for j in range(1, j_max + 1) if rates[j] > 0)
 
     if rp1 + r1 >= 0:
         kind = StabilityKind.STABLE_BY_MONOTONICITY
-    elif p.sigma * p.D > -(rp1 + r1) or p.sigma > critical_sigma(p, m)[0]:
+    elif p.sigma * p.D > -(rp1 + r1) or p.sigma > _critical_sigma(p, r1, rp1)[0]:
         kind = StabilityKind.STABLE_BY_LARGE_SIGMA
     elif unstable:
         kind = StabilityKind.UNSTABLE

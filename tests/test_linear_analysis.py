@@ -177,6 +177,28 @@ class TestScanModes:
             assert mi.a_j == 1.0 + p.D * mi.lambda_j
             assert mi.a_j > 0
 
+    def test_matches_public_per_mode_functions(self):
+        # the scan evaluates r(1), r'(1) once; the values must not move
+        p = params(sigma=0.3)
+        s = scan_modes(p, REF)
+        for mi in s.modes:
+            assert mi.sigma_j == bifurcation_sigma(mi.j, p, REF)
+            assert mi.rho_pair == dispersion_roots(mi.lambda_j, p, REF)
+
+    def test_reads_motility_once(self):
+        calls = []
+
+        class Counting:
+            def evaluate(self, v, order=0):
+                calls.append(order)
+                return REF.evaluate(v, order)
+
+        scan_modes(params(), Counting())
+        assert calls == [0, 1]
+        calls.clear()
+        classify_uniform_state(params(), Counting())
+        assert calls == [0, 1]
+
     def test_scan_window_too_small(self):
         with pytest.raises(ScanWindowError):
             scan_modes(params(), REF, j_max=5)

@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from colonykit import (
     AsymptoticMode,
     BlowUpError,
     ExplicitField,
+    ExponentialDecay,
     Field,
     LogisticDecay,
     ModelParams,
@@ -18,6 +22,7 @@ from colonykit import (
     simulate,
     stationary_residual,
 )
+from colonykit.discrete import laplacian, signal_band
 from colonykit.pde_solver import initial_field
 
 REF = LogisticDecay(steepness=8.0, center=1.0)
@@ -53,6 +58,11 @@ class TestField:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             Field(u=np.ones(65), v=np.ones(64), l=20.0)
+
+    @pytest.mark.parametrize("l", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_bad_length(self, l):
+        with pytest.raises(ValueError, match="l must be finite"):
+            Field(u=np.ones(65), v=np.ones(65), l=l)
 
 
 def run_from(f, sigma, **kwargs):
@@ -100,12 +110,82 @@ class TestStep:
             run_from(uniform_field(5.0), 1.0, dt=0.5, t_end=10.0)
 
     def test_blow_up_detected(self):
-        with pytest.raises(BlowUpError):
+        with pytest.raises(BlowUpError, match="exceeded bound"):
             run_from(uniform_field(50.0), 1.0, dt=0.9, t_end=10.0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_detected(self):
+        # from a negative state no positivity is lost, and the logistic term
+        # grows u quadratically until it overflows within a generous bound
+        with pytest.raises(BlowUpError, match="non-finite"):
+            run_from(uniform_field(-1.0), 1.0, dt=0.5, t_end=10.0, b_max=1e300)
 
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ValueError):
             SimConfig(params=params(), motility=REF, init=UniformPerturbed(), dt=0.0)
+
+
+class TestSimConfig:
+    @pytest.mark.parametrize("name", ["dt", "t_end", "steady_tol", "snapshot_every", "b_max",
+                                      "dt_safety"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_rejects_nonfinite_and_nonpositive(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            SimConfig(params=params(), motility=REF, init=UniformPerturbed(), **{name: value})
+
+
+def reference_run(cfg):
+    """simulate's explicit loop written out plainly: the IMEX formula with
+    scipy's solve_banded, the stability-bound dt and the snapshot clipping.
+    Stops at t_end only; returns the snapshots and the final state."""
+    p, m = cfg.params, cfg.motility
+    f0 = initial_field(cfg.init, p, m, cfg.n)
+    h, u, v = f0.h, f0.u, f0.v
+    times, us, vs = [0.0], [u], [v]
+    t, next_snap = 0.0, cfg.snapshot_every
+    while t < cfg.t_end:
+        rv = m.evaluate(v, 0)
+        dt_full = cfg.dt_safety * h * h / float(np.max(rv))
+        if cfg.dt is not None:
+            dt_full = min(dt_full, cfg.dt)
+        dt = min(dt_full, next_snap - t, cfg.t_end - t)
+        if dt <= 0:
+            dt = 1e-15
+        u_new = u + dt * (laplacian(rv * u, h) + p.sigma * u * (1.0 - u))
+        ab = signal_band(dt, h, p.D, np.empty((3, u.size)))
+        v = solve_banded((1, 1), ab, v + dt * u_new, check_finite=False)
+        u = u_new
+        t += dt
+        if t >= next_snap - 1e-12:
+            times.append(t)
+            us.append(u)
+            vs.append(v)
+            next_snap += cfg.snapshot_every
+    return np.array(times), np.array(us), np.array(vs), u, v
+
+
+class TestStepLoopBitIdentity:
+    """simulate's fused, in-place step loop must reproduce the plain formula
+    bit for bit: transition times seeded by rounding depend on it."""
+
+    @pytest.mark.parametrize("motility, dt, snapshot_every", [
+        (REF, None, 0.3),
+        (ExponentialDecay(r0=1.0, rate=2.0), 0.05, 0.45),
+    ], ids=["logistic", "exponential-dt-cap"])
+    def test_snapshots_equal_reference_loop(self, motility, dt, snapshot_every):
+        cfg = SimConfig(params=params(0.3), motility=motility,
+                        init=UniformPerturbed(amplitude=0.05, seed=7), n=64, dt=dt,
+                        t_end=20.0, steady_tol=1e-300, snapshot_every=snapshot_every)
+        times, us, vs, u_end, v_end = reference_run(cfg)
+        traj = simulate(cfg)
+        assert not traj.steady
+        assert len(times) > 40  # snapshot-clipped steps among a few hundred
+        assert np.array_equal(traj.times, times)
+        for i in range(len(times)):
+            assert np.array_equal(traj.u_history[i], us[i]), i
+            assert np.array_equal(traj.v_history[i], vs[i]), i
+        assert np.array_equal(traj.final.u, u_end)
+        assert np.array_equal(traj.final.v, v_end)
 
 
 class TestModalSpectrum:
