@@ -52,19 +52,17 @@ class LogisticDecay:
 
     def evaluate(self, v, order: int = 0):
         k = self.steepness
-        if order not in (0, 1, 2, 3):
-            raise ValueError(f"derivative order must be in 0..3, got {order}")
         p = expit(-k * (np.asarray(v, dtype=float) - self.center))
         if order == 0:
             out = p
+        elif order == 1:
+            out = -k * p * (1.0 - p)
+        elif order == 2:
+            out = k * k * p * (1.0 - p) * (1.0 - 2.0 * p)
+        elif order == 3:
+            out = -(k ** 3) * p * (1.0 - p) * (1.0 - 6.0 * p + 6.0 * p * p)
         else:
-            q = 1.0 - p
-            if order == 1:
-                out = -k * p * q
-            elif order == 2:
-                out = k * k * p * q * (1.0 - 2.0 * p)
-            else:
-                out = -(k ** 3) * p * q * (1.0 - 6.0 * p + 6.0 * p * p)
+            raise ValueError(f"derivative order must be in 0..3, got {order}")
         return out if np.ndim(v) else float(out)
 
 
