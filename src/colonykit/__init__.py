@@ -11,7 +11,6 @@ from .asymptotics import (
     amplitude_prediction,
     epsilon_for_sigma,
     eta_by_quadrature,
-    evaluate_approximate_steady_state,
     expansion_coefficients,
 )
 from .continuation import BranchCurve, BranchPoint, Termination, newton_steady, trace_branch

@@ -45,10 +45,12 @@ __all__ = [
     "expansion_coefficients",
     "eta_by_quadrature",
     "adjoint_projection_first_order",
-    "evaluate_approximate_steady_state",
     "epsilon_for_sigma",
     "amplitude_prediction",
 ]
+
+# composite Simpson nodes on [0, l] for the quadrature oracle
+QUADRATURE_POINTS = 4097
 
 
 class BranchVerdict(Enum):
@@ -71,9 +73,7 @@ class Expansion:
 
     j: int
     lambda_j: float
-    l: float
     sigma0: float
-    sigma1: float
     sigma2: float
     a: float
     c: float
@@ -169,9 +169,7 @@ def expansion_coefficients(
     return Expansion(
         j=j,
         lambda_j=lam,
-        l=p.l,
         sigma0=sigma0,
-        sigma1=0.0,
         sigma2=sigma2,
         a=a,
         c=c,
@@ -250,7 +248,6 @@ def _first_order_eigen_forcing(e: Expansion, m: MotilityModel, f: _PerturbationF
         - rpp1 * f.v1_xx * f.psi0
         - rp1 * f.u1_xx * f.psi0
         - rp1 * f.v1_xx * f.phi0
-        + e.sigma1 * f.phi0
         + 2.0 * s0 * f.u1 * f.phi0
     )
 
@@ -297,14 +294,8 @@ def _second_order_eigen_forcing(e: Expansion, m: MotilityModel, f: _Perturbation
     )
 
 
-def _quadrature_grid(l: float, n_points: int) -> np.ndarray:
-    if n_points < 3 or n_points % 2 == 0:
-        raise ValueError("composite Simpson needs an odd point count >= 3")
-    return np.linspace(0.0, l, n_points)
-
-
 def adjoint_projection_first_order(
-    p: ModelParams, m: MotilityModel, summary: BifurcationSummary, n_points: int = 4097
+    p: ModelParams, m: MotilityModel, summary: BifurcationSummary
 ) -> float:
     """Quadrature of the first-order forcing against the adjoint kernel.
 
@@ -312,15 +303,13 @@ def adjoint_projection_first_order(
     expansion machinery relies on it vanishing identically.
     """
     e = expansion_coefficients(summary.i_a, p, m, summary)
-    x = _quadrature_grid(p.l, n_points)
+    x = np.linspace(0.0, p.l, QUADRATURE_POINTS)
     f = _PerturbationFields(e, x)
     g = _first_order_eigen_forcing(e, m, f)
     return float(simpson(g * f.ubar, x=x))
 
 
-def eta_by_quadrature(
-    p: ModelParams, m: MotilityModel, summary: BifurcationSummary, n_points: int = 4097
-) -> float:
+def eta_by_quadrature(p: ModelParams, m: MotilityModel, summary: BifurcationSummary) -> float:
     """Independent route to eta: Simpson quadrature of the adjoint projection
     of the second-order eigenvalue forcing, divided by c * l.
 
@@ -328,7 +317,7 @@ def eta_by_quadrature(
     Simpson on thousands of points is exact to rounding.
     """
     e = expansion_coefficients(summary.i_a, p, m, summary)
-    x = _quadrature_grid(p.l, n_points)
+    x = np.linspace(0.0, p.l, QUADRATURE_POINTS)
     f = _PerturbationFields(e, x)
     g = _second_order_eigen_forcing(e, m, f)
     return float(simpson(g * f.ubar, x=x) / (e.c * p.l))
@@ -344,8 +333,9 @@ def second_order_profiles(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(u, v) arrays of the second-order approximate steady state on x.
 
-    u1_scale rescales only the leading u-amplitude; simulation protocols
-    use it to seed off-branch initial data.
+    The sign of epsilon selects the pattern phase.  u1_scale rescales only
+    the leading u-amplitude; simulation protocols use it to seed off-branch
+    initial data.
     """
     s = e.wavenumber
     cos1 = np.cos(s * np.asarray(x, dtype=float))
@@ -353,26 +343,6 @@ def second_order_profiles(
     u = 1.0 + epsilon * u1_scale * e.a * cos1 + epsilon ** 2 * (e.d1 + e.d2 * cos2)
     v = 1.0 + epsilon * cos1 + epsilon ** 2 * (e.d3 + e.d4 * cos2)
     return u, v
-
-
-def evaluate_approximate_steady_state(e: Expansion, epsilon: float, grid: np.ndarray):
-    """Second-order approximate steady state as a Field on a uniform grid.
-
-    The grid must span [0, l] uniformly (Neumann cosine modes are only
-    meaningful there).  The sign of epsilon selects the pattern phase.
-    """
-    from .pde_solver import Field  # local import to avoid a cycle
-
-    x = np.asarray(grid, dtype=float)
-    if x.ndim != 1 or x.size < 2:
-        raise ValueError("grid must be a 1-D array with at least two nodes")
-    h = np.diff(x)
-    if not (np.allclose(h, h[0], rtol=1e-12, atol=1e-12) and abs(x[0]) < 1e-12):
-        raise ValueError("grid must be uniform and start at 0")
-    if abs(x[-1] - e.l) > 1e-9 * max(1.0, e.l):
-        raise ValueError(f"grid must end at the domain length {e.l}, got {x[-1]}")
-    u, v = second_order_profiles(e, epsilon, x)
-    return Field(u=u, v=v, l=e.l)
 
 
 def epsilon_for_sigma(e: Expansion, sigma: float) -> float:

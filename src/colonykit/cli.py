@@ -199,10 +199,7 @@ def cmd_continue(args) -> int:
         raise ConfigError("config has no 'continuation' section")
     out = _out_dir(args)
     cs = cfg.continuation
-    curve = trace_branch(
-        cs.j, cfg.params, cfg.motility, cs.sigma_min, cs.ds,
-        n=cs.n, seed_offset=cs.seed_offset,
-    )
+    curve = trace_branch(cs.j, cfg.params, cfg.motility, cs.sigma_min, **cs.options)
     rows = [
         (curve.j, bp.sigma, bp.amplitude, bp.newton_iters, bp.residual)
         for bp in curve.points

@@ -27,7 +27,6 @@ __all__ = [
     "ExpandSettings",
     "SimulateSettings",
     "ContinuationSettings",
-    "ReproduceSettings",
     "load_config",
     "parse_config",
 ]
@@ -112,6 +111,11 @@ class _Section:
             raise ConfigError(f"{self._where(key)}: must be one of {sorted(choices)}, got {val!r}")
         return val
 
+    def take_given(self, keys, kind, **checks) -> dict:
+        """The keys among keys that the file sets, each read by take; unset
+        keys are left out, so the library's own defaults apply to them."""
+        return {key: self.take(key, kind, **checks) for key in keys if key in self.data}
+
     def subsection(self, key, required=False):
         self.seen.add(key)
         if key not in self.data:
@@ -143,40 +147,18 @@ class ExpandSettings:
 @dataclass(frozen=True)
 class SimulateSettings:
     init: AsymptoticMode | UniformPerturbed
-    n: int = 512
-    dt: float | None = None
-    t_end: float = 5000.0
-    steady_tol: float = 1e-8
-    snapshot_every: float = 1.0
-    b_max: float = 100.0
+    options: dict  # the SimConfig fields the file sets
     snapshot_format: str = "csv"
 
     def sim_config(self, params: ModelParams, motility: MotilityModel) -> SimConfig:
-        return SimConfig(
-            params=params,
-            motility=motility,
-            init=self.init,
-            n=self.n,
-            dt=self.dt,
-            t_end=self.t_end,
-            steady_tol=self.steady_tol,
-            snapshot_every=self.snapshot_every,
-            b_max=self.b_max,
-        )
+        return SimConfig(params=params, motility=motility, init=self.init, **self.options)
 
 
 @dataclass(frozen=True)
 class ContinuationSettings:
     j: int
     sigma_min: float
-    ds: float = 1e-3
-    n: int = 256
-    seed_offset: float = 1e-3
-
-
-@dataclass(frozen=True)
-class ReproduceSettings:
-    n: int = 512
+    options: dict  # the trace_branch keyword arguments the file sets
 
 
 @dataclass(frozen=True)
@@ -188,7 +170,7 @@ class ExperimentConfig:
     expand: ExpandSettings
     simulate: SimulateSettings | None
     continuation: ContinuationSettings | None
-    reproduce: ReproduceSettings
+    reproduce: dict  # the ReproductionContext keyword arguments the file sets
     raw: dict = dataclass_field(repr=False, default_factory=dict)
 
     @property
@@ -201,29 +183,27 @@ def _parse_motility(sec: _Section) -> MotilityModel:
     family = sec.take("family", str, required=True,
                       choices={"logistic_decay", "exponential_decay"})
     if family == "logistic_decay":
-        k = sec.take("steepness", float, default=8.0, minimum=0.0, exclusive=True)
-        center = sec.take("center", float, default=1.0)
+        kwargs = sec.take_given(("steepness",), float, minimum=0.0, exclusive=True)
+        kwargs |= sec.take_given(("center",), float)
         sec.finish()
-        return LogisticDecay(steepness=k, center=center)
-    r0 = sec.take("r0", float, default=1.0, minimum=0.0, exclusive=True)
-    rate = sec.take("rate", float, default=1.0, minimum=0.0, exclusive=True)
+        return LogisticDecay(**kwargs)
+    kwargs = sec.take_given(("r0", "rate"), float, minimum=0.0, exclusive=True)
     sec.finish()
-    return ExponentialDecay(r0=r0, rate=rate)
+    return ExponentialDecay(**kwargs)
 
 
 def _parse_init(sec: _Section, default_seed: int):
     kind = sec.take("kind", str, required=True,
                     choices={"uniform_perturbed", "asymptotic_mode"})
     if kind == "uniform_perturbed":
-        amp = sec.take("amplitude", float, default=0.01, minimum=0.0, exclusive=True)
+        kwargs = sec.take_given(("amplitude",), float, minimum=0.0, exclusive=True)
         seed = sec.take("seed", int, default=default_seed)
         sec.finish()
-        return UniformPerturbed(amplitude=amp, seed=seed)
+        return UniformPerturbed(seed=seed, **kwargs)
     j = sec.take("j", int, required=True, minimum=1)
-    eps = sec.take("epsilon", float, default=0.01)
-    scale = sec.take("u1_scale", float, default=1.0)
+    kwargs = sec.take_given(("epsilon", "u1_scale"), float)
     sec.finish()
-    return AsymptoticMode(j=j, epsilon=eps, u1_scale=scale)
+    return AsymptoticMode(j=j, **kwargs)
 
 
 def parse_config(text: str, seed_override: int | None = None) -> ExperimentConfig:
@@ -235,11 +215,8 @@ def parse_config(text: str, seed_override: int | None = None) -> ExperimentConfi
 
     psec = top.subsection("params", required=True)
     try:
-        params = ModelParams(
-            D=psec.take("D", float, default=1.0),
-            sigma=psec.take("sigma", float, required=True),
-            l=psec.take("l", float, default=20.0),
-        )
+        params = ModelParams(sigma=psec.take("sigma", float, required=True),
+                             **psec.take_given(("D", "l"), float))
     except ValueError as exc:
         raise ConfigError(f"params: {exc}") from exc
     psec.finish()
@@ -271,21 +248,18 @@ def parse_config(text: str, seed_override: int | None = None) -> ExperimentConfi
 
     simulate = None
     if (ssec := top.subsection("simulate")) is not None:
-        init_sec = ssec.subsection("init", required=True)
-        init = _parse_init(init_sec, seed)
-        dt = ssec.take("dt", (float, str), default=None)
-        if isinstance(dt, str):
-            if dt != "auto":
+        init = _parse_init(ssec.subsection("init", required=True), seed)
+        options = ssec.take_given(("n",), int, minimum=16)
+        options |= ssec.take_given(("t_end", "steady_tol", "snapshot_every", "b_max"), float,
+                                   minimum=0.0, exclusive=True)
+        options |= ssec.take_given(("dt",), (float, str))
+        if isinstance(options.get("dt"), str):
+            if options["dt"] != "auto":
                 raise ConfigError("simulate.dt: must be a positive number or 'auto'")
-            dt = None
+            del options["dt"]
         simulate = SimulateSettings(
             init=init,
-            n=ssec.take("n", int, default=512, minimum=16),
-            dt=dt,
-            t_end=ssec.take("t_end", float, default=5000.0, minimum=0.0, exclusive=True),
-            steady_tol=ssec.take("steady_tol", float, default=1e-8, minimum=0.0, exclusive=True),
-            snapshot_every=ssec.take("snapshot_every", float, default=1.0, minimum=0.0, exclusive=True),
-            b_max=ssec.take("b_max", float, default=100.0, minimum=0.0, exclusive=True),
+            options=options,
             snapshot_format=ssec.take("snapshot_format", str, default="csv",
                                       choices={"csv", "binary"}),
         )
@@ -293,18 +267,16 @@ def parse_config(text: str, seed_override: int | None = None) -> ExperimentConfi
 
     continuation = None
     if (csec := top.subsection("continuation")) is not None:
-        continuation = ContinuationSettings(
-            j=csec.take("j", int, required=True, minimum=1),
-            sigma_min=csec.take("sigma_min", float, required=True, minimum=0.0),
-            ds=csec.take("ds", float, default=1e-3, minimum=0.0, exclusive=True),
-            n=csec.take("n", int, default=256, minimum=16),
-            seed_offset=csec.take("seed_offset", float, default=1e-3, minimum=0.0, exclusive=True),
-        )
+        j = csec.take("j", int, required=True, minimum=1)
+        sigma_min = csec.take("sigma_min", float, required=True, minimum=0.0)
+        options = csec.take_given(("ds", "seed_offset"), float, minimum=0.0, exclusive=True)
+        options |= csec.take_given(("n",), int, minimum=16)
+        continuation = ContinuationSettings(j=j, sigma_min=sigma_min, options=options)
         csec.finish()
 
-    reproduce = ReproduceSettings()
+    reproduce = {}
     if (rsec := top.subsection("reproduce")) is not None:
-        reproduce = ReproduceSettings(n=rsec.take("n", int, default=512, minimum=16))
+        reproduce = rsec.take_given(("n",), int, minimum=16)
         rsec.finish()
 
     top.finish()

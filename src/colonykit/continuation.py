@@ -7,6 +7,14 @@ Branches in the growth rate are traced by pseudo-arclength continuation:
 secant predictor, Newton corrector on the bordered system, adaptive step.
 The state part of the arclength metric is mean-squared so domain resolution
 does not change the parameterization.
+
+Fixed settings: Newton and the corrector converge at residual max-norm TOL
+(1e-10), Newton gives up after MAX_NEWTON_ITERS (25) and the corrector after
+MAX_CORRECTOR_ITERS (8) iterations.  Step control doubles the step after a
+corrector that needed at most 3 iterations, up to DS_MAX (5e-2), and halves
+it on failure down to DS_MIN (1e-5).  A trace stops when a state leaves the
+box [1 / B_MAX, B_MAX] (B_MAX = 100), after MAX_FOLDS (4) folds, or at
+MAX_POINTS (2000) points.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from enum import Enum
 import numpy as np
 from scipy.linalg import LinAlgError, solve_banded
 
-from .asymptotics import epsilon_for_sigma, evaluate_approximate_steady_state, expansion_coefficients
+from .asymptotics import epsilon_for_sigma, expansion_coefficients, second_order_profiles
 from .discrete import (
     JACOBIAN_BANDS,
     interleave,
@@ -43,6 +51,15 @@ __all__ = [
     "newton_steady",
     "trace_branch",
 ]
+
+TOL = 1e-10
+MAX_NEWTON_ITERS = 25
+MAX_CORRECTOR_ITERS = 8
+DS_MIN = 1e-5
+DS_MAX = 5e-2
+B_MAX = 100.0
+MAX_POINTS = 2000
+MAX_FOLDS = 4
 
 
 @dataclass(frozen=True)
@@ -84,16 +101,10 @@ def _solve_linearized(ab, rhs):
         raise SingularJacobianError(f"stationary linearization is singular: {exc}") from exc
 
 
-def newton_steady(
-    init: Field,
-    p: ModelParams,
-    m: MotilityModel,
-    tol: float = 1e-10,
-    max_iters: int = 25,
-) -> BranchPoint:
+def newton_steady(init: Field, p: ModelParams, m: MotilityModel) -> BranchPoint:
     """Solve the discrete stationary system by Newton from the given field.
 
-    Converges when the residual max-norm drops below tol.  Raises
+    Converges when the residual max-norm drops below TOL.  Raises
     SingularJacobianError at parameter values where the linearization is
     degenerate (bifurcation points) and NewtonConvergenceError when the
     iteration budget runs out or the iterates leave the finite range.
@@ -104,12 +115,12 @@ def newton_steady(
     v = init.v.copy()
     h = init.h
     res = math.inf
-    for it in range(max_iters + 1):
+    for it in range(MAX_NEWTON_ITERS + 1):
         F = residual(u, v, h, p.D, p.sigma, m)
         if not np.all(np.isfinite(F)):
             raise NewtonConvergenceError("residual became non-finite during Newton iteration")
         res = float(np.max(np.abs(F)))
-        if res < tol:
+        if res < TOL:
             return BranchPoint(
                 sigma=p.sigma,
                 field=Field(u=u, v=v, l=p.l),
@@ -117,14 +128,14 @@ def newton_steady(
                 newton_iters=it,
                 residual=res,
             )
-        if it == max_iters:
+        if it == MAX_NEWTON_ITERS:
             break
         ab = jacobian_banded(u, v, h, p.D, p.sigma, m)
         delta = _solve_linearized(ab, F)
         u -= delta[0::2]
         v -= delta[1::2]
     raise NewtonConvergenceError(
-        f"no convergence after {max_iters} Newton iterations (residual {res:.3e})"
+        f"no convergence after {MAX_NEWTON_ITERS} Newton iterations (residual {res:.3e})"
     )
 
 
@@ -133,46 +144,39 @@ def newton_steady(
 # ---------------------------------------------------------------------------
 
 
-class _ArclengthState:
-    """Weighted state-plus-parameter vector arithmetic for the tracer."""
-
-    def __init__(self, n_dof: int):
-        self.w = 1.0 / n_dof
-
-    def dot(self, xu, xs, yu, ys) -> float:
-        return float(xu @ yu) * self.w + xs * ys
-
-    def norm(self, xu, xs) -> float:
-        return math.sqrt(self.dot(xu, xs, xu, xs))
+def _dot(xu, xs, yu, ys, w) -> float:
+    """Arclength inner product: state part weighted by w, plus sigma part."""
+    return float(xu @ yu) * w + xs * ys
 
 
-def _corrector(u, v, sigma, tan_u, tan_s, anchor_u, anchor_s, ds, h, D, m, metric,
-               tol, max_iters):
+def _corrector(u, v, sigma, tan_u, tan_s, anchor_u, anchor_s, ds, h, D, m, w):
     """Newton on the bordered (stationary + arclength) system.
 
     Returns (u, v, sigma, iters, residual) or raises a Newton error.
     """
-    for it in range(1, max_iters + 1):
+    for it in range(1, MAX_CORRECTOR_ITERS + 1):
         F = residual(u, v, h, D, sigma, m)
         if not np.all(np.isfinite(F)):
             raise NewtonConvergenceError("corrector produced non-finite residual")
-        N = metric.dot(tan_u, tan_s, interleave(u, v) - anchor_u, sigma - anchor_s) - ds
+        N = _dot(tan_u, tan_s, interleave(u, v) - anchor_u, sigma - anchor_s, w) - ds
         res = float(np.max(np.abs(F)))
-        if res < tol and abs(N) < max(1e-12, 1e-6 * abs(ds)):
+        if res < TOL and abs(N) < max(1e-12, 1e-6 * abs(ds)):
             return u, v, sigma, it - 1, res
 
         ab = jacobian_banded(u, v, h, D, sigma, m)
-        a = _solve_linearized(ab, F)
-        b = _solve_linearized(ab, residual_sigma_derivative(u))
-        denom = tan_s - metric.dot(tan_u, 0.0, b, 0.0)
+        # one factorization for both right-hand sides
+        a, b = _solve_linearized(ab, np.column_stack((F, residual_sigma_derivative(u)))).T
+        denom = tan_s - _dot(tan_u, 0.0, b, 0.0, w)
         if abs(denom) < 1e-14:
             raise SingularJacobianError("bordered system is singular (tangent orthogonal)")
-        d_sigma = (metric.dot(tan_u, 0.0, a, 0.0) - N) / denom
+        d_sigma = (_dot(tan_u, 0.0, a, 0.0, w) - N) / denom
         delta = -a - d_sigma * b
         u = u + delta[0::2]
         v = v + delta[1::2]
         sigma = sigma + d_sigma
-    raise NewtonConvergenceError(f"corrector did not converge in {max_iters} iterations")
+    raise NewtonConvergenceError(
+        f"corrector did not converge in {MAX_CORRECTOR_ITERS} iterations"
+    )
 
 
 def trace_branch(
@@ -184,13 +188,6 @@ def trace_branch(
     *,
     n: int = 256,
     seed_offset: float = 1e-3,
-    ds_min: float = 1e-5,
-    ds_max: float = 5e-2,
-    tol: float = 1e-10,
-    max_corrector_iters: int = 8,
-    b_max: float = 100.0,
-    max_points: int = 2000,
-    max_folds: int = 4,
     summary: BifurcationSummary | None = None,
 ) -> BranchCurve:
     """Trace the mode-j steady-state branch from just below its bifurcation
@@ -199,8 +196,8 @@ def trace_branch(
     Seeds with the second-order approximate state at sigma0_j - seed_offset,
     then follows the branch by pseudo-arclength steps (doubling after fast
     corrector convergence, halving on failure).  Terminates on sigma_min,
-    a box-bound violation, corrector failure at the minimum step, a fold
-    budget, or the max_points cap on the point count.
+    a box-bound violation, corrector failure at the minimum step, the fold
+    budget, or the cap on the point count.
     """
     if ds <= 0:
         raise ValueError(f"ds must be > 0, got {ds}")
@@ -217,9 +214,9 @@ def trace_branch(
 
     grid = np.linspace(0.0, p.l, n + 1)
     eps = epsilon_for_sigma(expansion, sigma_seed)
-    seed_field = evaluate_approximate_steady_state(expansion, eps, grid)
+    seed_field = Field(*second_order_profiles(expansion, eps, grid), l=p.l)
     try:
-        bp0 = newton_steady(seed_field, replace(p, sigma=sigma_seed), m, tol=tol)
+        bp0 = newton_steady(seed_field, replace(p, sigma=sigma_seed), m)
     except ColonyKitError as exc:
         raise SeedFailureError(f"seed Newton solve failed for mode {j}: {exc}") from exc
     if bp0.amplitude < 1e-9:
@@ -227,12 +224,12 @@ def trace_branch(
 
     points = [bp0]
     h = p.l / n
-    metric = _ArclengthState(2 * (n + 1))
+    w = 1.0 / (2 * (n + 1))
 
     # second point by a natural step in sigma to start the secant tangent
     sigma_next = sigma_seed - min(ds, seed_offset)
     try:
-        bp1 = newton_steady(bp0.field, replace(p, sigma=sigma_next), m, tol=tol)
+        bp1 = newton_steady(bp0.field, replace(p, sigma=sigma_next), m)
     except ColonyKitError as exc:
         raise SeedFailureError(f"could not take the first continuation step: {exc}") from exc
     points.append(bp1)
@@ -241,7 +238,7 @@ def trace_branch(
     X_cur, s_cur = interleave(bp1.field.u, bp1.field.v), bp1.sigma
     tan_u = X_cur - X_prev
     tan_s = s_cur - s_prev
-    scale = metric.norm(tan_u, tan_s)
+    scale = math.sqrt(_dot(tan_u, tan_s, tan_u, tan_s, w))
     tan_u /= scale
     tan_s /= scale
 
@@ -252,7 +249,7 @@ def trace_branch(
         if points[-1].sigma <= sigma_min:
             termination = Termination.REACHED_SIGMA_MIN
             break
-        if len(points) >= max_points:
+        if len(points) >= MAX_POINTS:
             termination = Termination.MAX_POINTS
             break
         u_pred = X_cur[0::2] + step_size * tan_u[0::2]
@@ -261,21 +258,21 @@ def trace_branch(
         try:
             u_new, v_new, s_new, iters, res = _corrector(
                 u_pred, v_pred, s_pred, tan_u, tan_s, X_cur, s_cur, step_size,
-                h, p.D, m, metric, tol, max_corrector_iters,
+                h, p.D, m, w,
             )
             amplitude = float(np.max(np.abs(u_new - 1.0)))
             if amplitude < 1e-9:
                 raise NewtonConvergenceError("corrector collapsed onto the uniform state")
         except (NewtonConvergenceError, SingularJacobianError):
-            if step_size <= ds_min * (1 + 1e-12):
+            if step_size <= DS_MIN * (1 + 1e-12):
                 termination = Termination.NEWTON_FAILURE
                 break
-            step_size = max(ds_min, 0.5 * step_size)
+            step_size = max(DS_MIN, 0.5 * step_size)
             continue
 
         lo = min(float(np.min(u_new)), float(np.min(v_new)))
         hi = max(float(np.max(u_new)), float(np.max(v_new)))
-        if lo < 1.0 / b_max or hi > b_max:
+        if lo < 1.0 / B_MAX or hi > B_MAX:
             termination = Termination.AMPLITUDE_BOUND
             break
 
@@ -292,7 +289,7 @@ def trace_branch(
         X_cur, s_cur = interleave(u_new, v_new), s_new
         new_tan_u = X_cur - X_prev
         new_tan_s = s_cur - s_prev
-        scale = metric.norm(new_tan_u, new_tan_s)
+        scale = math.sqrt(_dot(new_tan_u, new_tan_s, new_tan_u, new_tan_s, w))
         if scale == 0.0:
             termination = Termination.NEWTON_FAILURE
             break
@@ -300,12 +297,12 @@ def trace_branch(
         new_tan_s /= scale
         if new_tan_s * tan_s < 0:
             folds += 1
-            if folds > max_folds:
+            if folds > MAX_FOLDS:
                 termination = Termination.FOLD_LIMIT
                 tan_u, tan_s = new_tan_u, new_tan_s
                 break
         tan_u, tan_s = new_tan_u, new_tan_s
         if iters <= 3:
-            step_size = min(2.0 * step_size, ds_max)
+            step_size = min(2.0 * step_size, DS_MAX)
 
     return BranchCurve(j=j, points=tuple(points), termination=termination)

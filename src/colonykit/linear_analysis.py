@@ -38,7 +38,6 @@ __all__ = [
     "bifurcation_sigma",
     "dispersion_roots",
     "critical_sigma",
-    "default_mode_limit",
     "scan_modes",
     "classify_uniform_state",
 ]
@@ -167,17 +166,13 @@ def _critical_sigma(p: ModelParams, r1: float, rp1: float) -> tuple[float, float
     return sigma_c, lambda_star
 
 
-def default_mode_limit(p: ModelParams, m: MotilityModel) -> int:
+def _mode_limit(p: ModelParams, r1: float, rp1: float) -> int:
     """Scan window covering the unstable band with margin.
 
     sigma_j < 0 once lam_j exceeds a few multiples of lambda_star, so four
     times the mode count reaching lambda_star is a safe ceiling.  Falls back
     to a small fixed window when no instability band exists.
     """
-    return _mode_limit(p, *_taylor_at_one(m))
-
-
-def _mode_limit(p: ModelParams, r1: float, rp1: float) -> int:
     if rp1 + r1 >= 0:
         return max(16, 2 * math.ceil(p.l / math.pi))
     _, lambda_star = _critical_sigma(p, r1, rp1)

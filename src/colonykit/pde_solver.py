@@ -12,8 +12,14 @@ same model continuation solves; with sigma = 0 the trapezoidal mass of u is
 conserved to rounding.  Time stepping is IMEX: the stiff linear v-equation
 is advanced by backward Euler through a tridiagonal solve, everything else
 explicitly, with the step size capped by the explicit diffusion bound
-dt <= safety h^2 / max r.  Any steady state of the scheme solves the
-spatially discrete stationary system exactly, independent of dt.
+dt <= DT_SAFETY h^2 / max r (DT_SAFETY = 0.4).  Any steady state of the
+scheme solves the spatially discrete stationary system exactly, independent
+of dt.
+
+Pattern-change events are read from the snapshots with fixed hysteresis: a
+pattern is established once its largest cosine amplitude reaches
+EVENT_FLOOR, a new dominant mode must exceed EVENT_MARGIN times the current
+one, and a change counts once it lasts EVENT_PERSIST snapshots.
 
 The step loop is written for per-call overhead, which dominates at a few
 hundred nodes: the state lives in two preallocated (2, N+1) arrays (row 0
@@ -53,6 +59,11 @@ __all__ = [
     "modal_spectrum",
     "count_peaks",
 ]
+
+DT_SAFETY = 0.4
+EVENT_FLOOR = 1e-4
+EVENT_PERSIST = 3
+EVENT_MARGIN = 2.0
 
 
 @dataclass(frozen=True)
@@ -129,10 +140,6 @@ class SimConfig:
     steady_tol: float = 1e-8
     snapshot_every: float = 1.0
     b_max: float = 100.0
-    dt_safety: float = 0.4
-    event_floor: float = 1e-4        # modal amplitude below which no pattern is declared
-    event_persist: int = 3           # snapshots a new dominant mode must survive
-    event_margin: float = 2.0        # hysteresis: new mode must exceed margin * current
 
     def __post_init__(self):
         if self.n < 16:
@@ -142,8 +149,6 @@ class SimConfig:
         for name in ("t_end", "steady_tol", "snapshot_every", "b_max"):
             if not _finite_positive(getattr(self, name)):
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
-        if not 0 < self.dt_safety <= 1:
-            raise ValueError(f"dt_safety must lie in (0, 1], got {self.dt_safety}")
 
 
 def _finite_positive(x) -> bool:
@@ -192,10 +197,11 @@ class Trajectory:
     l: float
     final: Field
     steady: bool
-    t_end_reached: bool
     events: tuple[Event, ...] = dataclass_field(default=())
-    dominant_modes: tuple = dataclass_field(default=())
-    peak_counts: tuple = dataclass_field(default=())
+
+    @property
+    def t_end_reached(self) -> bool:
+        return not self.steady
 
     def field(self, i: int) -> Field:
         return Field(u=self.u_history[i], v=self.v_history[i], l=self.l)
@@ -240,14 +246,11 @@ def modal_spectrum(f: Field) -> ModalSpectrum:
     return ModalSpectrum(coefficients=coeffs, dominant=dominant)
 
 
-def _count_peaks_array(u: np.ndarray, prominence: float | None) -> float:
+def _count_peaks(u: np.ndarray) -> float:
     rng = float(np.max(u) - np.min(u))
-    if prominence is None:
-        if rng < 1e-9:
-            return 0.0
-        prominence = 0.1 * rng
-    if prominence <= 0:
-        raise ValueError(f"prominence must be > 0, got {prominence}")
+    if rng < 1e-9:
+        return 0.0
+    prominence = 0.1 * rng
     # reflect across both boundaries so boundary maxima get true prominences
     ext = np.concatenate([u[1:][::-1], u, u[:-1][::-1]])
     n = u.size - 1
@@ -259,24 +262,20 @@ def _count_peaks_array(u: np.ndarray, prominence: float | None) -> float:
     return total
 
 
-def count_peaks(f: Field, prominence: float | None = None) -> float:
+def count_peaks(f: Field) -> float:
     """Peak count of u with boundary maxima counting one half each.
 
-    Default prominence is 10% of the field range, which ignores the small
-    secondary ripples of the second-harmonic correction.  A field with
-    range below 1e-9 counts as flat.
+    Peaks need a prominence of 10% of the field range, which ignores the
+    small secondary ripples of the second-harmonic correction.  A field
+    with range below 1e-9 counts as flat.
     """
-    return _count_peaks_array(f.u, prominence)
+    return _count_peaks(f.u)
 
 
 def stationary_residual(f: Field, p: ModelParams, m: MotilityModel) -> tuple[float, float]:
     """Max-norms of both discretized stationary equations."""
     res = residual(f.u, f.v, f.h, p.D, p.sigma, m)
     return float(np.max(np.abs(res[0::2]))), float(np.max(np.abs(res[1::2])))
-
-
-def _series_with_floor(values, established):
-    return tuple(val if ok else None for val, ok in zip(values, established))
 
 
 def _debounced_changes(times, series, persist, kind):
@@ -318,24 +317,21 @@ def _hysteresis_series(mags, established, margin):
     return tuple(out)
 
 
-def _annotate(times, u_hist, x, l, event_floor, persist, margin):
+def _annotate(times, u_hist, x, l):
     n = x.size - 1
     j_max = n // 2
     coeffs = _cosine_coefficients(u_hist, x, l, j_max)
     mags = np.abs(coeffs[:, 1:])
-    peak_mag = mags.max(axis=1)
-    dominant = np.argmax(mags, axis=1) + 1
-    established = peak_mag >= event_floor
-    dom_series = _series_with_floor(dominant.tolist(), established)
-    event_series = _hysteresis_series(mags, established, margin)
+    established = mags.max(axis=1) >= EVENT_FLOOR
+    event_series = _hysteresis_series(mags, established, EVENT_MARGIN)
 
     peaks = []
     for row, ok in zip(u_hist, established):
-        peaks.append(_count_peaks_array(row, None) if ok else None)
-    events = _debounced_changes(times, event_series, persist, "dominant_mode")
-    events += _debounced_changes(times, tuple(peaks), persist, "peak_count")
+        peaks.append(_count_peaks(row) if ok else None)
+    events = _debounced_changes(times, event_series, EVENT_PERSIST, "dominant_mode")
+    events += _debounced_changes(times, tuple(peaks), EVENT_PERSIST, "peak_count")
     events.sort(key=lambda ev: ev.time)
-    return tuple(events), dom_series, tuple(peaks)
+    return tuple(events)
 
 
 def simulate(config: SimConfig) -> Trajectory:
@@ -362,66 +358,65 @@ def simulate(config: SimConfig) -> Trajectory:
     next_snap = config.snapshot_every
     steady = False
 
-    while t < config.t_end:
-        u, v = cur
-        u_new, v_new = nxt
-        rv = np.asarray(m.evaluate(v, 0), dtype=float)
-        dt_full = config.dt_safety * h * h / float(rv.max())
-        if config.dt is not None:
-            dt_full = min(dt_full, config.dt)
-        dt = min(dt_full, next_snap - t, config.t_end - t)
-        if dt <= 0:
-            dt = 1e-15  # fp guard when t has effectively reached a boundary
-        # u_new = u + dt * (Lap_h(rv u) + sigma u (1 - u)), evaluated in that order
-        lap = laplacian(np.multiply(rv, u, out=tmp), h, lap_buf)
-        np.multiply(u, sigma, out=tmp)
-        np.subtract(1.0, u, out=u_new)
-        np.multiply(tmp, u_new, out=tmp)
-        np.add(lap, tmp, out=tmp)
-        np.multiply(tmp, dt, out=tmp)
-        np.add(u, tmp, out=u_new)
-        # backward Euler for v: solve (1 + dt - dt D Lap_h) v_new = v + dt u_new in place
-        np.multiply(u_new, dt, out=v_new)
-        np.add(v, v_new, out=v_new)
-        signal_band(dt, h, D, ab_buf)
-        info = dgtsv(dl, d, du, v_new, overwrite_dl=1, overwrite_d=1, overwrite_du=1,
-                     overwrite_b=1)[-1]
-        if info != 0:
-            raise LinAlgError("singular matrix")
+    # a run that blows up past the float range reaches the BlowUpError check
+    # through inf/NaN values; numpy need not warn on the way there
+    with np.errstate(over="ignore", invalid="ignore"):
+        while t < config.t_end:
+            u, v = cur
+            u_new, v_new = nxt
+            rv = np.asarray(m.evaluate(v, 0), dtype=float)
+            dt_full = DT_SAFETY * h * h / float(rv.max())
+            if config.dt is not None:
+                dt_full = min(dt_full, config.dt)
+            dt = min(dt_full, next_snap - t, config.t_end - t)
+            if dt <= 0:
+                dt = 1e-15  # fp guard when t has effectively reached a boundary
+            # u_new = u + dt * (Lap_h(rv u) + sigma u (1 - u)), evaluated in that order
+            lap = laplacian(np.multiply(rv, u, out=tmp), h, lap_buf)
+            np.multiply(u, sigma, out=tmp)
+            np.subtract(1.0, u, out=u_new)
+            np.multiply(tmp, u_new, out=tmp)
+            np.add(lap, tmp, out=tmp)
+            np.multiply(tmp, dt, out=tmp)
+            np.add(u, tmp, out=u_new)
+            # backward Euler for v: solve (1 + dt - dt D Lap_h) v_new = v + dt u_new in place
+            np.multiply(u_new, dt, out=v_new)
+            np.add(v, v_new, out=v_new)
+            signal_band(dt, h, D, ab_buf)
+            info = dgtsv(dl, d, du, v_new, overwrite_dl=1, overwrite_d=1, overwrite_du=1,
+                         overwrite_b=1)[-1]
+            if info != 0:
+                raise LinAlgError("singular matrix")
 
-        # one comparison catches NaN, inf and the bound
-        if not np.abs(nxt, out=scratch).max() <= b_max:
-            if not np.all(np.isfinite(nxt)):
-                raise BlowUpError(f"non-finite values at t={t + dt:.6g}")
-            raise BlowUpError(f"solution norm exceeded bound {b_max} at t={t + dt:.6g}")
-        lo = nxt.min(axis=1).tolist()
-        if lo[0] <= 0 < lo_old[0] or lo[1] <= 0 < lo_old[1]:
-            raise PositivityLossError(f"positivity lost at t={t + dt:.6g}")
-        rate = np.abs(np.subtract(nxt, cur, out=scratch), out=scratch).max() / dt
-        cur, nxt, lo_old = nxt, cur, lo
-        t += dt
-        if t >= next_snap - 1e-12:
-            times.append(t)
-            u_hist.append(cur[0].copy())
-            v_hist.append(cur[1].copy())
-            next_snap += config.snapshot_every
-        # rate estimates from boundary-clipped tiny steps are rounding noise
-        if rate < config.steady_tol and dt >= 0.25 * dt_full:
-            steady = True
-            if times[-1] != t:
+            # one comparison catches NaN, inf and the bound
+            if not np.abs(nxt, out=scratch).max() <= b_max:
+                if not np.all(np.isfinite(nxt)):
+                    raise BlowUpError(f"non-finite values at t={t + dt:.6g}")
+                raise BlowUpError(f"solution norm exceeded bound {b_max} at t={t + dt:.6g}")
+            lo = nxt.min(axis=1).tolist()
+            if lo[0] <= 0 < lo_old[0] or lo[1] <= 0 < lo_old[1]:
+                raise PositivityLossError(f"positivity lost at t={t + dt:.6g}")
+            rate = np.abs(np.subtract(nxt, cur, out=scratch), out=scratch).max() / dt
+            cur, nxt, lo_old = nxt, cur, lo
+            t += dt
+            if t >= next_snap - 1e-12:
                 times.append(t)
                 u_hist.append(cur[0].copy())
                 v_hist.append(cur[1].copy())
-            break
+                next_snap += config.snapshot_every
+            # rate estimates from boundary-clipped tiny steps are rounding noise
+            if rate < config.steady_tol and dt >= 0.25 * dt_full:
+                steady = True
+                if times[-1] != t:
+                    times.append(t)
+                    u_hist.append(cur[0].copy())
+                    v_hist.append(cur[1].copy())
+                break
 
     final = Field(u=cur[0], v=cur[1], l=p.l)
     times_arr = np.asarray(times)
     u_arr = np.asarray(u_hist)
     v_arr = np.asarray(v_hist)
-    events, dom_series, peaks = _annotate(
-        times_arr, u_arr, final.x, p.l,
-        config.event_floor, config.event_persist, config.event_margin,
-    )
     return Trajectory(
         times=times_arr,
         u_history=u_arr,
@@ -429,8 +424,5 @@ def simulate(config: SimConfig) -> Trajectory:
         l=p.l,
         final=final,
         steady=steady,
-        t_end_reached=not steady,
-        events=events,
-        dominant_modes=dom_series,
-        peak_counts=peaks,
+        events=_annotate(times_arr, u_arr, final.x, p.l),
     )

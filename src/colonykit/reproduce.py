@@ -145,12 +145,12 @@ class ReproductionContext:
             self.progress(f"  protocol {name} done in {time.perf_counter() - start:.0f}s")
         return self._trajectories[name]
 
-    def branch(self, j: int, sigma_min: float, n: int = 256):
-        key = (j, sigma_min, n)
+    def branch(self, j: int, sigma_min: float):
+        key = (j, sigma_min)
         if key not in self._branches:
             self.progress(f"  tracing mode-{j} branch to sigma={sigma_min} ...")
             self._branches[key] = trace_branch(
-                j, self.params(0.3), self.motility, sigma_min, n=n, summary=self.summary
+                j, self.params(0.3), self.motility, sigma_min, summary=self.summary
             )
         return self._branches[key]
 
@@ -455,8 +455,8 @@ def run_reproduction(config: ExperimentConfig | None = None, progress=None):
         ]
         return results, False
 
-    n = config.reproduce.n if config is not None else 512
-    ctx = ReproductionContext(n=n, progress=progress)
+    options = config.reproduce if config is not None else {}
+    ctx = ReproductionContext(progress=progress, **options)
     results = []
     for fn in CRITERIA:
         try:

@@ -11,11 +11,10 @@ from colonykit import (
     amplitude_prediction,
     epsilon_for_sigma,
     eta_by_quadrature,
-    evaluate_approximate_steady_state,
     expansion_coefficients,
     scan_modes,
 )
-from colonykit.asymptotics import adjoint_projection_first_order
+from colonykit.asymptotics import adjoint_projection_first_order, second_order_profiles
 
 REF = LogisticDecay(steepness=8.0, center=1.0)
 P = ModelParams(D=1.0, sigma=0.3, l=20.0)
@@ -56,7 +55,6 @@ class TestCoefficients:
                 assert e.d1 == e.d3
                 assert e.d2 == pytest.approx((1 + 4 * P.D * e.lambda_j) * e.d4, rel=1e-14)
                 assert e.d1 == pytest.approx(-e.a ** 2 / 2, rel=1e-14)
-                assert e.sigma1 == 0.0
                 assert e.c < 0
 
     def test_nonpositive_sigma0_rejected(self, summary):
@@ -123,35 +121,26 @@ class TestEta:
 
 class TestApproximateState:
     def test_reference_profile_values(self, exp6):
-        grid = np.linspace(0.0, 20.0, 513)
-        f = evaluate_approximate_steady_state(exp6, 0.01, grid)
+        u, v = second_order_profiles(exp6, 0.01, np.linspace(0.0, 20.0, 513))
         # value at the left boundary: 1 + eps a + eps^2 (d1 + d2)
         expected = 1.0 + 0.01 * exp6.a + 1e-4 * (exp6.d1 + exp6.d2)
-        assert f.u[0] == pytest.approx(expected, rel=1e-14)
-        assert f.u[0] == pytest.approx(1.0 + 0.01 * 1.8883 + 1e-4 * (-1.7828 + 8.1736), abs=1e-5)
-        assert f.v[0] == pytest.approx(1.0 + 0.01 + 1e-4 * (exp6.d3 + exp6.d4), rel=1e-14)
+        assert u[0] == pytest.approx(expected, rel=1e-14)
+        assert u[0] == pytest.approx(1.0 + 0.01 * 1.8883 + 1e-4 * (-1.7828 + 8.1736), abs=1e-5)
+        assert v[0] == pytest.approx(1.0 + 0.01 + 1e-4 * (exp6.d3 + exp6.d4), rel=1e-14)
 
     def test_zero_amplitude_is_uniform(self, exp6):
-        grid = np.linspace(0.0, 20.0, 129)
-        f = evaluate_approximate_steady_state(exp6, 0.0, grid)
-        np.testing.assert_array_equal(f.u, np.ones(129))
-        np.testing.assert_array_equal(f.v, np.ones(129))
+        u, v = second_order_profiles(exp6, 0.0, np.linspace(0.0, 20.0, 129))
+        np.testing.assert_array_equal(u, np.ones(129))
+        np.testing.assert_array_equal(v, np.ones(129))
 
     def test_neumann_compatibility(self, exp6):
         # cosine modes have vanishing slope at both walls; check with a
         # one-sided fine difference of the analytic profile
         grid = np.linspace(0.0, 20.0, 2049)
-        f = evaluate_approximate_steady_state(exp6, 0.01, grid)
         h = grid[1] - grid[0]
-        for u in (f.u, f.v):
+        for u in second_order_profiles(exp6, 0.01, grid):
             assert abs(-1.5 * u[0] + 2 * u[1] - 0.5 * u[2]) / h < 1e-5
             assert abs(1.5 * u[-1] - 2 * u[-2] + 0.5 * u[-3]) / h < 1e-5
-
-    def test_grid_validation(self, exp6):
-        with pytest.raises(ValueError):
-            evaluate_approximate_steady_state(exp6, 0.01, np.array([0.0, 1.0, 3.0]))
-        with pytest.raises(ValueError):
-            evaluate_approximate_steady_state(exp6, 0.01, np.linspace(0.0, 10.0, 65))
 
 
 class TestAmplitudeLaw:

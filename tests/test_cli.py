@@ -4,7 +4,15 @@ import struct
 import numpy as np
 import pytest
 
-from colonykit import ConfigError, LogisticDecay, UniformPerturbed
+from colonykit import (
+    ConfigError,
+    LogisticDecay,
+    ModelParams,
+    SeedFailureError,
+    SimConfig,
+    UniformPerturbed,
+    cli,
+)
 from colonykit.cli import main
 from colonykit.config import parse_config
 
@@ -36,6 +44,12 @@ continuation:
   n: 64
 """
 
+# only the required keys; everything else takes the library's defaults
+MINIMAL_CONFIG = """\
+params: {sigma: 0.3}
+motility: {family: logistic_decay}
+"""
+
 
 class TestConfigParsing:
     def test_full_config(self):
@@ -47,7 +61,17 @@ class TestConfigParsing:
         assert cfg.expand.modes == (5, 6, 7)
         assert isinstance(cfg.simulate.init, UniformPerturbed)
         assert cfg.simulate.init.seed == 3  # inherits the global seed
+        assert cfg.simulate.sim_config(cfg.params, cfg.motility).n == 64
         assert cfg.continuation.j == 6
+        assert cfg.continuation.options == {"n": 64}
+
+    def test_minimal_simulate_section_takes_library_defaults(self):
+        cfg = parse_config(MINIMAL_CONFIG + "simulate:\n  init: {kind: uniform_perturbed}\n")
+        p, m = cfg.params, cfg.motility
+        assert p == ModelParams(sigma=0.3)
+        assert m == LogisticDecay()
+        assert cfg.simulate.sim_config(p, m) == SimConfig(
+            params=p, motility=m, init=UniformPerturbed(seed=0))
 
     def test_unknown_key_reports_line(self):
         bad = GOOD_CONFIG.replace("  j_max: 30", "  j_max: 30\n  extra_knob: 1")
@@ -151,6 +175,21 @@ class TestCommands:
         sigmas = [float(r[1]) for r in rows]
         assert sigmas[0] > sigmas[-1]
         assert all(float(r[4]) <= 1e-10 for r in rows)
+
+    def test_continue_passes_only_keys_the_file_sets(self, tmp_path, monkeypatch):
+        calls = []
+
+        def record(*args, **kwargs):
+            calls.append((args, kwargs))
+            raise SeedFailureError("recorded")
+
+        monkeypatch.setattr(cli, "trace_branch", record)
+        path = tmp_path / "cont.yaml"
+        path.write_text(MINIMAL_CONFIG + "continuation: {j: 6, sigma_min: 0.45}\n")
+        assert main(["continue", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        [(args, kwargs)] = calls
+        assert args == (6, ModelParams(sigma=0.3), LogisticDecay(), 0.45)
+        assert kwargs == {}  # ds, n and seed_offset keep trace_branch's defaults
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"

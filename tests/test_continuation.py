@@ -14,7 +14,6 @@ from colonykit import (
     Termination,
     count_peaks,
     epsilon_for_sigma,
-    evaluate_approximate_steady_state,
     expansion_coefficients,
     modal_spectrum,
     newton_steady,
@@ -22,6 +21,8 @@ from colonykit import (
     stationary_residual,
     trace_branch,
 )
+from colonykit import continuation
+from colonykit.asymptotics import second_order_profiles
 from colonykit.discrete import jacobian_banded, residual
 
 REF = LogisticDecay(steepness=8.0, center=1.0)
@@ -34,7 +35,7 @@ def params(sigma):
 def asymptotic_field(j, sigma, n=256):
     e = expansion_coefficients(j, params(sigma), REF)
     eps = epsilon_for_sigma(e, sigma)
-    return evaluate_approximate_steady_state(e, eps, np.linspace(0.0, 20.0, n + 1))
+    return Field(*second_order_profiles(e, eps, np.linspace(0.0, 20.0, n + 1)), l=20.0)
 
 
 class TestJacobian:
@@ -99,18 +100,19 @@ class TestNewton:
 
         sigma0 = expansion_coefficients(6, params(0.49), REF).sigma0
         e = expansion_coefficients(6, params(0.49), REF)
-        f = evaluate_approximate_steady_state(e, 1e-4, np.linspace(0.0, 20.0, 257))
+        f = Field(*second_order_profiles(e, 1e-4, np.linspace(0.0, 20.0, 257)), l=20.0)
         try:
             bp = newton_steady(f, params(sigma0), REF)
             assert bp.amplitude < 1e-6  # fell back onto the uniform state
         except (SingularJacobianError, NewtonConvergenceError):
             pass  # degenerate linearization is also an acceptable report
 
-    def test_distant_start_fails_cleanly(self):
+    def test_distant_start_fails_cleanly(self, monkeypatch):
+        monkeypatch.setattr(continuation, "MAX_NEWTON_ITERS", 4)
         rng = np.random.default_rng(0)
         f = Field(u=5 + rng.uniform(-1, 1, 65), v=0.1 + 0.05 * rng.uniform(-1, 1, 65), l=20.0)
         with pytest.raises(NewtonConvergenceError):
-            newton_steady(f, params(0.3), REF, max_iters=4)
+            newton_steady(f, params(0.3), REF)
 
     def test_length_mismatch_rejected(self):
         f = Field(u=np.ones(65), v=np.ones(65), l=10.0)
@@ -169,8 +171,9 @@ class TestTraceBranch:
         assert curve.points == ()
         assert curve.termination is Termination.REACHED_SIGMA_MIN
 
-    def test_point_cap_reported(self):
-        curve = trace_branch(6, params(0.3), REF, sigma_min=0.05, max_points=5)
+    def test_point_cap_reported(self, monkeypatch):
+        monkeypatch.setattr(continuation, "MAX_POINTS", 5)
+        curve = trace_branch(6, params(0.3), REF, sigma_min=0.05)
         assert curve.termination is Termination.MAX_POINTS
         assert len(curve.points) == 5
 
