@@ -17,7 +17,10 @@ regardless.
 Two independent routes to eta are provided: the closed form, and a
 quadrature of the adjoint projection of the second-order eigenvalue
 forcing assembled term by term (``eta_by_quadrature``).  They must agree
-to rounding; the quadrature is the oracle for the closed form.
+to rounding; the quadrature is the oracle for the closed form.  Its
+composite Simpson rule (``_simpson``) is scipy.integrate.simpson's, written
+out with the same order of operations so that the package need not import
+scipy.integrate; the test suite checks that both give the same value.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import BranchSideError, NonpositiveSigma0Error, ResonantDenominatorError
 from .linear_analysis import (
@@ -294,6 +296,23 @@ def _second_order_eigen_forcing(e: Expansion, m: MotilityModel, f: _Perturbation
     )
 
 
+def _simpson(y: np.ndarray, x: np.ndarray) -> float:
+    """Composite Simpson's rule for samples y on an odd number of nodes x.
+
+    This is the x-given branch of scipy.integrate.simpson for an odd node
+    count, with scipy's order of operations, so the two agree bit for bit
+    (the test suite checks it against scipy).
+    """
+    h = np.diff(x)
+    h0, h1 = h[0::2], h[1::2]
+    hsum = h0 + h1
+    hprod = h0 * h1
+    h0divh1 = h0 / h1
+    return np.sum(hsum / 6.0 * (y[:-2:2] * (2.0 - 1.0 / h0divh1)
+                                + y[1:-1:2] * (hsum * (hsum / hprod))
+                                + y[2::2] * (2.0 - h0divh1)))
+
+
 def adjoint_projection_first_order(
     p: ModelParams, m: MotilityModel, summary: BifurcationSummary
 ) -> float:
@@ -306,7 +325,7 @@ def adjoint_projection_first_order(
     x = np.linspace(0.0, p.l, QUADRATURE_POINTS)
     f = _PerturbationFields(e, x)
     g = _first_order_eigen_forcing(e, m, f)
-    return float(simpson(g * f.ubar, x=x))
+    return float(_simpson(g * f.ubar, x))
 
 
 def eta_by_quadrature(p: ModelParams, m: MotilityModel, summary: BifurcationSummary) -> float:
@@ -320,7 +339,7 @@ def eta_by_quadrature(p: ModelParams, m: MotilityModel, summary: BifurcationSumm
     x = np.linspace(0.0, p.l, QUADRATURE_POINTS)
     f = _PerturbationFields(e, x)
     g = _second_order_eigen_forcing(e, m, f)
-    return float(simpson(g * f.ubar, x=x) / (e.c * p.l))
+    return float(_simpson(g * f.ubar, x) / (e.c * p.l))
 
 
 # ---------------------------------------------------------------------------

@@ -133,17 +133,25 @@ def cmd_expand(args) -> int:
     return 0
 
 
+def _float_reprs(a) -> list[str]:
+    """repr of every element of a 1-D float array: a list's repr joins its
+    floats' reprs with ", ", and one such call is far cheaper than a repr
+    per element."""
+    return repr(a.tolist())[1:-1].split(", ")
+
+
 def _write_snapshots_csv(path: Path, cfg: ExperimentConfig, traj) -> None:
-    x = traj.final.x
+    """One row t,x,u,v per node and snapshot, every value written as the
+    repr of the float; each snapshot goes out in one write."""
+    x_cols = [s + "," for s in _float_reprs(traj.final.x)]
     with path.open("w") as fh:
         for line in _meta_lines(cfg):
             fh.write(line + "\n")
         fh.write("t,x,u,v\n")
-        for i, t in enumerate(traj.times):
-            u = traj.u_history[i]
-            v = traj.v_history[i]
-            for k in range(x.size):
-                fh.write(f"{_fmt(float(t))},{_fmt(float(x[k]))},{_fmt(float(u[k]))},{_fmt(float(v[k]))}\n")
+        for t, u, v in zip(traj.times.tolist(), traj.u_history, traj.v_history):
+            t_col = repr(t) + ","
+            fh.write("".join([t_col + x_col + u_val + "," + v_val + "\n" for x_col, u_val, v_val
+                              in zip(x_cols, _float_reprs(u), _float_reprs(v))]))
 
 
 def _write_snapshots_binary(path: Path, cfg: ExperimentConfig, traj) -> None:

@@ -252,11 +252,11 @@ def parse_config(text: str, seed_override: int | None = None) -> ExperimentConfi
         options = ssec.take_given(("n",), int, minimum=16)
         options |= ssec.take_given(("t_end", "steady_tol", "snapshot_every", "b_max"), float,
                                    minimum=0.0, exclusive=True)
-        options |= ssec.take_given(("dt",), (float, str))
-        if isinstance(options.get("dt"), str):
-            if options["dt"] != "auto":
-                raise ConfigError("simulate.dt: must be a positive number or 'auto'")
-            del options["dt"]
+        dt = ssec.take("dt", (float, int, str), default="auto")
+        if dt != "auto":
+            if isinstance(dt, str) or not dt > 0:
+                raise ConfigError(f"{ssec._where('dt')}: must be a number > 0 or 'auto', got {dt!r}")
+            options["dt"] = float(dt)
         simulate = SimulateSettings(
             init=init,
             options=options,

@@ -45,11 +45,19 @@ def interleave(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def laplacian(w: np.ndarray, h: float, out: np.ndarray | None = None) -> np.ndarray:
-    """3-point second difference with mirror (zero-flux) ghost closure."""
+    """3-point second difference with mirror (zero-flux) ghost closure.
+
+    The interior is (w[:-2] - 2 w[1:-1] + w[2:]) / h^2, evaluated in that
+    order in place in out, which must not share memory with w.
+    """
     if out is None:
         out = np.empty_like(w)
     hh = h * h
-    out[1:-1] = (w[:-2] - 2.0 * w[1:-1] + w[2:]) / hh
+    inner = out[1:-1]
+    np.multiply(w[1:-1], 2.0, out=inner)
+    np.subtract(w[:-2], inner, out=inner)
+    np.add(inner, w[2:], out=inner)
+    np.divide(inner, hh, out=inner)
     out[0] = 2.0 * (w[1] - w[0]) / hh
     out[-1] = 2.0 * (w[-2] - w[-1]) / hh
     return out

@@ -26,6 +26,11 @@ hundred nodes: the state lives in two preallocated (2, N+1) arrays (row 0
 is u, row 1 is v) that swap roles each step, the signal solve calls LAPACK
 gtsv directly on the rows of the band matrix, and the new state is checked
 for blow-up, positivity loss and the steady rate in one fused pass.
+
+Peak counting uses ``_find_peaks``, a numpy port of the rules of
+scipy.signal.find_peaks with a prominence threshold; the test suite checks
+that both return the same indices.  Importing scipy.signal would more than
+double the package's import time for that one call.
 """
 
 from __future__ import annotations
@@ -37,7 +42,6 @@ from typing import Union
 import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgtsv
-from scipy.signal import find_peaks
 
 from .asymptotics import expansion_coefficients, second_order_profiles
 from .discrete import laplacian, residual, signal_band
@@ -246,6 +250,43 @@ def modal_spectrum(f: Field) -> ModalSpectrum:
     return ModalSpectrum(coefficients=coeffs, dominant=dominant)
 
 
+def _stretch_minima(vals: list) -> list:
+    """For each value, the minimum over the stretch that reaches left from
+    it while values stay <= its own (the value itself included)."""
+    out = []
+    stack = []  # (value, minimum of the stretch it ends); values strictly decrease
+    for val in vals:
+        lo = val
+        while stack and stack[-1][0] <= val:
+            lo = min(lo, stack.pop()[1])
+        stack.append((val, lo))
+        out.append(lo)
+    return out
+
+
+def _find_peaks(x: np.ndarray, prominence: float) -> np.ndarray:
+    """Indices of the maxima of x whose prominence is at least prominence.
+
+    Follows scipy.signal.find_peaks(x, prominence=prominence): a run of
+    equal values counts as one point, a maximum is a run strictly above the
+    runs on both sides (never the first or last run) and sits at the middle
+    of its run, rounded down, and its prominence is its height above the
+    higher of the two minima reached going left and right while values stay
+    <= the peak.  Those minima lie among the turning runs and the two ends,
+    so only they are scanned.
+    """
+    moves = np.flatnonzero(x[1:] != x[:-1])  # run i ends at moves[i], run i + 1 starts after it
+    rising = x[moves + 1] > x[moves]
+    bend = np.flatnonzero(rising[1:] != rising[:-1])  # run bend + 1 is a turning run
+    if bend.size == 0:
+        return bend
+    top = x[moves[bend + 1]]
+    vals = [float(x[0]), *top.tolist(), float(x[-1])]
+    base = np.maximum(_stretch_minima(vals), _stretch_minima(vals[::-1])[::-1])[1:-1]
+    keep = rising[bend] & (top - base >= prominence)
+    return ((moves[bend] + 1 + moves[bend + 1]) // 2)[keep]
+
+
 def _count_peaks(u: np.ndarray) -> float:
     rng = float(np.max(u) - np.min(u))
     if rng < 1e-9:
@@ -254,7 +295,7 @@ def _count_peaks(u: np.ndarray) -> float:
     # reflect across both boundaries so boundary maxima get true prominences
     ext = np.concatenate([u[1:][::-1], u, u[:-1][::-1]])
     n = u.size - 1
-    peaks, _ = find_peaks(ext, prominence=prominence)
+    peaks = _find_peaks(ext, prominence)
     inside = peaks[(peaks >= n) & (peaks <= 2 * n)]
     total = 0.0
     for idx in inside:

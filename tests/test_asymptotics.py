@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
 from colonykit import (
     BranchSideError,
@@ -14,6 +15,7 @@ from colonykit import (
     expansion_coefficients,
     scan_modes,
 )
+from colonykit import asymptotics
 from colonykit.asymptotics import adjoint_projection_first_order, second_order_profiles
 
 REF = LogisticDecay(steepness=8.0, center=1.0)
@@ -117,6 +119,30 @@ class TestEta:
         shifted = _eta_closed_form(exp6.lambda_j, exp6.sigma0, exp6.sigma2 + 1.0, exp6.a,
                                    exp6.d1, exp6.d2, exp6.d3, exp6.d4, -2.0, 0.0, 64.0)
         assert shifted - base == pytest.approx(exp6.a / 2, rel=1e-12)
+
+
+class TestSimpsonMatchesScipy:
+    """The in-house Simpson rule against scipy.integrate.simpson."""
+
+    @pytest.mark.parametrize("m", [
+        LogisticDecay(steepness=6.0),
+        LogisticDecay(steepness=8.0),
+        LogisticDecay(steepness=10.0),
+        ExponentialDecay(rate=3.0),
+    ], ids=["logistic6", "logistic8", "logistic10", "exponential"])
+    def test_quadratures_equal_scipy_value(self, m, monkeypatch):
+        s = scan_modes(P, m)
+        ours = (eta_by_quadrature(P, m, s), adjoint_projection_first_order(P, m, s))
+        monkeypatch.setattr(asymptotics, "_simpson", lambda y, x: simpson(y, x=x))
+        assert (eta_by_quadrature(P, m, s), adjoint_projection_first_order(P, m, s)) == ours
+
+    @pytest.mark.parametrize("n", [3, 5, 101, 4097])
+    def test_uneven_grid(self, n):
+        # spacings over four decades, so every rounding of the node weights shows
+        rng = np.random.default_rng(3)
+        x = np.cumsum(10.0 ** rng.uniform(-3.0, 1.0, n))
+        y = rng.normal(size=n)
+        assert asymptotics._simpson(y, x) == simpson(y, x=x)
 
 
 class TestApproximateState:

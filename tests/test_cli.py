@@ -1,15 +1,22 @@
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import colonykit
 from colonykit import (
     ConfigError,
+    Field,
     LogisticDecay,
     ModelParams,
     SeedFailureError,
     SimConfig,
+    Trajectory,
     UniformPerturbed,
     cli,
 )
@@ -104,6 +111,22 @@ class TestConfigParsing:
     def test_hash_stable(self):
         assert parse_config(GOOD_CONFIG).config_hash == parse_config(GOOD_CONFIG).config_hash
 
+    @pytest.mark.parametrize("dt, expected", [("auto", None), ("0.5", 0.5), ("1", 1.0)])
+    def test_simulate_dt(self, dt, expected):
+        cfg = parse_config(GOOD_CONFIG.replace("  t_end: 3.0", f"  t_end: 3.0\n  dt: {dt}"))
+        assert cfg.simulate.options.get("dt") == expected
+
+
+def test_cli_import_leaves_heavy_scipy_modules_out():
+    # a fresh interpreter, so modules other tests imported do not count
+    src = Path(colonykit.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, colonykit.cli; "
+            "print([m for m in ('scipy.signal', 'scipy.integrate', 'scipy.stats') if m in sys.modules])")
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert run.stdout.strip() == "[]"
+
 
 @pytest.fixture()
 def config_file(tmp_path):
@@ -148,6 +171,31 @@ class TestCommands:
         assert summary["t_final"] == 3.0
         events_lines = (out1 / "events.jsonl").read_text().splitlines()
         assert "meta" in json.loads(events_lines[0])
+
+    def test_snapshot_csv_bytes_match_per_value_writer(self, tmp_path):
+        def reference_writer(path, cfg, traj):
+            # one repr per value, the writer's definition of its output
+            x = traj.final.x
+            with path.open("w") as fh:
+                for line in cli._meta_lines(cfg):
+                    fh.write(line + "\n")
+                fh.write("t,x,u,v\n")
+                for i, t in enumerate(traj.times):
+                    u, v = traj.u_history[i], traj.v_history[i]
+                    for k in range(x.size):
+                        fh.write(f"{float(t)!r},{float(x[k])!r},{float(u[k])!r},{float(v[k])!r}\n")
+
+        u_hist = np.array([[1e-05, -1.5e-07, 1e+16, -3.0, 0.1 + 0.2],
+                           [2.0, -0.0, 1.5e-07, 123456789.0, -1e-300]])
+        v_hist = np.array([[1.0, 1e+16, 5e-324, -2.5, 1 / 3],
+                           [-1e-05, 7.0, 0.0, 1e22, 2.0 ** 0.5]])
+        traj = Trajectory(times=np.array([0.0, 1e-05]), u_history=u_hist, v_history=v_hist,
+                          l=1e-4, final=Field(u=u_hist[-1], v=v_hist[-1], l=1e-4), steady=False)
+        cfg = parse_config(GOOD_CONFIG)
+        cli._write_snapshots_csv(tmp_path / "fast.csv", cfg, traj)
+        reference_writer(tmp_path / "ref.csv", cfg, traj)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert "\n0.0,2.5e-05,-1.5e-07,1e+16\n" in (tmp_path / "fast.csv").read_text()
 
     def test_simulate_binary_snapshots(self, config_file, tmp_path):
         binary_cfg = GOOD_CONFIG.replace("  t_end: 3.0", "  t_end: 2.0\n  snapshot_format: binary")
@@ -216,6 +264,15 @@ class TestCommands:
         assert main(["analyze", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "must be a finite number" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("dt", ["-1.0", "0", "0.0", "-3", "fast"])
+    def test_nonpositive_dt_is_config_error(self, tmp_path, capsys, dt):
+        path = tmp_path / "dt.yaml"
+        path.write_text(GOOD_CONFIG.replace("  t_end: 3.0", f"  t_end: 3.0\n  dt: {dt}"))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "simulate.dt (line 17): must be a number > 0 or 'auto'" in err
         assert "Traceback" not in err
 
     def test_missing_section_is_config_error(self, tmp_path):

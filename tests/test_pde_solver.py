@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_banded
+from scipy.signal import find_peaks
 
 from colonykit import (
     AsymptoticMode,
@@ -24,7 +26,7 @@ from colonykit import (
 )
 from colonykit.discrete import laplacian, signal_band
 from colonykit.asymptotics import second_order_profiles
-from colonykit.pde_solver import DT_SAFETY, initial_field
+from colonykit.pde_solver import DT_SAFETY, _find_peaks, initial_field
 
 REF = LogisticDecay(steepness=8.0, center=1.0)
 
@@ -164,6 +166,22 @@ def reference_run(cfg):
     return np.array(times), np.array(us), np.array(vs), u, v
 
 
+class TestLaplacian:
+    @pytest.mark.parametrize("n", [16, 257])
+    def test_matches_plain_expression(self, n):
+        w = np.random.default_rng(n).uniform(0.5, 1.5, n + 1)
+        h = 20.0 / n
+        hh = h * h
+        expected = np.empty_like(w)
+        expected[1:-1] = (w[:-2] - 2.0 * w[1:-1] + w[2:]) / hh
+        expected[0] = 2.0 * (w[1] - w[0]) / hh
+        expected[-1] = 2.0 * (w[-2] - w[-1]) / hh
+        assert np.array_equal(laplacian(w, h), expected)
+        out = np.full_like(w, np.nan)
+        assert laplacian(w, h, out) is out
+        assert np.array_equal(out, expected)
+
+
 class TestStepLoopBitIdentity:
     """simulate's fused, in-place step loop must reproduce the plain formula
     bit for bit: transition times seeded by rounding depend on it."""
@@ -227,6 +245,50 @@ class TestCountPeaks:
         u = 1.0 + 0.1 * np.cos(4 * np.pi * x / 20) + 0.002 * np.cos(16 * np.pi * x / 20)
         f = Field(u=u, v=np.ones_like(u), l=20.0)
         assert count_peaks(f) == 2.0
+
+
+def mirrored(u):
+    """u reflected across both ends, as the peak count builds it."""
+    return np.concatenate([u[1:][::-1], u, u[:-1][::-1]])
+
+
+class TestFindPeaksMatchesScipy:
+    """The in-house peak finder against scipy.signal.find_peaks."""
+
+    @staticmethod
+    def assert_same(x, prominence):
+        x = np.asarray(x, dtype=float)
+        expected = find_peaks(x, prominence=prominence)[0]
+        got = _find_peaks(x, prominence)
+        assert np.array_equal(got, expected), (x.tolist(), prominence, got, expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 3), max_size=40), st.sampled_from([0.0, 0.5, 1.0, 1.5, 3.0]))
+    def test_ties_and_plateaus(self, values, prominence):
+        self.assert_same(values, prominence)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-1e3, 1e3, allow_nan=False), max_size=60),
+           st.floats(0.0, 500.0))
+    def test_distinct_values(self, values, prominence):
+        self.assert_same(values, prominence)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 4), min_size=2, max_size=30))
+    def test_mirrored_as_peak_count_builds_them(self, values):
+        u = np.asarray(values, dtype=float)
+        self.assert_same(mirrored(u), 0.1 * float(np.max(u) - np.min(u)))
+
+    def test_noisy_and_smooth_fields(self):
+        rng = np.random.default_rng(5)
+        x = np.linspace(0.0, 20.0, 1025)
+        for u in (1.0 + 0.01 * rng.uniform(-1.0, 1.0, x.size),
+                  1.0 + 0.3 * np.cos(6 * np.pi * x / 20) + 0.01 * np.cos(30 * np.pi * x / 20)):
+            self.assert_same(mirrored(u), 0.1 * float(np.max(u) - np.min(u)))
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 3, 50])
+    def test_flat_and_short(self, size):
+        self.assert_same(np.full(size, 2.5), 0.0)
 
 
 class TestStationaryResidual:
