@@ -120,7 +120,8 @@ class TestConfigParsing:
 def test_cli_import_leaves_heavy_scipy_modules_out():
     # a fresh interpreter, so modules other tests imported do not count
     src = Path(colonykit.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    paths = [str(src), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     code = ("import sys, colonykit.cli; "
             "print([m for m in ('scipy.signal', 'scipy.integrate', 'scipy.stats') if m in sys.modules])")
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
