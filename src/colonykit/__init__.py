@@ -8,7 +8,6 @@ branch continuation.
 from .asymptotics import (
     BranchVerdict,
     Expansion,
-    amplitude_prediction,
     epsilon_for_sigma,
     eta_by_quadrature,
     expansion_coefficients,
@@ -49,9 +48,6 @@ from .motility import (
     ExponentialDecay,
     LogisticDecay,
     MotilityModel,
-    MotilityReport,
-    eval_r,
-    validate_structure,
 )
 from .pde_solver import (
     AsymptoticMode,

@@ -39,7 +39,7 @@ from .linear_analysis import (
     eigenvalue_lambda,
     scan_modes,
 )
-from .motility import MotilityModel
+from .motility import MotilityModel, taylor_at_one
 
 __all__ = [
     "BranchVerdict",
@@ -48,7 +48,6 @@ __all__ = [
     "eta_by_quadrature",
     "adjoint_projection_first_order",
     "epsilon_for_sigma",
-    "amplitude_prediction",
 ]
 
 # composite Simpson nodes on [0, l] for the quadrature oracle
@@ -90,10 +89,6 @@ class Expansion:
     @property
     def wavenumber(self) -> float:
         return math.sqrt(self.lambda_j)
-
-
-def _taylor_data(m: MotilityModel):
-    return tuple(float(m.evaluate(1.0, k)) for k in range(4))
 
 
 def _second_order_coefficients(lam, sigma0, a, r1, rp1, rpp1, rppp1, D):
@@ -147,7 +142,7 @@ def expansion_coefficients(
         raise NonpositiveSigma0Error(
             f"mode {j} has bifurcation value {sigma0:.6g} <= 0; no branch emanates there"
         )
-    r1, rp1, rpp1, rppp1 = _taylor_data(m)
+    r1, rp1, rpp1, rppp1 = taylor_at_one(m, 4)
     a = 1.0 + p.D * lam
     c = p.D * a / rp1
     d1, d2, d3, d4, sigma2 = _second_order_coefficients(lam, sigma0, a, r1, rp1, rpp1, rppp1, p.D)
@@ -238,7 +233,7 @@ class _PerturbationFields:
 
 
 def _first_order_eigen_forcing(e: Expansion, m: MotilityModel, f: _PerturbationFields):
-    _, rp1, rpp1, _ = _taylor_data(m)
+    _, rp1, rpp1, _ = taylor_at_one(m, 4)
     s0 = e.sigma0
     return (
         -rp1 * f.v1 * f.phi0_xx
@@ -255,7 +250,7 @@ def _first_order_eigen_forcing(e: Expansion, m: MotilityModel, f: _PerturbationF
 
 
 def _second_order_eigen_forcing(e: Expansion, m: MotilityModel, f: _PerturbationFields):
-    _, rp1, rpp1, rppp1 = _taylor_data(m)
+    _, rp1, rpp1, rppp1 = taylor_at_one(m, 4)
     s0 = e.sigma0
     return (
         -rp1 * f.v1 * f.phi1_xx
@@ -378,12 +373,3 @@ def epsilon_for_sigma(e: Expansion, sigma: float) -> float:
         )
     return math.sqrt(ratio)
 
-
-def amplitude_prediction(e: Expansion, sigma: float) -> float:
-    """Squared leading-mode amplitude of u - 1 predicted at growth rate sigma.
-
-    Norm convention: the amplitude of the leading cosine mode, (eps * a)**2,
-    which makes the prediction an identity for the truncated expansion.
-    """
-    eps = epsilon_for_sigma(e, sigma)
-    return (eps * e.a) ** 2

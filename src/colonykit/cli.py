@@ -49,13 +49,7 @@ def _write_csv(path: Path, cfg: ExperimentConfig, header: list[str], rows) -> No
             fh.write(line + "\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
-
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+            fh.write(",".join(map(str, row)) + "\n")
 
 
 def _json_meta(cfg: ExperimentConfig) -> dict:
@@ -120,7 +114,7 @@ def cmd_expand(args) -> int:
     for e in expansions:
         rows.append(
             (e.j, e.sigma0, e.sigma2, e.a, e.c, e.d1, e.d2, e.d3, e.d4,
-             "" if e.eta is None else repr(e.eta), e.verdict.value)
+             "" if e.eta is None else e.eta, e.verdict.value)
         )
     _write_csv(
         out / "expansion.csv", cfg,

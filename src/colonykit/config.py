@@ -82,9 +82,6 @@ class _Section:
         prefix = f"{self.path}." if self.path else ""
         return f"{prefix}{key}{loc}"
 
-    def has(self, key) -> bool:
-        return key in self.data
-
     def take(self, key, kind, default=None, required=False, minimum=None, exclusive=False,
              choices=None):
         self.seen.add(key)
@@ -185,11 +182,16 @@ def _parse_motility(sec: _Section) -> MotilityModel:
     if family == "logistic_decay":
         kwargs = sec.take_given(("steepness",), float, minimum=0.0, exclusive=True)
         kwargs |= sec.take_given(("center",), float)
-        sec.finish()
-        return LogisticDecay(**kwargs)
-    kwargs = sec.take_given(("r0", "rate"), float, minimum=0.0, exclusive=True)
+        cls = LogisticDecay
+    else:
+        kwargs = sec.take_given(("r0", "rate"), float, minimum=0.0, exclusive=True)
+        cls = ExponentialDecay
     sec.finish()
-    return ExponentialDecay(**kwargs)
+    model = cls(**kwargs)
+    # the linear analysis divides by r(1) and the time step by max r
+    if not model.evaluate(1.0) > 0:
+        raise ValueError(f"r(1) underflows to 0 for {model}")
+    return model
 
 
 def _parse_init(sec: _Section, default_seed: int):
@@ -197,7 +199,7 @@ def _parse_init(sec: _Section, default_seed: int):
                     choices={"uniform_perturbed", "asymptotic_mode"})
     if kind == "uniform_perturbed":
         kwargs = sec.take_given(("amplitude",), float, minimum=0.0, exclusive=True)
-        seed = sec.take("seed", int, default=default_seed)
+        seed = sec.take("seed", int, default=default_seed, minimum=0)
         sec.finish()
         return UniformPerturbed(seed=seed, **kwargs)
     j = sec.take("j", int, required=True, minimum=1)
@@ -210,7 +212,9 @@ def parse_config(text: str, seed_override: int | None = None) -> ExperimentConfi
     data, lines = _compose_with_lines(text)
     top = _Section(data, lines, "")
 
-    config_seed = top.take("seed", int, default=0)
+    config_seed = top.take("seed", int, default=0, minimum=0)
+    if seed_override is not None and seed_override < 0:
+        raise ConfigError(f"--seed: must be >= 0, got {seed_override}")
     seed = seed_override if seed_override is not None else config_seed
 
     psec = top.subsection("params", required=True)
@@ -240,7 +244,7 @@ def parse_config(text: str, seed_override: int | None = None) -> ExperimentConfi
                 raise ConfigError(f"expand.modes: must be 'unstable' or a list of mode indices")
             modes = None
         if modes is not None:
-            if not all(isinstance(j, int) and j >= 1 for j in modes):
+            if not all(isinstance(j, int) and not isinstance(j, bool) and j >= 1 for j in modes):
                 raise ConfigError("expand.modes: entries must be integers >= 1")
             modes = tuple(modes)
         expand = ExpandSettings(modes=modes)

@@ -89,10 +89,6 @@ class BranchCurve:
     def sigmas(self) -> np.ndarray:
         return np.array([bp.sigma for bp in self.points])
 
-    @property
-    def amplitudes(self) -> np.ndarray:
-        return np.array([bp.amplitude for bp in self.points])
-
 
 def _solve_linearized(ab, rhs):
     try:

@@ -26,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import NoInstabilityWindowError, NoPositiveModesError, ScanWindowError
-from .motility import MotilityModel
+from .motility import MotilityModel, taylor_at_one
 
 __all__ = [
     "ModelParams",
@@ -70,10 +70,6 @@ class ModeInfo:
     a_j: float  # kernel u-amplitude 1 + D * lambda_j
     rho_pair: tuple[complex, complex]  # dispersion roots at params.sigma
 
-    @property
-    def max_growth_rate(self) -> float:
-        return self.rho_pair[0].real
-
 
 @dataclass(frozen=True)
 class BifurcationSummary:
@@ -106,7 +102,7 @@ def bifurcation_sigma(j: int, p: ModelParams, m: MotilityModel) -> float:
     """Growth rate at which mode j's dispersion root crosses zero."""
     if j < 1:
         raise ValueError(f"mode index must be >= 1, got {j}")
-    return _bifurcation_sigma(eigenvalue_lambda(j, p.l), p, *_taylor_at_one(m))
+    return _bifurcation_sigma(eigenvalue_lambda(j, p.l), p, *taylor_at_one(m, 2))
 
 
 def dispersion_roots(lam: float, p: ModelParams, m: MotilityModel) -> tuple[complex, complex]:
@@ -116,12 +112,7 @@ def dispersion_roots(lam: float, p: ModelParams, m: MotilityModel) -> tuple[comp
     """
     if lam < 0:
         raise ValueError(f"eigenvalue must be >= 0, got {lam}")
-    return _dispersion_roots(lam, p, *_taylor_at_one(m))
-
-
-def _taylor_at_one(m: MotilityModel) -> tuple[float, float]:
-    """(r(1), r'(1)), the only motility data the linear analysis reads."""
-    return m.evaluate(1.0, 0), m.evaluate(1.0, 1)
+    return _dispersion_roots(lam, p, *taylor_at_one(m, 2))
 
 
 def _bifurcation_sigma(lam: float, p: ModelParams, r1: float, rp1: float) -> float:
@@ -152,7 +143,7 @@ def critical_sigma(p: ModelParams, m: MotilityModel) -> tuple[float, float]:
     Requires r'(1) + r(1) < 0; otherwise no eigenvalue destabilizes the
     uniform state and NoInstabilityWindowError is raised.
     """
-    return _critical_sigma(p, *_taylor_at_one(m))
+    return _critical_sigma(p, *taylor_at_one(m, 2))
 
 
 def _critical_sigma(p: ModelParams, r1: float, rp1: float) -> tuple[float, float]:
@@ -186,7 +177,7 @@ def scan_modes(p: ModelParams, m: MotilityModel, j_max: int | None = None) -> Bi
     bracket i_c) and NoPositiveModesError if no grid mode has a positive
     bifurcation value.
     """
-    r1, rp1 = _taylor_at_one(m)
+    r1, rp1 = taylor_at_one(m, 2)
     sigma_c, lambda_star = _critical_sigma(p, r1, rp1)  # also enforces the window precondition
     if j_max is None:
         j_max = _mode_limit(p, r1, rp1)
@@ -253,7 +244,7 @@ def classify_uniform_state(
     the envelope maximum sigma_c can leave no grid mode unstable while no
     stability criterion applies; that window reports INDETERMINATE.
     """
-    r1, rp1 = _taylor_at_one(m)
+    r1, rp1 = taylor_at_one(m, 2)
     if j_max is None:
         j_max = _mode_limit(p, r1, rp1)
 

@@ -1,14 +1,16 @@
 """Motility functions r(v) and their first three derivatives.
 
 The colony model's destabilizing mechanism is a bacterial diffusivity r(v)
-that decreases with the signal concentration v.  Every downstream module
-(dispersion relation, expansion coefficients, PDE right-hand side) consumes
-r and its derivatives at or near v = 1 through this module, so the Taylor
-data has a single well-tested source.
+that decreases with the signal concentration v.  The PDE right-hand side
+evaluates r on whole grids through each family's ``evaluate``; the linear
+analysis and the expansion read only the Taylor data of r at v = 1, and
+both take it from ``taylor_at_one``, so that data has a single source.
 
 Structural requirements on r: positive and strictly decreasing on the
 working range, and r'(1) + r(1) < 0 for an instability window to exist.
-``validate_structure`` checks these by sampling.
+Both configurable families meet the first two by construction (the config
+layer rejects parameters whose r(1) underflows to 0); the linear analysis
+checks the third where it needs it.
 """
 
 from __future__ import annotations
@@ -27,9 +29,7 @@ __all__ = [
     "ExponentialDecay",
     "CustomMotility",
     "MotilityModel",
-    "MotilityReport",
-    "eval_r",
-    "validate_structure",
+    "taylor_at_one",
 ]
 
 
@@ -144,66 +144,6 @@ class CustomMotility:
 MotilityModel = Union[LogisticDecay, ExponentialDecay, CustomMotility]
 
 
-def eval_r(m: MotilityModel, v, order: int = 0):
-    """Evaluate the order-th derivative of the motility at concentration v.
-
-    v may be a scalar or array; concentrations must be nonnegative.
-    """
-    if order not in (0, 1, 2, 3):
-        raise ValueError(f"derivative order must be in 0..3, got {order}")
-    if np.min(v) < 0:
-        raise ValueError("concentration must be nonnegative")
-    return m.evaluate(v, order)
-
-
-@dataclass(frozen=True)
-class MotilityReport:
-    """Outcome of sampling the structural conditions on r."""
-
-    passed: bool
-    violation_v: float | None
-    violation_kind: str | None  # "nonpositive_r" or "nondecreasing_r"
-    r_at_one: float
-    r_prime_at_one: float
-
-    @property
-    def decay_margin(self) -> float:
-        """r'(1) + r(1); negative means an instability window exists."""
-        return self.r_prime_at_one + self.r_at_one
-
-    @property
-    def has_instability_window(self) -> bool:
-        return self.decay_margin < 0
-
-
-def validate_structure(m: MotilityModel, v_max: float = 10.0, n_samples: int = 1000) -> MotilityReport:
-    """Sample r > 0 and r' < 0 on [0, v_max] and report the first violation.
-
-    Also reports r'(1) + r(1), the prerequisite for any mode to destabilize
-    the uniform state.
-    """
-    if v_max <= 0:
-        raise ValueError(f"v_max must be > 0, got {v_max}")
-    if n_samples < 2:
-        raise ValueError(f"n_samples must be >= 2, got {n_samples}")
-    grid = np.linspace(0.0, v_max, n_samples)
-    r = np.asarray(m.evaluate(grid, 0))
-    rp = np.asarray(m.evaluate(grid, 1))
-    violation_v = None
-    violation_kind = None
-    bad_r = np.flatnonzero(r <= 0)
-    bad_rp = np.flatnonzero(rp >= 0)
-    i_r = bad_r[0] if bad_r.size else n_samples
-    i_rp = bad_rp[0] if bad_rp.size else n_samples
-    if min(i_r, i_rp) < n_samples:
-        if i_r <= i_rp:
-            violation_v, violation_kind = float(grid[i_r]), "nonpositive_r"
-        else:
-            violation_v, violation_kind = float(grid[i_rp]), "nondecreasing_r"
-    return MotilityReport(
-        passed=violation_v is None,
-        violation_v=violation_v,
-        violation_kind=violation_kind,
-        r_at_one=float(m.evaluate(1.0, 0)),
-        r_prime_at_one=float(m.evaluate(1.0, 1)),
-    )
+def taylor_at_one(m: MotilityModel, count: int) -> tuple[float, ...]:
+    """(r(1), r'(1), ...): r and its derivatives of order < count at v = 1."""
+    return tuple(float(m.evaluate(1.0, k)) for k in range(count))

@@ -35,6 +35,7 @@ double the package's import time for that one call.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field as dataclass_field
 from typing import Union
@@ -101,10 +102,6 @@ class Field:
     @property
     def x(self) -> np.ndarray:
         return np.linspace(0.0, self.l, self.u.size)
-
-    @property
-    def is_extinct(self) -> bool:
-        return float(np.max(np.abs(self.u))) == 0.0 and float(np.max(np.abs(self.v))) == 0.0
 
 
 @dataclass(frozen=True)
@@ -320,24 +317,17 @@ def stationary_residual(f: Field, p: ModelParams, m: MotilityModel) -> tuple[flo
 
 
 def _debounced_changes(times, series, persist, kind):
-    """Events where the series changes to a value that persists."""
+    """Events where the series changes to a value that persists: a run of a
+    new value counts once it lasts persist entries or ends the series."""
     events = []
     current = series[0]
     i = 1
-    while i < len(series):
-        val = series[i]
-        if val != current:
-            run_end = i
-            while run_end < len(series) and series[run_end] == val:
-                run_end += 1
-            if run_end - i >= persist or run_end == len(series):
-                events.append(Event(kind=kind, time=float(times[i]), old=current, new=val))
-                current = val
-                i = run_end
-            else:
-                i = run_end
-        else:
-            i += 1
+    for val, run in itertools.groupby(series[1:]):
+        length = len(list(run))
+        if val != current and (length >= persist or i + length == len(series)):
+            events.append(Event(kind=kind, time=float(times[i]), old=current, new=val))
+            current = val
+        i += length
     return events
 
 
@@ -440,18 +430,14 @@ def simulate(config: SimConfig) -> Trajectory:
             rate = np.abs(np.subtract(nxt, cur, out=scratch), out=scratch).max() / dt
             cur, nxt, lo_old = nxt, cur, lo
             t += dt
-            if t >= next_snap - 1e-12:
+            # rate estimates from boundary-clipped tiny steps are rounding noise
+            steady = bool(rate < config.steady_tol) and dt >= 0.25 * dt_full
+            if steady or t >= next_snap - 1e-12:
                 times.append(t)
                 u_hist.append(cur[0].copy())
                 v_hist.append(cur[1].copy())
                 next_snap += config.snapshot_every
-            # rate estimates from boundary-clipped tiny steps are rounding noise
-            if rate < config.steady_tol and dt >= 0.25 * dt_full:
-                steady = True
-                if times[-1] != t:
-                    times.append(t)
-                    u_hist.append(cur[0].copy())
-                    v_hist.append(cur[1].copy())
+            if steady:
                 break
 
     final = Field(u=cur[0], v=cur[1], l=p.l)

@@ -52,6 +52,11 @@ from .pde_solver import (
 
 __all__ = ["CriterionResult", "ReproductionContext", "run_reproduction", "format_report"]
 
+# the reference setup: every criterion's expectation assumes it
+REFERENCE_D = 1.0
+REFERENCE_L = 20.0
+REFERENCE_MOTILITY = LogisticDecay(steepness=8.0, center=1.0)
+
 # published values for the reference configuration
 REF_SIGMA0 = {6: 0.4967, 7: 0.4901, 8: 0.4350, 9: 0.3337, 10: 0.1895, 11: 0.0054}
 REF_SIGMA2 = {6: -5.4569, 7: -8.5523, 8: -13.4555, 9: -21.4103, 10: -34.1442, 11: -54.0143}
@@ -104,7 +109,7 @@ class ReproductionContext:
 
     def __init__(self, n: int = 512, progress=None):
         self.n = n
-        self.motility = LogisticDecay(steepness=8.0, center=1.0)
+        self.motility = REFERENCE_MOTILITY
         self.progress = progress or (lambda msg: None)
         self._summary = None
         self._expansions = {}
@@ -112,7 +117,7 @@ class ReproductionContext:
         self._branches = {}
 
     def params(self, sigma: float) -> ModelParams:
-        return ModelParams(D=1.0, sigma=sigma, l=20.0)
+        return ModelParams(D=REFERENCE_D, sigma=sigma, l=REFERENCE_L)
 
     @property
     def summary(self):
@@ -265,12 +270,12 @@ def _crit_backward_branches(ctx) -> CriterionResult:
 def _crit_residual_order(ctx) -> CriterionResult:
     e = ctx.expansion(6)
     n_fine = 65536
-    grid = np.linspace(0.0, 20.0, n_fine + 1)
+    grid = np.linspace(0.0, REFERENCE_L, n_fine + 1)
     eps_values = [0.005, 0.01, 0.02]
     residuals = []
     for eps in eps_values:
         u, v = second_order_profiles(e, eps, grid)
-        f = Field(u=u, v=v, l=20.0)
+        f = Field(u=u, v=v, l=REFERENCE_L)
         sigma_eps = e.sigma0 + eps * eps * e.sigma2
         ru, rv = stationary_residual(f, ctx.params(sigma_eps), ctx.motility)
         residuals.append(max(ru, rv))
@@ -347,7 +352,7 @@ def _crit_growth_fidelity(ctx) -> CriterionResult:
                            {"fitted": fitted, "rho": rho})
 
 
-def _branch_slope(ctx, curve, e):
+def _branch_slope(curve, e):
     window = (e.sigma0 - curve.sigmas <= 5e-3) & (e.sigma0 - curve.sigmas > 0)
     xs, ys = [], []
     for bp, keep in zip(curve.points, window):
@@ -363,7 +368,7 @@ def _branch_slope(ctx, curve, e):
 def _crit_continuation(ctx) -> CriterionResult:
     e = ctx.expansion(6)
     curve = ctx.branch(6, 0.05)
-    slope, n_pts = _branch_slope(ctx, curve, e)
+    slope, n_pts = _branch_slope(curve, e)
     predicted = e.a ** 2 / abs(e.sigma2)
     rel = abs(slope - predicted) / predicted
     ok = curve.termination == Termination.REACHED_SIGMA_MIN and rel <= 0.10
@@ -428,16 +433,13 @@ CRITERIA = [
     _crit_stability_verdicts,
 ]
 
-_REFERENCE_MOTILITY = LogisticDecay(steepness=8.0, center=1.0)
-
-
 def _is_reference(config: ExperimentConfig | None) -> bool:
     if config is None:
         return True
     return (
-        config.params.D == 1.0
-        and config.params.l == 20.0
-        and config.motility == _REFERENCE_MOTILITY
+        config.params.D == REFERENCE_D
+        and config.params.l == REFERENCE_L
+        and config.motility == REFERENCE_MOTILITY
     )
 
 

@@ -9,7 +9,6 @@ from colonykit import (
     LogisticDecay,
     ModelParams,
     NonpositiveSigma0Error,
-    amplitude_prediction,
     epsilon_for_sigma,
     eta_by_quadrature,
     expansion_coefficients,
@@ -172,7 +171,6 @@ class TestApproximateState:
 class TestAmplitudeLaw:
     def test_zero_at_onset(self, exp6):
         assert epsilon_for_sigma(exp6, exp6.sigma0) == 0.0
-        assert amplitude_prediction(exp6, exp6.sigma0) == 0.0
 
     def test_inversion_identity(self, exp6):
         sigma = exp6.sigma0 + exp6.sigma2 * 1e-4
@@ -182,17 +180,14 @@ class TestAmplitudeLaw:
         # published rounding of the same identity
         sigma = 0.4967 - 5.4569e-4
         assert epsilon_for_sigma(exp6, sigma) == pytest.approx(0.01, rel=1e-2)
-        assert amplitude_prediction(exp6, sigma) == pytest.approx((1.888264 * 0.01) ** 2, rel=2e-2)
 
     def test_wrong_side_raises(self, exp6):
         with pytest.raises(BranchSideError):
             epsilon_for_sigma(exp6, 0.51)
-        with pytest.raises(BranchSideError):
-            amplitude_prediction(exp6, exp6.sigma0 + 0.01)
 
     def test_amplitude_decreases_toward_onset(self, exp6):
         sigmas = np.linspace(0.45, exp6.sigma0, 20)
-        amps = [amplitude_prediction(exp6, s) for s in sigmas]
+        amps = [epsilon_for_sigma(exp6, s) for s in sigmas]
         assert all(a >= b for a, b in zip(amps, amps[1:]))
 
 

@@ -1,4 +1,6 @@
+import copy
 import json
+import math
 import os
 import struct
 import subprocess
@@ -7,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import colonykit
 from colonykit import (
@@ -110,6 +114,11 @@ class TestConfigParsing:
 
     def test_hash_stable(self):
         assert parse_config(GOOD_CONFIG).config_hash == parse_config(GOOD_CONFIG).config_hash
+
+    def test_expand_modes_rejects_booleans(self):
+        # True is an int in Python; it used to become a row with j = True
+        with pytest.raises(ConfigError, match="expand.modes"):
+            parse_config(GOOD_CONFIG.replace("modes: [5, 6, 7]", "modes: [true, 6]"))
 
     @pytest.mark.parametrize("dt, expected", [("auto", None), ("0.5", 0.5), ("1", 1.0)])
     def test_simulate_dt(self, dt, expected):
@@ -276,6 +285,24 @@ class TestCommands:
         assert "simulate.dt (line 17): must be a number > 0 or 'auto'" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("old, new, argv, key", [
+        ("seed: 3", "seed: -1", [], "seed (line 9)"),
+        ("    amplitude: 0.01", "    amplitude: 0.01\n    seed: -2", [], "simulate.init.seed (line 22)"),
+        ("seed: 3", "seed: 3", ["--seed", "-1"], "--seed"),
+    ], ids=["config", "init", "flag"])
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, old, new, argv, key):
+        path = tmp_path / "seed.yaml"
+        path.write_text(GOOD_CONFIG.replace(old, new))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o"), *argv]) == 2
+        assert f"{key}: must be >= 0" in capsys.readouterr().err
+
+    def test_motility_underflowing_at_one_is_config_error(self, tmp_path, capsys):
+        # r(1) = 0 in floating point: the linear analysis would divide by it
+        path = tmp_path / "flat.yaml"
+        path.write_text(GOOD_CONFIG.replace("center: 1.0", "center: -200"))
+        assert main(["analyze", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "r(1) underflows to 0" in capsys.readouterr().err
+
     def test_missing_section_is_config_error(self, tmp_path):
         cfg = "params: {sigma: 0.3}\nmotility: {family: logistic_decay}\n"
         path = tmp_path / "nosim.yaml"
@@ -306,3 +333,52 @@ class TestCommands:
         payload = json.loads((out / "reproduction_report.json").read_text())
         assert payload["applicable"] is False
         assert all(r["status"] == "n/a" for r in payload["results"])
+
+
+# every key of GOOD_CONFIG, plus an initial-condition seed
+FUZZ_BASE = yaml.safe_load(GOOD_CONFIG.replace("    amplitude: 0.01", "    amplitude: 0.01\n    seed: 5"))
+
+
+def _paths(tree, path=()):
+    """Paths to every mapping value and list entry below tree."""
+    for key, val in (tree.items() if isinstance(tree, dict) else enumerate(tree)):
+        yield path + (key,)
+        if isinstance(val, (dict, list)):
+            yield from _paths(val, path + (key,))
+
+
+def _at(tree, path):
+    for key in path:
+        tree = tree[key]
+    return tree
+
+
+FUZZ_PATHS = list(_paths(FUZZ_BASE))
+FUZZ_MAPPINGS = [()] + [path for path in FUZZ_PATHS if isinstance(_at(FUZZ_BASE, path), dict)]
+BAD_VALUES = {
+    "wrong_type": st.sampled_from(["text", {"x": 1}, [[1.0]]]),
+    "bool": st.booleans(),
+    "negative_int": st.integers(max_value=-1),
+    "nonfinite": st.sampled_from([math.nan, math.inf, -math.inf]),
+}
+
+
+@pytest.mark.parametrize("kind", [*BAD_VALUES, "unknown_key"])
+@settings(max_examples=3, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_config_is_config_error(tmp_path, kind, data):
+    """Each mutation at each place in the config: simulate exits 2 with a
+    configuration error, never 0 with a bogus result and never a traceback.
+    A negative center is the one mutation that may be valid."""
+    path = tmp_path / "mutated.yaml"
+    targets = FUZZ_MAPPINGS if kind == "unknown_key" else FUZZ_PATHS
+    for target in targets:
+        cfg = copy.deepcopy(FUZZ_BASE)
+        if kind == "unknown_key":
+            _at(cfg, target)["unknown_" + data.draw(st.text("abcxyz_", min_size=1))] = 1
+        else:
+            _at(cfg, target[:-1])[target[-1]] = data.draw(BAD_VALUES[kind])
+        path.write_text(yaml.safe_dump(cfg))
+        rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        valid = {0, 2} if (kind, target) == ("negative_int", ("motility", "center")) else {2}
+        assert rc in valid, (target, _at(cfg, target) if target else cfg)

@@ -6,27 +6,25 @@ from colonykit import (
     EvaluationError,
     ExponentialDecay,
     LogisticDecay,
-    eval_r,
-    validate_structure,
 )
 
 
 class TestLogisticDecay:
     def test_center_values(self):
         m = LogisticDecay(steepness=8.0, center=1.0)
-        assert eval_r(m, 1.0, 0) == pytest.approx(0.5, abs=0)
-        assert eval_r(m, 1.0, 1) == pytest.approx(-2.0, rel=1e-14)
-        assert eval_r(m, 1.0, 2) == pytest.approx(0.0, abs=1e-14)
+        assert m.evaluate(1.0, 0) == pytest.approx(0.5, abs=0)
+        assert m.evaluate(1.0, 1) == pytest.approx(-2.0, rel=1e-14)
+        assert m.evaluate(1.0, 2) == pytest.approx(0.0, abs=1e-14)
         # k**3 / 8 at the center; cross-checked by finite differences below
-        assert eval_r(m, 1.0, 3) == pytest.approx(64.0, rel=1e-13)
+        assert m.evaluate(1.0, 3) == pytest.approx(64.0, rel=1e-13)
 
     @pytest.mark.parametrize("k", [2.0, 5.0, 8.0, 11.5])
     def test_center_derivative_pattern(self, k):
         m = LogisticDecay(steepness=k, center=1.0)
-        assert eval_r(m, 1.0, 0) == pytest.approx(0.5)
-        assert eval_r(m, 1.0, 1) == pytest.approx(-k / 4)
-        assert eval_r(m, 1.0, 2) == pytest.approx(0.0, abs=1e-12)
-        assert eval_r(m, 1.0, 3) == pytest.approx(k ** 3 / 8)
+        assert m.evaluate(1.0, 0) == pytest.approx(0.5)
+        assert m.evaluate(1.0, 1) == pytest.approx(-k / 4)
+        assert m.evaluate(1.0, 2) == pytest.approx(0.0, abs=1e-12)
+        assert m.evaluate(1.0, 3) == pytest.approx(k ** 3 / 8)
 
     def test_third_derivative_against_finite_differences(self):
         # independent confirmation of the closed form: central difference of
@@ -79,23 +77,18 @@ class TestDerivativeConsistency:
         assert np.max(np.abs(fd - exact) / scale) < 1e-6
 
 
-class TestEvalR:
+class TestEvaluate:
     def test_order_validation(self):
-        m = LogisticDecay()
-        with pytest.raises(ValueError):
-            eval_r(m, 1.0, 4)
-        with pytest.raises(ValueError):
-            eval_r(m, 1.0, -1)
-
-    def test_negative_concentration_rejected(self):
-        with pytest.raises(ValueError):
-            eval_r(LogisticDecay(), -0.5, 0)
+        for m in (LogisticDecay(), ExponentialDecay(), CustomMotility(lambda v: np.exp(-v))):
+            for order in (4, -1):
+                with pytest.raises(ValueError):
+                    m.evaluate(1.0, order)
 
     def test_vectorized(self):
         m = ExponentialDecay(r0=1.0, rate=1.0)
         v = np.array([0.0, 1.0, 2.0])
-        np.testing.assert_allclose(eval_r(m, v, 0), np.exp(-v))
-        np.testing.assert_allclose(eval_r(m, v, 1), -np.exp(-v))
+        np.testing.assert_allclose(m.evaluate(v, 0), np.exp(-v))
+        np.testing.assert_allclose(m.evaluate(v, 1), -np.exp(-v))
 
 
 class TestCustomMotility:
@@ -121,33 +114,3 @@ class TestCustomMotility:
         with pytest.raises(EvaluationError):
             m.evaluate(1.0, 0)
 
-
-class TestValidation:
-    def test_reference_logistic_passes(self):
-        report = validate_structure(LogisticDecay(steepness=8.0, center=1.0), v_max=5.0, n_samples=1000)
-        assert report.passed
-        assert report.decay_margin == pytest.approx(-1.5, rel=1e-12)
-        assert report.has_instability_window
-
-    def test_constant_motility_fails_decrease(self):
-        report = validate_structure(CustomMotility(lambda v: np.ones_like(v)))
-        assert not report.passed
-        assert report.violation_kind == "nondecreasing_r"
-        assert not report.has_instability_window
-
-    def test_exponential_passes(self):
-        report = validate_structure(ExponentialDecay(r0=1.0, rate=1.0), v_max=10.0, n_samples=100)
-        assert report.passed
-
-    def test_sign_violation_location(self):
-        # positive then crossing zero near v = 2
-        report = validate_structure(CustomMotility(lambda v: 2.0 - v), v_max=5.0, n_samples=501)
-        assert not report.passed
-        assert report.violation_kind == "nonpositive_r"
-        assert report.violation_v == pytest.approx(2.0, abs=0.02)
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            validate_structure(LogisticDecay(), v_max=-1.0)
-        with pytest.raises(ValueError):
-            validate_structure(LogisticDecay(), n_samples=1)
