@@ -187,11 +187,7 @@ def _parse_motility(sec: _Section) -> MotilityModel:
         kwargs = sec.take_given(("r0", "rate"), float, minimum=0.0, exclusive=True)
         cls = ExponentialDecay
     sec.finish()
-    model = cls(**kwargs)
-    # the linear analysis divides by r(1) and the time step by max r
-    if not model.evaluate(1.0) > 0:
-        raise ValueError(f"r(1) underflows to 0 for {model}")
-    return model
+    return cls(**kwargs)
 
 
 def _parse_init(sec: _Section, default_seed: int):

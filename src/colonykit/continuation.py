@@ -8,8 +8,8 @@ secant predictor, Newton corrector on the bordered system, adaptive step.
 The state part of the arclength metric is mean-squared so domain resolution
 does not change the parameterization.
 
-Fixed settings: Newton and the corrector converge at residual max-norm TOL
-(1e-10), Newton gives up after MAX_NEWTON_ITERS (25) and the corrector after
+Fixed settings: Newton is ``discrete.newton``, and the corrector converges
+at its residual max-norm NEWTON_TOL (1e-10) and gives up after
 MAX_CORRECTOR_ITERS (8) iterations.  Step control doubles the step after a
 corrector that needed at most 3 iterations, up to DS_MAX (5e-2), and halves
 it on failure down to DS_MIN (1e-5).  A trace stops when a state leaves the
@@ -24,15 +24,16 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import LinAlgError, solve_banded
 
 from .asymptotics import epsilon_for_sigma, expansion_coefficients, second_order_profiles
 from .discrete import (
-    JACOBIAN_BANDS,
+    NEWTON_TOL,
     interleave,
     jacobian_banded,
+    newton,
     residual,
     residual_sigma_derivative,
+    solve_jacobian,
 )
 from .errors import (
     ColonyKitError,
@@ -52,8 +53,6 @@ __all__ = [
     "trace_branch",
 ]
 
-TOL = 1e-10
-MAX_NEWTON_ITERS = 25
 MAX_CORRECTOR_ITERS = 8
 DS_MIN = 1e-5
 DS_MAX = 5e-2
@@ -90,48 +89,24 @@ class BranchCurve:
         return np.array([bp.sigma for bp in self.points])
 
 
-def _solve_linearized(ab, rhs):
-    try:
-        return solve_banded(JACOBIAN_BANDS, ab, rhs, check_finite=False)
-    except LinAlgError as exc:
-        raise SingularJacobianError(f"stationary linearization is singular: {exc}") from exc
-
-
 def newton_steady(init: Field, p: ModelParams, m: MotilityModel) -> BranchPoint:
     """Solve the discrete stationary system by Newton from the given field.
 
-    Converges when the residual max-norm drops below TOL.  Raises
-    SingularJacobianError at parameter values where the linearization is
-    degenerate (bifurcation points) and NewtonConvergenceError when the
-    iteration budget runs out or the iterates leave the finite range.
+    Runs ``discrete.newton``: converges when the residual max-norm drops
+    below NEWTON_TOL.  Raises SingularJacobianError at parameter values
+    where the linearization is degenerate (bifurcation points) and
+    NewtonConvergenceError when the iteration budget runs out or the
+    iterates leave the finite range.
     """
     if abs(init.l - p.l) > 1e-9 * max(1.0, p.l):
         raise ValueError(f"field length {init.l} does not match params length {p.l}")
-    u = init.u.copy()
-    v = init.v.copy()
-    h = init.h
-    res = math.inf
-    for it in range(MAX_NEWTON_ITERS + 1):
-        F = residual(u, v, h, p.D, p.sigma, m)
-        if not np.all(np.isfinite(F)):
-            raise NewtonConvergenceError("residual became non-finite during Newton iteration")
-        res = float(np.max(np.abs(F)))
-        if res < TOL:
-            return BranchPoint(
-                sigma=p.sigma,
-                field=Field(u=u, v=v, l=p.l),
-                amplitude=float(np.max(np.abs(u - 1.0))),
-                newton_iters=it,
-                residual=res,
-            )
-        if it == MAX_NEWTON_ITERS:
-            break
-        ab = jacobian_banded(u, v, h, p.D, p.sigma, m)
-        delta = _solve_linearized(ab, F)
-        u -= delta[0::2]
-        v -= delta[1::2]
-    raise NewtonConvergenceError(
-        f"no convergence after {MAX_NEWTON_ITERS} Newton iterations (residual {res:.3e})"
+    u, v, iters, res = newton(init.u, init.v, init.h, p.D, p.sigma, m)
+    return BranchPoint(
+        sigma=p.sigma,
+        field=Field(u=u, v=v, l=p.l),
+        amplitude=float(np.max(np.abs(u - 1.0))),
+        newton_iters=iters,
+        residual=res,
     )
 
 
@@ -156,12 +131,12 @@ def _corrector(u, v, sigma, tan_u, tan_s, anchor_u, anchor_s, ds, h, D, m, w):
             raise NewtonConvergenceError("corrector produced non-finite residual")
         N = _dot(tan_u, tan_s, interleave(u, v) - anchor_u, sigma - anchor_s, w) - ds
         res = float(np.max(np.abs(F)))
-        if res < TOL and abs(N) < max(1e-12, 1e-6 * abs(ds)):
+        if res < NEWTON_TOL and abs(N) < max(1e-12, 1e-6 * abs(ds)):
             return u, v, sigma, it - 1, res
 
         ab = jacobian_banded(u, v, h, D, sigma, m)
         # one factorization for both right-hand sides
-        a, b = _solve_linearized(ab, np.column_stack((F, residual_sigma_derivative(u)))).T
+        a, b = solve_jacobian(ab, np.column_stack((F, residual_sigma_derivative(u)))).T
         denom = tan_s - _dot(tan_u, 0.0, b, 0.0, w)
         if abs(denom) < 1e-14:
             raise SingularJacobianError("bordered system is singular (tangent orthogonal)")

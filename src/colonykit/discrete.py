@@ -14,12 +14,28 @@ continuation traces its nonconstant branches.  This module is the only
 place the stencil is written down: the Laplacian, the stationary residual
 in the interleaved ordering (u_0, v_0, u_1, v_1, ...), its banded Jacobian,
 and the backward-Euler band matrix of the signal equation.
+
+Two solvers work on the banded Jacobian J.  ``newton`` solves the
+stationary system; it converges once the residual max-norm is below
+NEWTON_TOL (1e-10) and gives up after MAX_NEWTON_ITERS (25) iterations.
+``rightmost_eigenvalues`` gives the eigenvalues of J that decide the
+stability of a steady state.  It runs unrestarted shift-invert Arnoldi
+(Meerbergen, Spence & Roose, BIT 34, 1994) with ARNOLDI_VECTORS (30)
+Krylov vectors of (J - s I)^-1, s = ARNOLDI_SHIFT (0.5), on one LAPACK
+banded LU.  The eigenvalues nearest s converge first.  s lies right of the
+rightmost eigenvalues of the model's steady states, so those are among
+them.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
+import numpy as np
+from scipy.linalg import LinAlgError, solve_banded
+from scipy.linalg.lapack import dgbtrf, dgbtrs
+
+from .errors import NewtonConvergenceError, SingularJacobianError
 from .motility import MotilityModel
 
 __all__ = [
@@ -29,11 +45,20 @@ __all__ = [
     "residual",
     "residual_sigma_derivative",
     "jacobian_banded",
+    "solve_jacobian",
+    "newton",
+    "rightmost_eigenvalues",
     "signal_band",
 ]
 
 # (lower, upper) bandwidths of the interleaved Jacobian, as scipy.linalg.solve_banded takes them
 JACOBIAN_BANDS = (2, 3)
+NEWTON_TOL = 1e-10
+MAX_NEWTON_ITERS = 25
+ARNOLDI_SHIFT = 0.5
+ARNOLDI_VECTORS = 30
+# a Ritz pair counts as converged when its residual is below this share of |theta|
+ARNOLDI_RTOL = 1e-8
 
 
 def interleave(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -106,6 +131,82 @@ def jacobian_banded(u, v, h: float, D: float, sigma: float, m: MotilityModel) ->
     ab[5, odd[:-1]] = D * sub_w
     ab[4, even] = 1.0
     return ab
+
+
+def solve_jacobian(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve J x = rhs for one or several right-hand sides (columns)."""
+    try:
+        return solve_banded(JACOBIAN_BANDS, ab, rhs, check_finite=False)
+    except LinAlgError as exc:
+        raise SingularJacobianError(f"stationary linearization is singular: {exc}") from exc
+
+
+def newton(u, v, h: float, D: float, sigma: float, m: MotilityModel):
+    """Newton iteration on the stationary system from (u, v), which stay unchanged.
+
+    Returns (u, v, iterations, residual max-norm) once the residual
+    max-norm is below NEWTON_TOL.  Raises SingularJacobianError when the
+    linearization is singular and NewtonConvergenceError when the
+    iteration budget runs out or the iterates leave the finite range.
+    """
+    u = u.copy()
+    v = v.copy()
+    res = math.inf
+    for it in range(MAX_NEWTON_ITERS + 1):
+        F = residual(u, v, h, D, sigma, m)
+        if not np.all(np.isfinite(F)):
+            raise NewtonConvergenceError("residual became non-finite during Newton iteration")
+        res = float(np.max(np.abs(F)))
+        if res < NEWTON_TOL:
+            return u, v, it, res
+        if it == MAX_NEWTON_ITERS:
+            break
+        delta = solve_jacobian(jacobian_banded(u, v, h, D, sigma, m), F)
+        u -= delta[0::2]
+        v -= delta[1::2]
+    raise NewtonConvergenceError(
+        f"no convergence after {MAX_NEWTON_ITERS} Newton iterations (residual {res:.3e})"
+    )
+
+
+def rightmost_eigenvalues(ab: np.ndarray) -> np.ndarray:
+    """Converged eigenvalues of the banded Jacobian ab nearest ARNOLDI_SHIFT,
+    in descending order of real part; the first gives the spectral abscissa.
+
+    A Ritz value theta of (J - s I)^-1 maps to the eigenvalue s + 1/theta of
+    J.  Only Ritz pairs whose residual is below ARNOLDI_RTOL |theta| are
+    returned.  Raises SingularJacobianError when s is an eigenvalue.
+    """
+    kl, ku = JACOBIAN_BANDS
+    size = ab.shape[1]
+    # gbtrf wants kl spare rows above the band for the fill-in of pivoting
+    lu = np.zeros((2 * kl + ku + 1, size))
+    lu[kl:] = ab
+    lu[kl + ku] -= ARNOLDI_SHIFT
+    lu, ipiv, info = dgbtrf(lu, kl, ku, overwrite_ab=1)
+    if info != 0:
+        raise SingularJacobianError(f"J - {ARNOLDI_SHIFT} I is singular (gbtrf info {info})")
+    k = min(ARNOLDI_VECTORS, size)
+    basis = np.empty((k + 1, size))  # Krylov vectors as rows
+    hess = np.zeros((k + 1, k))
+    start = np.random.default_rng(0).standard_normal(size)
+    basis[0] = start / np.linalg.norm(start)
+    for j in range(k):
+        w = dgbtrs(lu, kl, ku, basis[j], ipiv)[0]
+        # classical Gram-Schmidt, done twice to keep the basis orthogonal
+        for _ in range(2):
+            c = basis[: j + 1] @ w
+            w -= c @ basis[: j + 1]
+            hess[: j + 1, j] += c
+        hess[j + 1, j] = np.linalg.norm(w)
+        if hess[j + 1, j] == 0.0:  # invariant subspace: its Ritz values are exact
+            k = j + 1
+            break
+        basis[j + 1] = w / hess[j + 1, j]
+    theta, vecs = np.linalg.eig(hess[:k, :k])
+    converged = abs(hess[k, k - 1]) * np.abs(vecs[-1]) <= ARNOLDI_RTOL * np.abs(theta)
+    lam = ARNOLDI_SHIFT + 1.0 / theta[converged]
+    return lam[np.argsort(-lam.real, kind="stable")]
 
 
 def signal_band(dt: float, h: float, D: float, out: np.ndarray) -> np.ndarray:

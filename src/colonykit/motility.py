@@ -8,9 +8,10 @@ both take it from ``taylor_at_one``, so that data has a single source.
 
 Structural requirements on r: positive and strictly decreasing on the
 working range, and r'(1) + r(1) < 0 for an instability window to exist.
-Both configurable families meet the first two by construction (the config
-layer rejects parameters whose r(1) underflows to 0); the linear analysis
-checks the third where it needs it.
+Both configurable families meet the first two by construction, and their
+constructors reject parameters whose r(1) underflows to 0 (the linear
+analysis divides by r(1)); the linear analysis checks the third where it
+needs it.
 """
 
 from __future__ import annotations
@@ -33,6 +34,11 @@ __all__ = [
 ]
 
 
+def _check_r_at_one(m) -> None:
+    if not m.evaluate(1.0) > 0:
+        raise ValueError(f"r(1) underflows to 0 for {m}")
+
+
 @dataclass(frozen=True)
 class LogisticDecay:
     """Falling logistic motility r(v) = 1 / (1 + exp(k (v - v0))).
@@ -49,6 +55,7 @@ class LogisticDecay:
             raise ValueError(f"steepness must be finite and > 0, got {self.steepness}")
         if not math.isfinite(self.center):
             raise ValueError(f"center must be finite, got {self.center}")
+        _check_r_at_one(self)
 
     def evaluate(self, v, order: int = 0):
         k = self.steepness
@@ -78,6 +85,7 @@ class ExponentialDecay:
             raise ValueError(f"r0 must be finite and > 0, got {self.r0}")
         if not (math.isfinite(self.rate) and self.rate > 0):
             raise ValueError(f"rate must be finite and > 0, got {self.rate}")
+        _check_r_at_one(self)
 
     def evaluate(self, v, order: int = 0):
         if order not in (0, 1, 2, 3):

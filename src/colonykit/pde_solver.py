@@ -16,6 +16,25 @@ dt <= DT_SAFETY h^2 / max r (DT_SAFETY = 0.4).  Any steady state of the
 scheme solves the spatially discrete stationary system exactly, independent
 of dt.
 
+A run is steady when the max-norm rate of both components drops below
+steady_tol, or at a certified stop.  The stop is tried at snapshot
+boundaries when sigma != 0 (at sigma = 0 mass conservation makes the
+Jacobian singular), the rate of the last step is below STOP_RATE (1e-3)
+and no attempt was made in the last STOP_RETRY (10) time units.  It ends
+the run when all of these hold:
+
+  (a) ``discrete.newton`` converges from the current state;
+  (b) its solution lies within STOP_DIST (1e-2, max-norm) of that state;
+  (c) the spectral abscissa there, the largest real part of an eigenvalue
+      of the banded Jacobian (``discrete.rightmost_eigenvalues``), is
+      negative, so the steady state is stable;
+  (d) the solution has the dominant mode and peak count of the last
+      EVENT_PERSIST snapshots, so no pattern change is still pending.
+
+The stopped run's final field is that exact discrete steady state, and it
+takes the place of the snapshot at the stop time.  Every earlier snapshot
+is the one the full run records.
+
 Pattern-change events are read from the snapshots with fixed hysteresis: a
 pattern is established once its largest cosine amplitude reaches
 EVENT_FLOOR, a new dominant mode must exceed EVENT_MARGIN times the current
@@ -45,8 +64,15 @@ from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgtsv
 
 from .asymptotics import expansion_coefficients, second_order_profiles
-from .discrete import laplacian, residual, signal_band
-from .errors import BlowUpError, PositivityLossError
+from .discrete import (
+    jacobian_banded,
+    laplacian,
+    newton,
+    residual,
+    rightmost_eigenvalues,
+    signal_band,
+)
+from .errors import BlowUpError, NewtonConvergenceError, PositivityLossError, SingularJacobianError
 from .linear_analysis import ModelParams
 from .motility import MotilityModel
 
@@ -69,6 +95,9 @@ DT_SAFETY = 0.4
 EVENT_FLOOR = 1e-4
 EVENT_PERSIST = 3
 EVENT_MARGIN = 2.0
+STOP_RATE = 1e-3
+STOP_RETRY = 10.0
+STOP_DIST = 1e-2
 
 
 @dataclass(frozen=True)
@@ -348,26 +377,58 @@ def _hysteresis_series(mags, established, margin):
     return tuple(out)
 
 
-def _annotate(times, u_hist, x, l):
-    n = x.size - 1
-    j_max = n // 2
-    coeffs = _cosine_coefficients(u_hist, x, l, j_max)
+def _pattern_data(u_rows, x, l):
+    """Per row: cosine magnitudes of modes 1..n//2, whether a pattern is
+    established, and its peak count (None when not established)."""
+    coeffs = _cosine_coefficients(u_rows, x, l, (x.size - 1) // 2)
     mags = np.abs(coeffs[:, 1:])
     established = mags.max(axis=1) >= EVENT_FLOOR
-    event_series = _hysteresis_series(mags, established, EVENT_MARGIN)
+    peaks = tuple(_count_peaks(row) if ok else None for row, ok in zip(u_rows, established))
+    return mags, established, peaks
 
-    peaks = []
-    for row, ok in zip(u_hist, established):
-        peaks.append(_count_peaks(row) if ok else None)
+
+def _annotate(times, u_hist, x, l):
+    mags, established, peaks = _pattern_data(u_hist, x, l)
+    event_series = _hysteresis_series(mags, established, EVENT_MARGIN)
     events = _debounced_changes(times, event_series, EVENT_PERSIST, "dominant_mode")
-    events += _debounced_changes(times, tuple(peaks), EVENT_PERSIST, "peak_count")
+    events += _debounced_changes(times, peaks, EVENT_PERSIST, "peak_count")
     events.sort(key=lambda ev: ev.time)
     return tuple(events)
 
 
+def _certified_steady_state(cur, u_hist, x, h, p: ModelParams, m: MotilityModel):
+    """The discrete steady state that ends the run at the state cur, or None.
+
+    It is Newton's solution from cur (a) if that lies within STOP_DIST of
+    cur in max-norm (b), has a negative spectral abscissa (c), and shows the
+    dominant mode and peak count of the last EVENT_PERSIST snapshots (d).
+    """
+    try:
+        u, v, _, _ = newton(cur[0], cur[1], h, p.D, p.sigma, m)
+    except (NewtonConvergenceError, SingularJacobianError):
+        return None
+    state = np.stack([u, v])
+    if not np.abs(state - cur).max() <= STOP_DIST:
+        return None
+    mags, established, peaks = _pattern_data(np.array(u_hist[-EVENT_PERSIST:] + [u]), x, p.l)
+    modes = [int(np.argmax(row)) + 1 if ok else None for row, ok in zip(mags, established)]
+    if len(set(zip(modes, peaks))) != 1:
+        return None
+    try:
+        lam = rightmost_eigenvalues(jacobian_banded(u, v, h, p.D, p.sigma, m))
+    except SingularJacobianError:
+        return None
+    return state if lam.size and lam[0].real < 0 else None
+
+
 def simulate(config: SimConfig) -> Trajectory:
-    """Integrate until steady (max-norm rate below steady_tol for both
-    components) or t_end, recording snapshots and pattern-change events."""
+    """Integrate until steady or t_end, recording snapshots and
+    pattern-change events.
+
+    The run is steady when the max-norm rate of both components drops below
+    steady_tol, or when the certified stop of the module docstring ends it
+    at a stable discrete steady state.
+    """
     p, m = config.params, config.motility
     f0 = initial_field(config.init, p, m, config.n)
     h, D, sigma, b_max = f0.h, p.D, p.sigma, config.b_max
@@ -382,6 +443,8 @@ def simulate(config: SimConfig) -> Trajectory:
     dl, d, du = ab_buf[2, :-1], ab_buf[1], ab_buf[0, 1:]
     lo_old = cur.min(axis=1).tolist()
 
+    x = f0.x
+    last_try = -math.inf
     times = [0.0]
     u_hist = [f0.u.copy()]
     v_hist = [f0.v.copy()]
@@ -433,6 +496,12 @@ def simulate(config: SimConfig) -> Trajectory:
             # rate estimates from boundary-clipped tiny steps are rounding noise
             steady = bool(rate < config.steady_tol) and dt >= 0.25 * dt_full
             if steady or t >= next_snap - 1e-12:
+                if (not steady and sigma != 0 and rate < STOP_RATE
+                        and t - last_try >= STOP_RETRY and len(u_hist) >= EVENT_PERSIST):
+                    last_try = t
+                    settled = _certified_steady_state(cur, u_hist, x, h, p, m)
+                    if settled is not None:
+                        cur, steady = settled, True
                 times.append(t)
                 u_hist.append(cur[0].copy())
                 v_hist.append(cur[1].copy())
@@ -440,7 +509,6 @@ def simulate(config: SimConfig) -> Trajectory:
             if steady:
                 break
 
-    final = Field(u=cur[0], v=cur[1], l=p.l)
     times_arr = np.asarray(times)
     u_arr = np.asarray(u_hist)
     v_arr = np.asarray(v_hist)
@@ -449,7 +517,7 @@ def simulate(config: SimConfig) -> Trajectory:
         u_history=u_arr,
         v_history=v_arr,
         l=p.l,
-        final=final,
+        final=Field(u=cur[0], v=cur[1], l=p.l),
         steady=steady,
-        events=_annotate(times_arr, u_arr, final.x, p.l),
+        events=_annotate(times_arr, u_arr, x, p.l),
     )

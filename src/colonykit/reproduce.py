@@ -132,21 +132,24 @@ class ReproductionContext:
             )
         return self._expansions[j]
 
+    def protocol_config(self, name: str) -> SimConfig:
+        sigma, init = self.PROTOCOLS[name]
+        return SimConfig(
+            params=self.params(sigma),
+            motility=self.motility,
+            init=init,
+            n=self.n,
+            t_end=2500.0,
+            steady_tol=1e-8,
+            snapshot_every=1.0,
+        )
+
     def trajectory(self, name: str):
         if name not in self._trajectories:
-            sigma, init = self.PROTOCOLS[name]
-            cfg = SimConfig(
-                params=self.params(sigma),
-                motility=self.motility,
-                init=init,
-                n=self.n,
-                t_end=2500.0,
-                steady_tol=1e-8,
-                snapshot_every=1.0,
-            )
+            sigma = self.PROTOCOLS[name][0]
             self.progress(f"  running protocol {name} (sigma={sigma}, n={self.n}) ...")
             start = time.perf_counter()
-            self._trajectories[name] = simulate(cfg)
+            self._trajectories[name] = simulate(self.protocol_config(name))
             self.progress(f"  protocol {name} done in {time.perf_counter() - start:.0f}s")
         return self._trajectories[name]
 
@@ -381,6 +384,23 @@ def _crit_continuation(ctx) -> CriterionResult:
                            {"slope": slope, "predicted": predicted})
 
 
+def _departure_config(ctx) -> SimConfig:
+    """Criterion 13's dynamic cross-check: the mode-4 branch state nearest
+    sigma = 0.32 with seeded noise, which should decay toward mode 6."""
+    curve = ctx.branch(4, 0.315)
+    bp = min(curve.points, key=lambda q: abs(q.sigma - 0.32))
+    rng = np.random.default_rng(7)
+    noisy = Field(
+        u=bp.field.u + 1e-4 * rng.uniform(-1, 1, bp.field.u.size),
+        v=bp.field.v + 1e-4 * rng.uniform(-1, 1, bp.field.v.size),
+        l=bp.field.l,
+    )
+    return SimConfig(
+        params=ctx.params(bp.sigma), motility=ctx.motility, init=ExplicitField(noisy),
+        n=bp.field.n, t_end=2000.0, steady_tol=1e-8, snapshot_every=1.0,
+    )
+
+
 def _crit_stability_verdicts(ctx) -> CriterionResult:
     verdicts = {}
     ok = True
@@ -390,20 +410,8 @@ def _crit_stability_verdicts(ctx) -> CriterionResult:
         expected = BranchVerdict.STABLE_ADMISSIBLE if j == 6 else BranchVerdict.UNSTABLE_WRONG_MODE
         ok &= v == expected
 
-    # dynamic cross-check: a mode-4 branch state decays toward the mode-6 pattern
-    curve = ctx.branch(4, 0.315)
-    bp = min(curve.points, key=lambda q: abs(q.sigma - 0.32))
-    rng = np.random.default_rng(7)
-    noisy = Field(
-        u=bp.field.u + 1e-4 * rng.uniform(-1, 1, bp.field.u.size),
-        v=bp.field.v + 1e-4 * rng.uniform(-1, 1, bp.field.v.size),
-        l=bp.field.l,
-    )
     ctx.progress("  running departure cross-check from the mode-4 branch ...")
-    cfg = SimConfig(
-        params=ctx.params(bp.sigma), motility=ctx.motility, init=ExplicitField(noisy),
-        n=bp.field.n, t_end=2000.0, steady_tol=1e-8, snapshot_every=1.0,
-    )
+    cfg = _departure_config(ctx)
     traj = simulate(cfg)
     dom, peaks = _protocol_outcome(traj)
     departed = dom == 6 and peaks == 3.0
@@ -411,7 +419,7 @@ def _crit_stability_verdicts(ctx) -> CriterionResult:
     stable_set = sorted(j for j, v in verdicts.items() if v == "stable_admissible")
     detail = (
         f"stable verdict at modes {stable_set} (expected [6]); mode-4 state at "
-        f"sigma={bp.sigma:.4f} departed to mode {dom} with {peaks} peaks"
+        f"sigma={cfg.params.sigma:.4f} departed to mode {dom} with {peaks} peaks"
     )
     return CriterionResult(13, "branch stability verdicts", _verdict(ok), detail,
                            {"verdicts": verdicts, "departure_mode": dom})

@@ -20,9 +20,9 @@ from colonykit import (
     stationary_residual,
     trace_branch,
 )
-from colonykit import continuation
-from colonykit.asymptotics import second_order_profiles
-from colonykit.discrete import jacobian_banded, residual
+from colonykit import continuation, discrete
+from colonykit.asymptotics import BranchVerdict, second_order_profiles
+from colonykit.discrete import jacobian_banded, residual, rightmost_eigenvalues
 
 REF = LogisticDecay(steepness=8.0, center=1.0)
 
@@ -35,6 +35,21 @@ def asymptotic_field(j, sigma, n=256):
     e = expansion_coefficients(j, params(sigma), REF)
     eps = epsilon_for_sigma(e, sigma)
     return Field(*second_order_profiles(e, eps, np.linspace(0.0, 20.0, n + 1)), l=20.0)
+
+
+def dense_from_band(ab):
+    """The full matrix of a Jacobian in the (2, 3)-banded layout."""
+    size = ab.shape[1]
+    dense = np.zeros((size, size))
+    for col in range(size):
+        for row in range(max(0, col - 3), min(size, col + 3)):
+            dense[row, col] = ab[3 + row - col, col]
+    return dense
+
+
+def jacobian_at(bp):
+    f = bp.field
+    return jacobian_banded(f.u, f.v, f.h, 1.0, bp.sigma, REF)
 
 
 class TestJacobian:
@@ -51,14 +66,8 @@ class TestJacobian:
         u = 1.0 + 0.1 * rng.uniform(-1, 1, n + 1)
         v = 1.0 + 0.1 * rng.uniform(-1, 1, n + 1)
         sigma, D = 0.37, 1.0
-        ab = jacobian_banded(u, v, h, D, sigma, m)
+        dense = dense_from_band(jacobian_banded(u, v, h, D, sigma, m))
         m_size = 2 * (n + 1)
-        dense = np.zeros((m_size, m_size))
-        for col in range(m_size):
-            for row in range(max(0, col - 3), min(m_size, col + 3)):
-                band_row = 3 + row - col
-                if 0 <= band_row < 6:
-                    dense[row, col] = ab[band_row, col]
 
         def F(u_, v_):
             return residual(u_, v_, h, D, sigma, m)
@@ -107,7 +116,7 @@ class TestNewton:
             pass  # degenerate linearization is also an acceptable report
 
     def test_distant_start_fails_cleanly(self, monkeypatch):
-        monkeypatch.setattr(continuation, "MAX_NEWTON_ITERS", 4)
+        monkeypatch.setattr(discrete, "MAX_NEWTON_ITERS", 4)
         rng = np.random.default_rng(0)
         f = Field(u=5 + rng.uniform(-1, 1, 65), v=0.1 + 0.05 * rng.uniform(-1, 1, 65), l=20.0)
         with pytest.raises(NewtonConvergenceError):
@@ -117,6 +126,36 @@ class TestNewton:
         f = Field(u=np.ones(65), v=np.ones(65), l=10.0)
         with pytest.raises(ValueError):
             newton_steady(f, params(0.3), REF)
+
+
+class TestRightmostEigenvalues:
+    @pytest.mark.parametrize("j", [4, 6, 8])
+    def test_matches_dense_eigenvalues(self, j):
+        curve = trace_branch(j, params(0.3), REF, sigma_min=0.315, n=128)
+        bp = min(curve.points, key=lambda q: abs(q.sigma - 0.32))
+        ab = jacobian_at(bp)
+        got = rightmost_eigenvalues(ab)
+        dense = np.linalg.eigvals(dense_from_band(ab))
+        dense = dense[np.argsort(-dense.real)]
+        assert got.size >= 4
+        # the rightmost eigenvalues, conjugate pairs matched by |Im|
+        for lam, ref in zip(got[:4], dense[:4]):
+            assert lam.real == pytest.approx(ref.real, abs=1e-6)
+            assert abs(lam.imag) == pytest.approx(abs(ref.imag), abs=1e-6)
+        # every converged Ritz value is an eigenvalue
+        for lam in got:
+            assert np.min(np.abs(dense - lam)) <= 1e-6
+
+    @pytest.mark.parametrize("j", range(1, 12))
+    def test_abscissa_sign_matches_verdict_below_onset(self, j):
+        # the weakly nonlinear verdict: only the mode-6 branch is stable
+        e = expansion_coefficients(j, params(0.3), REF)
+        sigma = e.sigma0 - 1e-3
+        bp = newton_steady(asymptotic_field(j, sigma), params(sigma), REF)
+        assert bp.amplitude > 1e-3 and modal_spectrum(bp.field).dominant == j
+        abscissa = rightmost_eigenvalues(jacobian_at(bp))[0].real
+        assert (abscissa < 0) == (e.verdict is BranchVerdict.STABLE_ADMISSIBLE)
+        assert (abscissa < 0) == (j == 6)
 
 
 @pytest.fixture(scope="module")

@@ -52,6 +52,19 @@ def test_rejects_nonfinite_parameters(family, kwargs):
         family(**kwargs)
 
 
+@pytest.mark.parametrize("family, kwargs", [
+    (LogisticDecay, {"center": -200.0}),
+    (LogisticDecay, {"steepness": 1e3, "center": 0.0}),
+    (ExponentialDecay, {"rate": 1000.0}),
+    (ExponentialDecay, {"r0": 1e-300, "rate": 100.0}),
+])
+def test_rejects_r_underflowing_at_one(family, kwargs):
+    # the linear analysis divides by r(1); a library caller must not meet a
+    # ZeroDivisionError there
+    with pytest.raises(ValueError, match="r\\(1\\) underflows to 0"):
+        family(**kwargs)
+
+
 class TestDerivativeConsistency:
     """Analytic order-n derivative vs central difference of order n-1."""
 

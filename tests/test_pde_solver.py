@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,13 +19,19 @@ from colonykit import (
     SimConfig,
     UniformPerturbed,
     count_peaks,
+    epsilon_for_sigma,
+    expansion_coefficients,
     modal_spectrum,
+    newton_steady,
     simulate,
     stationary_residual,
+    trace_branch,
 )
+from colonykit import discrete, pde_solver
+from colonykit import reproduce as rp
 from colonykit.discrete import laplacian, signal_band
 from colonykit.asymptotics import second_order_profiles
-from colonykit.pde_solver import DT_SAFETY, _find_peaks, initial_field
+from colonykit.pde_solver import DT_SAFETY, STOP_DIST, _annotate, _find_peaks, initial_field
 
 REF = LogisticDecay(steepness=8.0, center=1.0)
 
@@ -215,6 +222,92 @@ class TestStepLoopBitIdentity:
             assert np.array_equal(traj.v_history[i], vs[i]), i
         assert np.array_equal(traj.final.u, u_end)
         assert np.array_equal(traj.final.v, v_end)
+
+
+def mode6_state(sigma, n):
+    """The discrete mode-6 steady state at sigma, by Newton from the expansion."""
+    e = expansion_coefficients(6, params(sigma), REF)
+    x = np.linspace(0.0, 20.0, n + 1)
+    seed = Field(*second_order_profiles(e, epsilon_for_sigma(e, sigma), x), l=20.0)
+    return newton_steady(seed, params(sigma), REF).field
+
+
+def perturbed(f, amplitude, seed):
+    rng = np.random.default_rng(seed)
+    return Field(u=f.u + amplitude * rng.uniform(-1, 1, f.u.size),
+                 v=f.v + amplitude * rng.uniform(-1, 1, f.v.size), l=f.l)
+
+
+class TestCertifiedStop:
+    """simulate ends at a stable discrete steady state once Newton reaches it
+    from the current state and the Jacobian spectrum confirms it."""
+
+    def test_output_before_stop_equals_reference_loop(self):
+        cfg = rp.ReproductionContext(n=64).protocol_config("mode3_at_030")
+        traj = simulate(cfg)
+        t_stop = traj.times[-1]
+        assert traj.steady and t_stop < 150.0  # rate-based steady comes after t = 230
+        assert [ev.kind for ev in traj.events] == ["peak_count", "dominant_mode"]
+        times, us, vs, _, _ = reference_run(replace(cfg, t_end=t_stop + 0.5))
+        k = len(traj.times)
+        assert np.array_equal(traj.times, times[:k])
+        for i in range(k - 1):
+            assert np.array_equal(traj.u_history[i], us[i]), i
+            assert np.array_equal(traj.v_history[i], vs[i]), i
+        assert traj.events == _annotate(times[:k], us[:k], traj.final.x, traj.l)
+        # the last snapshot is the exact discrete steady state near the run's state
+        assert np.array_equal(traj.u_history[-1], traj.final.u)
+        assert np.array_equal(traj.v_history[-1], traj.final.v)
+        assert max(stationary_residual(traj.final, cfg.params, REF)) < 1e-10
+        assert np.max(np.abs(traj.final.u - us[k - 1])) <= STOP_DIST
+
+    def test_unstable_branch_state_is_not_a_stop(self, monkeypatch):
+        curve = trace_branch(4, params(0.3), REF, sigma_min=0.315, n=64)
+        bp = min(curve.points, key=lambda q: abs(q.sigma - 0.32))
+        abscissas = []
+
+        def recording(ab):
+            lam = discrete.rightmost_eigenvalues(ab)
+            abscissas.append(lam[0].real)
+            return lam
+
+        monkeypatch.setattr(pde_solver, "rightmost_eigenvalues", recording)
+        traj = run_from(perturbed(bp.field, 1e-4, seed=7), bp.sigma, t_end=40.0,
+                        steady_tol=1e-12)
+        # Newton returns to the mode-4 state, whose spectrum rejects each attempt
+        assert len(abscissas) >= 2 and min(abscissas) > 0.05
+        assert not traj.steady
+        assert count_peaks(traj.final) == count_peaks(bp.field)
+        assert np.max(np.abs(traj.final.u - bp.field.u)) < STOP_DIST
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.floats(0.30, 0.48), st.floats(0.0, 0.02), st.integers(0, 2 ** 16))
+    def test_steady_state_does_not_depend_on_dt(self, sigma, amplitude, seed):
+        start = perturbed(mode6_state(sigma, 48), amplitude, seed)
+        finals = []
+        for dt in (0.02, 0.01):
+            traj = run_from(start, sigma, dt=dt, t_end=300.0)
+            assert traj.steady
+            finals.append(newton_steady(traj.final, params(sigma), REF).field)
+        a, b = finals
+        assert max(np.max(np.abs(a.u - b.u)), np.max(np.abs(a.v - b.v))) <= 1e-10
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("name", [
+        "mode3_at_030", "mode6_at_032", "mode4_at_040", "mode4_at_032_scaled", "uniform_at_060",
+        "departure",
+    ])
+    def test_events_equal_those_of_the_full_run(self, name, monkeypatch):
+        # criterion 10's protocols and criterion 9's decay at n = 128, and
+        # criterion 13's departure run
+        ctx = rp.ReproductionContext(n=128)
+        cfg = rp._departure_config(ctx) if name == "departure" else ctx.protocol_config(name)
+        stopped = simulate(cfg)
+        monkeypatch.setattr(pde_solver, "STOP_RATE", 0.0)  # no attempt is ever made
+        full = simulate(cfg)
+        assert stopped.steady and full.steady
+        assert stopped.times[-1] < full.times[-1]
+        assert stopped.events == full.events
 
 
 class TestModalSpectrum:
