@@ -17,9 +17,13 @@ Exit codes: 0 success, 1 runtime failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
+import signal
 import struct
 import sys
+import tempfile
 from pathlib import Path
 
 
@@ -134,18 +138,104 @@ def _float_reprs(a) -> list[str]:
     return repr(a.tolist())[1:-1].split(", ")
 
 
-def _write_snapshots_csv(path: Path, cfg: ExperimentConfig, traj) -> None:
+def _cpus() -> int:
+    """CPUs this process may run on; 1 where os.fork or os.sched_getaffinity is missing."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _slice_bounds(count: int, parts: int) -> list[tuple[int, int]]:
+    """Contiguous [lo, hi) slices of range(count) whose sizes differ by at most one."""
+    q, r = divmod(count, parts)
+    bounds = [0]
+    for i in range(parts):
+        bounds.append(bounds[-1] + q + (i < r))
+    return list(zip(bounds, bounds[1:]))
+
+
+def _write_snapshot_rows(fh, x_cols: list[str], times: list[float], u_hist, v_hist) -> None:
     """One row t,x,u,v per node and snapshot, every value written as the
     repr of the float; each snapshot goes out in one write."""
+    for t, u, v in zip(times, u_hist, v_hist):
+        t_col = repr(t) + ","
+        fh.write("".join([t_col + x_col + u_val + "," + v_val + "\n" for x_col, u_val, v_val
+                          in zip(x_cols, _float_reprs(u), _float_reprs(v))]))
+
+
+def _write_in_child(fd: int, write, *args) -> None:
+    """Run write(file fd, *args) in a forked child and leave through
+    os._exit: the child never returns into the parent's code."""
+    status = 1
+    try:
+        with os.fdopen(fd, "w") as fh:
+            write(fh, *args)
+        status = 0
+    except BaseException as exc:
+        with contextlib.suppress(BaseException):
+            os.write(2, f"error: snapshot writer {os.getpid()}: {exc}\n".encode())
+    finally:
+        os._exit(status)
+
+
+def _append_file(dst_fd: int, src: str) -> None:
+    """Append the file src to dst_fd without copying it through user space."""
+    with open(src, "rb") as fh:
+        offset = 0
+        while sent := os.sendfile(dst_fd, fh.fileno(), offset, 1 << 30):
+            offset += sent
+
+
+def _write_snapshots_csv(path: Path, cfg: ExperimentConfig, traj) -> None:
+    """The snapshots as CSV rows (see _write_snapshot_rows), formatted by one
+    process per usable CPU.  Each forked child writes a contiguous slice of
+    the snapshots to a temp file beside path; the parent writes the header
+    and the first slice to path, reaps every child and appends their files
+    in order, so the bytes do not depend on the number of processes.  On any
+    failure path is removed, and no child or temp file is left behind."""
     x_cols = [s + "," for s in _float_reprs(traj.final.x)]
-    with path.open("w") as fh:
-        for line in _meta_lines(cfg):
-            fh.write(line + "\n")
-        fh.write("t,x,u,v\n")
-        for t, u, v in zip(traj.times.tolist(), traj.u_history, traj.v_history):
-            t_col = repr(t) + ","
-            fh.write("".join([t_col + x_col + u_val + "," + v_val + "\n" for x_col, u_val, v_val
-                              in zip(x_cols, _float_reprs(u), _float_reprs(v))]))
+    times = traj.times.tolist()
+
+    def write_rows(fh, lo, hi):
+        _write_snapshot_rows(fh, x_cols, times[lo:hi], traj.u_history[lo:hi], traj.v_history[lo:hi])
+
+    first, *rest = _slice_bounds(len(times), min(_cpus(), len(times)))
+    parts, pids = [], []
+    try:
+        for lo, hi in rest:
+            fd, part = tempfile.mkstemp(prefix=path.name + ".", suffix=".part", dir=path.parent)
+            parts.append(part)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _write_in_child(fd, write_rows, lo, hi)
+            finally:
+                os.close(fd)
+            pids.append(pid)
+        with path.open("w") as fh:
+            for line in _meta_lines(cfg):
+                fh.write(line + "\n")
+            fh.write("t,x,u,v\n")
+            write_rows(fh, *first)
+            fh.flush()
+            while pids:
+                _, status = os.waitpid(pids[0], 0)
+                pids.pop(0)
+                if status != 0:
+                    code = os.waitstatus_to_exitcode(status)
+                    raise OSError(f"snapshot writer process exited with status {code}")
+            for part in parts:
+                _append_file(fh.fileno(), part)
+    except BaseException:
+        if path.is_file():
+            path.unlink()
+        raise
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for part in parts:
+            Path(part).unlink(missing_ok=True)
 
 
 def _write_snapshots_binary(path: Path, cfg: ExperimentConfig, traj) -> None:
@@ -281,7 +371,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except ColonyKitError as exc:
+    except (ColonyKitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

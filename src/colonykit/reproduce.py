@@ -385,8 +385,11 @@ def _crit_continuation(ctx) -> CriterionResult:
 
 
 def _departure_config(ctx) -> SimConfig:
-    """Criterion 13's dynamic cross-check: the mode-4 branch state nearest
-    sigma = 0.32 with seeded noise, which should decay toward mode 6."""
+    """Criterion 13's dynamic cross-check: a mode-4 branch state with seeded
+    noise, which should decay toward mode 6.  The state is the point of the
+    trace to sigma_min = 0.315 nearest sigma = 0.32.  The trace's step grows
+    on the way down, and at n = 256 its last two points are at sigma = 0.3391
+    and 0.3059, so the run starts at sigma = 0.3059, past sigma_min."""
     curve = ctx.branch(4, 0.315)
     bp = min(curve.points, key=lambda q: abs(q.sigma - 0.32))
     rng = np.random.default_rng(7)

@@ -1,7 +1,9 @@
 import copy
+import errno
 import json
 import math
 import os
+import signal
 import struct
 import subprocess
 import sys
@@ -14,6 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import colonykit
 from colonykit import (
+    BlowUpError,
     ConfigError,
     Field,
     LogisticDecay,
@@ -138,6 +141,19 @@ def test_cli_import_leaves_heavy_scipy_modules_out():
     assert run.stdout.strip() == "[]"
 
 
+def per_value_csv(path, cfg, traj):
+    """One repr per value: the snapshot writer's definition of its output."""
+    x = traj.final.x
+    with path.open("w") as fh:
+        for line in cli._meta_lines(cfg):
+            fh.write(line + "\n")
+        fh.write("t,x,u,v\n")
+        for i, t in enumerate(traj.times):
+            u, v = traj.u_history[i], traj.v_history[i]
+            for k in range(x.size):
+                fh.write(f"{float(t)!r},{float(x[k])!r},{float(u[k])!r},{float(v[k])!r}\n")
+
+
 @pytest.fixture()
 def config_file(tmp_path):
     path = tmp_path / "experiment.yaml"
@@ -183,18 +199,6 @@ class TestCommands:
         assert "meta" in json.loads(events_lines[0])
 
     def test_snapshot_csv_bytes_match_per_value_writer(self, tmp_path):
-        def reference_writer(path, cfg, traj):
-            # one repr per value, the writer's definition of its output
-            x = traj.final.x
-            with path.open("w") as fh:
-                for line in cli._meta_lines(cfg):
-                    fh.write(line + "\n")
-                fh.write("t,x,u,v\n")
-                for i, t in enumerate(traj.times):
-                    u, v = traj.u_history[i], traj.v_history[i]
-                    for k in range(x.size):
-                        fh.write(f"{float(t)!r},{float(x[k])!r},{float(u[k])!r},{float(v[k])!r}\n")
-
         u_hist = np.array([[1e-05, -1.5e-07, 1e+16, -3.0, 0.1 + 0.2],
                            [2.0, -0.0, 1.5e-07, 123456789.0, -1e-300]])
         v_hist = np.array([[1.0, 1e+16, 5e-324, -2.5, 1 / 3],
@@ -203,7 +207,7 @@ class TestCommands:
                           l=1e-4, final=Field(u=u_hist[-1], v=v_hist[-1], l=1e-4), steady=False)
         cfg = parse_config(GOOD_CONFIG)
         cli._write_snapshots_csv(tmp_path / "fast.csv", cfg, traj)
-        reference_writer(tmp_path / "ref.csv", cfg, traj)
+        per_value_csv(tmp_path / "ref.csv", cfg, traj)
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
         assert "\n0.0,2.5e-05,-1.5e-07,1e+16\n" in (tmp_path / "fast.csv").read_text()
 
@@ -333,6 +337,122 @@ class TestCommands:
         payload = json.loads((out / "reproduction_report.json").read_text())
         assert payload["applicable"] is False
         assert all(r["status"] == "n/a" for r in payload["results"])
+
+    @pytest.mark.parametrize("command", ["simulate", "analyze"])
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below_file"])
+    def test_unusable_out_is_runtime_error(self, config_file, tmp_path, capsys, command, below):
+        # --out names an existing file, or a directory that would have to be made inside one
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        out = blocker / "results" if below else blocker
+        assert main([command, "--config", str(config_file), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(blocker) in err
+
+    def test_unwritable_output_is_runtime_error(self, config_file, tmp_path, capsys):
+        out = tmp_path / "results"
+        (out / "snapshots.csv").mkdir(parents=True)
+        assert main(["simulate", "--config", str(config_file), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert [f.name for f in out.iterdir()] == ["snapshots.csv"]
+
+
+def random_trajectory(snapshots, n=16, seed=0):
+    """Snapshots of values over many decades, both signs and both zeros."""
+    rng = np.random.default_rng(seed)
+
+    def values():
+        shape = (snapshots, n + 1)
+        vals = rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.integers(-30, 30, shape)
+        vals[:, 0], vals[:, 1] = 0.0, -0.0
+        return vals
+
+    u_hist, v_hist = values(), values()
+    times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.0, 1.0, snapshots - 1))])
+    return Trajectory(times=times, u_history=u_hist, v_history=v_hist, l=7.0,
+                      final=Field(u=u_hist[-1], v=v_hist[-1], l=7.0), steady=False)
+
+
+class TestSnapshotWriterProcesses:
+    """The CSV writer forks one process per usable CPU (cli._cpus)."""
+
+    @pytest.mark.parametrize("count, parts, bounds", [
+        (7, 3, [(0, 3), (3, 5), (5, 7)]),
+        (6, 2, [(0, 3), (3, 6)]),
+        (1, 1, [(0, 1)]),
+    ])
+    def test_slices_are_contiguous_and_balanced(self, count, parts, bounds):
+        assert cli._slice_bounds(count, parts) == bounds
+
+    @pytest.mark.parametrize("snapshots", [1, 2, 7])
+    def test_bytes_do_not_depend_on_process_count(self, tmp_path, monkeypatch, snapshots):
+        traj = random_trajectory(snapshots)
+        cfg = parse_config(GOOD_CONFIG)
+        per_value_csv(tmp_path / "ref.csv", cfg, traj)
+        forks = []
+        fork = os.fork
+
+        def counting_fork():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+            forks.clear()
+            path = tmp_path / f"cpus{cpus}.csv"
+            cli._write_snapshots_csv(path, cfg, traj)
+            assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes(), cpus
+            assert len(forks) == min(cpus, snapshots) - 1  # no process for an empty slice
+
+    @pytest.mark.parametrize("failure", ["raises", "killed"])
+    def test_failed_child_leaves_no_output(self, config_file, tmp_path, monkeypatch, capfd,
+                                           failure):
+        parent = os.getpid()
+        write_rows = cli._write_snapshot_rows
+
+        def failing_in_child(fh, *args):
+            if os.getpid() != parent:
+                if failure == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise OSError(errno.ENOSPC, "No space left on device")
+            write_rows(fh, *args)
+
+        monkeypatch.setattr(cli, "_cpus", lambda: 3)
+        monkeypatch.setattr(cli, "_write_snapshot_rows", failing_in_child)
+        out = tmp_path / "results"
+        assert main(["simulate", "--config", str(config_file), "--out", str(out)]) == 1
+        err = capfd.readouterr().err
+        assert "error: snapshot writer process exited with status" in err
+        assert ("No space left on device" in err) == (failure == "raises")
+        assert list(out.iterdir()) == []
+
+    def test_failure_in_parent_stops_the_children(self, config_file, tmp_path, monkeypatch, capsys):
+        parent = os.getpid()
+        write_rows = cli._write_snapshot_rows
+
+        def failing_in_parent(fh, *args):
+            if os.getpid() == parent:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            write_rows(fh, *args)
+
+        monkeypatch.setattr(cli, "_cpus", lambda: 3)
+        monkeypatch.setattr(cli, "_write_snapshot_rows", failing_in_parent)
+        out = tmp_path / "results"
+        assert main(["simulate", "--config", str(config_file), "--out", str(out)]) == 1
+        assert "No space left on device" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_simulate_error_before_the_writer_leaves_no_output(self, config_file, tmp_path,
+                                                                monkeypatch):
+        def blow_up(sim_config):
+            raise BlowUpError("solution norm exceeded bound")
+
+        monkeypatch.setattr(cli, "_cpus", lambda: 3)
+        monkeypatch.setattr(cli, "simulate", blow_up)
+        out = tmp_path / "results"
+        assert main(["simulate", "--config", str(config_file), "--out", str(out)]) == 1
+        assert list(out.iterdir()) == []
 
 
 # every key of GOOD_CONFIG, plus an initial-condition seed

@@ -124,6 +124,29 @@ class TestStep:
         assert traj.steady or len(mass) == 21
         assert np.max(np.abs(mass - mass[0])) <= 1e-12 * mass[0]
 
+    def test_second_order_in_space(self):
+        # self-convergence on a smooth cosine field: every run takes the same
+        # steps (a dt below the explicit bound of the finest grid), so the
+        # time error cancels and successive differences on the shared nodes
+        # shrink by 2**order per doubling of n; n = 1024 is the reference
+        # for the n = 512 run
+        sizes = (64, 128, 256, 512, 1024)
+        t_end = 0.1
+        # max r < 0.7 on these fields, so this dt is below every grid's explicit bound
+        dt = DT_SAFETY * (20.0 / sizes[-1]) ** 2 / 0.7
+        finals = []
+        for n in sizes:
+            x = np.linspace(0.0, 20.0, n + 1)
+            wave = 0.1 * np.cos(np.pi * 2 * x / 20.0)
+            f = Field(u=1.0 + wave, v=1.0 + 0.5 * wave, l=20.0)
+            traj = run_from(f, 0.3, dt=dt, t_end=t_end, snapshot_every=t_end)
+            assert traj.times[-1] == t_end
+            finals.append(traj.final)
+        diffs = [max(np.max(np.abs(c.u - f.u[::2])), np.max(np.abs(c.v - f.v[::2])))
+                 for c, f in zip(finals, finals[1:])]
+        orders = np.log2(np.array(diffs[:-1]) / np.array(diffs[1:]))
+        assert np.all((1.8 <= orders) & (orders <= 2.2)), (diffs, orders)
+
     def test_positivity_loss_detected(self):
         # r(5) is tiny, so the explicit bound does not bind and the given
         # step overshoots the logistic decay below zero
