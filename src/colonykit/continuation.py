@@ -26,23 +26,15 @@ from enum import Enum
 import numpy as np
 
 from .asymptotics import epsilon_for_sigma, expansion_coefficients, second_order_profiles
-from .discrete import (
-    NEWTON_TOL,
-    interleave,
-    jacobian_banded,
-    newton,
-    residual,
-    residual_sigma_derivative,
-    solve_jacobian,
-)
+from .discrete import NEWTON_TOL, band_array, interleave, linearize, newton, residual, solve
 from .errors import (
     ColonyKitError,
     NewtonConvergenceError,
     SeedFailureError,
     SingularJacobianError,
 )
-from .linear_analysis import BifurcationSummary, ModelParams, scan_modes
-from .motility import MotilityModel
+from .linear_analysis import BifurcationSummary, ModelParams, _bifurcation_sigma, scan_modes
+from .motility import MotilityModel, taylor_at_one
 from .pde_solver import Field
 
 __all__ = [
@@ -125,18 +117,23 @@ def _corrector(u, v, sigma, tan_u, tan_s, anchor_u, anchor_s, ds, h, D, m, w):
 
     Returns (u, v, sigma, iters, residual) or raises a Newton error.
     """
+    ab = band_array(u.size)
+    # columns: the residual F and its derivative in sigma, (u (1 - u), 0) interleaved
+    rhs = np.empty((ab.shape[1], 2), order="F")
     for it in range(1, MAX_CORRECTOR_ITERS + 1):
         F = residual(u, v, h, D, sigma, m)
-        if not np.all(np.isfinite(F)):
+        res = float(np.max(np.abs(F)))
+        if not math.isfinite(res):
             raise NewtonConvergenceError("corrector produced non-finite residual")
         N = _dot(tan_u, tan_s, interleave(u, v) - anchor_u, sigma - anchor_s, w) - ds
-        res = float(np.max(np.abs(F)))
         if res < NEWTON_TOL and abs(N) < max(1e-12, 1e-6 * abs(ds)):
             return u, v, sigma, it - 1, res
 
-        ab = jacobian_banded(u, v, h, D, sigma, m)
+        rhs[:, 0] = F
+        rhs[0::2, 1] = u * (1.0 - u)
+        rhs[1::2, 1] = 0.0
         # one factorization for both right-hand sides
-        a, b = solve_jacobian(ab, np.column_stack((F, residual_sigma_derivative(u)))).T
+        a, b = solve(linearize(u, v, h, D, sigma, m, ab), rhs).T
         denom = tan_s - _dot(tan_u, 0.0, b, 0.0, w)
         if abs(denom) < 1e-14:
             raise SingularJacobianError("bordered system is singular (tangent orthogonal)")
@@ -184,17 +181,23 @@ def trace_branch(
         return BranchCurve(j=j, points=(), termination=Termination.REACHED_SIGMA_MIN)
 
     grid = np.linspace(0.0, p.l, n + 1)
-    eps = epsilon_for_sigma(expansion, sigma_seed)
-    seed_field = Field(*second_order_profiles(expansion, eps, grid), l=p.l)
-    try:
-        bp0 = newton_steady(seed_field, replace(p, sigma=sigma_seed), m)
-    except ColonyKitError as exc:
-        raise SeedFailureError(f"seed Newton solve failed for mode {j}: {exc}") from exc
-    if bp0.amplitude < 1e-9:
+    h = p.l / n
+    # a coarse grid's onset, at the eigenvalue (4 / h^2) sin^2(pi j h / 2 l), can lie well
+    # above sigma0; if the seed collapses, a second one takes eps from that onset
+    lam_h = (2.0 / h * math.sin(0.5 * math.pi * j * h / p.l)) ** 2
+    ratio_h = (sigma_seed - _bifurcation_sigma(lam_h, p, *taylor_at_one(m, 2))) / expansion.sigma2
+    for eps in (epsilon_for_sigma(expansion, sigma_seed), math.sqrt(max(ratio_h, 0.0))):
+        seed_field = Field(*second_order_profiles(expansion, eps, grid), l=p.l)
+        try:
+            bp0 = newton_steady(seed_field, replace(p, sigma=sigma_seed), m)
+        except ColonyKitError as exc:
+            raise SeedFailureError(f"seed Newton solve failed for mode {j}: {exc}") from exc
+        if bp0.amplitude >= 1e-9:
+            break
+    else:
         raise SeedFailureError(f"mode {j} seed collapsed onto the uniform state")
 
     points = [bp0]
-    h = p.l / n
     w = 1.0 / (2 * (n + 1))
 
     # second point by a natural step in sigma to start the secant tangent
@@ -205,10 +208,9 @@ def trace_branch(
         raise SeedFailureError(f"could not take the first continuation step: {exc}") from exc
     points.append(bp1)
 
-    X_prev, s_prev = interleave(bp0.field.u, bp0.field.v), bp0.sigma
     X_cur, s_cur = interleave(bp1.field.u, bp1.field.v), bp1.sigma
-    tan_u = X_cur - X_prev
-    tan_s = s_cur - s_prev
+    tan_u = X_cur - interleave(bp0.field.u, bp0.field.v)
+    tan_s = s_cur - bp0.sigma
     scale = math.sqrt(_dot(tan_u, tan_s, tan_u, tan_s, w))
     tan_u /= scale
     tan_s /= scale
@@ -247,19 +249,12 @@ def trace_branch(
             termination = Termination.AMPLITUDE_BOUND
             break
 
-        bp = BranchPoint(
-            sigma=s_new,
-            field=Field(u=u_new, v=v_new, l=p.l),
-            amplitude=amplitude,
-            newton_iters=iters,
-            residual=res,
-        )
-        points.append(bp)
+        points.append(BranchPoint(s_new, Field(u=u_new, v=v_new, l=p.l), amplitude, iters, res))
 
-        X_prev, s_prev = X_cur, s_cur
-        X_cur, s_cur = interleave(u_new, v_new), s_new
-        new_tan_u = X_cur - X_prev
-        new_tan_s = s_cur - s_prev
+        X_new = interleave(u_new, v_new)
+        new_tan_u = X_new - X_cur
+        new_tan_s = s_new - s_cur
+        X_cur, s_cur = X_new, s_new
         scale = math.sqrt(_dot(new_tan_u, new_tan_s, new_tan_u, new_tan_s, w))
         if scale == 0.0:
             termination = Termination.NEWTON_FAILURE
@@ -268,11 +263,10 @@ def trace_branch(
         new_tan_s /= scale
         if new_tan_s * tan_s < 0:
             folds += 1
-            if folds > MAX_FOLDS:
-                termination = Termination.FOLD_LIMIT
-                tan_u, tan_s = new_tan_u, new_tan_s
-                break
         tan_u, tan_s = new_tan_u, new_tan_s
+        if folds > MAX_FOLDS:
+            termination = Termination.FOLD_LIMIT
+            break
         if iters <= 3:
             step_size = min(2.0 * step_size, DS_MAX)
 

@@ -15,9 +15,13 @@ place the stencil is written down: the Laplacian, the stationary residual
 in the interleaved ordering (u_0, v_0, u_1, v_1, ...), its banded Jacobian,
 and the backward-Euler band matrix of the signal equation.
 
-Two solvers work on the banded Jacobian J.  ``newton`` solves the
-stationary system; it converges once the residual max-norm is below
-NEWTON_TOL (1e-10) and gives up after MAX_NEWTON_ITERS (25) iterations.
+J, the Jacobian, lives in LAPACK's band layout: a Fortran-ordered
+(2 KL + KU + 1, 2 (N+1)) array, bandwidths (KL, KU) = (2, 3), whose row
+KL + KU + i - j holds J[i, j] below KL rows of pivoting workspace.  Each
+Newton loop reuses one: ``linearize`` fills it by strided slices and
+``solve`` calls LAPACK gbsv on it in place.  ``newton`` converges once the
+residual max-norm is below NEWTON_TOL (1e-10) and gives up after
+MAX_NEWTON_ITERS (25) iterations.
 ``rightmost_eigenvalues`` gives the eigenvalues of J that decide the
 stability of a steady state.  It runs unrestarted shift-invert Arnoldi
 (Meerbergen, Spence & Roose, BIT 34, 1994) with ARNOLDI_VECTORS (30)
@@ -32,27 +36,26 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import LinAlgError, solve_banded
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg.lapack import dgbsv, dgbtrf, dgbtrs
 
 from .errors import NewtonConvergenceError, SingularJacobianError
 from .motility import MotilityModel
 
 __all__ = [
-    "JACOBIAN_BANDS",
     "interleave",
     "laplacian",
     "residual",
-    "residual_sigma_derivative",
+    "band_array",
+    "linearize",
     "jacobian_banded",
-    "solve_jacobian",
+    "solve",
     "newton",
     "rightmost_eigenvalues",
     "signal_band",
 ]
 
-# (lower, upper) bandwidths of the interleaved Jacobian, as scipy.linalg.solve_banded takes them
-JACOBIAN_BANDS = (2, 3)
+# (lower, upper) bandwidths of the interleaved Jacobian
+KL, KU = 2, 3
 NEWTON_TOL = 1e-10
 MAX_NEWTON_ITERS = 25
 ARNOLDI_SHIFT = 0.5
@@ -96,49 +99,53 @@ def residual(u, v, h: float, D: float, sigma: float, m: MotilityModel) -> np.nda
     return interleave(res_u, res_v)
 
 
-def residual_sigma_derivative(u) -> np.ndarray:
-    """Interleaved derivative of the residual with respect to sigma."""
-    out = np.zeros(2 * u.size)
-    out[0::2] = u * (1.0 - u)
-    return out
+def band_array(npts: int) -> np.ndarray:
+    """Zeroed Fortran-ordered LAPACK band array for the Jacobian on npts nodes."""
+    return np.zeros((2 * KL + KU + 1, 2 * npts), order="F")
 
 
-def jacobian_banded(u, v, h: float, D: float, sigma: float, m: MotilityModel) -> np.ndarray:
-    """Banded Jacobian of the interleaved residual, laid out for
-    scipy.linalg.solve_banded with bandwidths JACOBIAN_BANDS."""
-    npts = u.size
+def linearize(u, v, h: float, D: float, sigma: float, m: MotilityModel, ab: np.ndarray) -> np.ndarray:
+    """Write the Jacobian of the interleaved residual at (u, v) into rows KL:
+    of the ``band_array`` ab and return ab.  Every band entry inside the
+    matrix is written, so ab may hold the LU factors of an earlier ``solve``."""
     hh = h * h
     rv = np.asarray(m.evaluate(v, 0), dtype=float)
     rpv_u = np.asarray(m.evaluate(v, 1), dtype=float) * u
     # zero-flux stencil weights: row i couples i-1, i, i+1 with the
     # off-diagonal weight doubled at the mirrored boundaries
-    sup_w = np.full(npts - 1, 1.0 / hh)
+    sup_w = np.full(u.size - 1, 1.0 / hh)
     sup_w[0] = 2.0 / hh
-    sub_w = np.full(npts - 1, 1.0 / hh)
+    sub_w = np.full(u.size - 1, 1.0 / hh)
     sub_w[-1] = 2.0 / hh
-
-    ab = np.zeros((6, 2 * npts))
-    even = np.arange(0, 2 * npts, 2)
-    odd = even + 1
-    ab[3, even] = -2.0 * rv / hh + sigma * (1.0 - 2.0 * u)
-    ab[3, odd] = -2.0 * D / hh - 1.0
-    ab[1, even[1:]] = sup_w * rv[1:]
-    ab[5, even[:-1]] = sub_w * rv[:-1]
-    ab[2, odd] = -2.0 * rpv_u / hh
-    ab[0, odd[1:]] = sup_w * rpv_u[1:]
-    ab[4, odd[:-1]] = sub_w * rpv_u[:-1]
-    ab[1, odd[1:]] = D * sup_w
-    ab[5, odd[:-1]] = D * sub_w
-    ab[4, even] = 1.0
+    sup3, sup2, sup1, diag, sub1, sub2 = ab[KL:]
+    sup3[0::2] = 0.0
+    sup3[3::2] = sup_w * rpv_u[1:]
+    sup2[2::2] = sup_w * rv[1:]
+    sup2[3::2] = D * sup_w
+    sup1[0::2] = 0.0
+    sup1[1::2] = -2.0 * rpv_u / hh
+    diag[0::2] = -2.0 * rv / hh + sigma * (1.0 - 2.0 * u)
+    diag[1::2] = -2.0 * D / hh - 1.0
+    sub1[0::2] = 1.0
+    sub1[1:-1:2] = sub_w * rpv_u[:-1]
+    sub2[0:-2:2] = sub_w * rv[:-1]
+    sub2[1:-2:2] = D * sub_w
     return ab
 
 
-def solve_jacobian(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve J x = rhs for one or several right-hand sides (columns)."""
-    try:
-        return solve_banded(JACOBIAN_BANDS, ab, rhs, check_finite=False)
-    except LinAlgError as exc:
-        raise SingularJacobianError(f"stationary linearization is singular: {exc}") from exc
+def jacobian_banded(u, v, h: float, D: float, sigma: float, m: MotilityModel) -> np.ndarray:
+    """Banded Jacobian of the interleaved residual, laid out for
+    scipy.linalg.solve_banded with bandwidths (KL, KU)."""
+    return linearize(u, v, h, D, sigma, m, band_array(u.size))[KL:]
+
+
+def solve(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve J x = rhs for J written into ab by ``linearize`` and rhs one vector or
+    Fortran-ordered columns; ab is overwritten by the LU factors and rhs by x."""
+    _, _, x, info = dgbsv(KL, KU, ab, rhs, overwrite_ab=1, overwrite_b=1)
+    if info != 0:
+        raise SingularJacobianError(f"stationary linearization is singular (gbsv info {info})")
+    return x
 
 
 def newton(u, v, h: float, D: float, sigma: float, m: MotilityModel):
@@ -151,17 +158,18 @@ def newton(u, v, h: float, D: float, sigma: float, m: MotilityModel):
     """
     u = u.copy()
     v = v.copy()
-    res = math.inf
+    ab = band_array(u.size)
     for it in range(MAX_NEWTON_ITERS + 1):
         F = residual(u, v, h, D, sigma, m)
-        if not np.all(np.isfinite(F)):
-            raise NewtonConvergenceError("residual became non-finite during Newton iteration")
+        # max propagates NaN, so this is also the finiteness check
         res = float(np.max(np.abs(F)))
+        if not math.isfinite(res):
+            raise NewtonConvergenceError("residual became non-finite during Newton iteration")
         if res < NEWTON_TOL:
             return u, v, it, res
         if it == MAX_NEWTON_ITERS:
             break
-        delta = solve_jacobian(jacobian_banded(u, v, h, D, sigma, m), F)
+        delta = solve(linearize(u, v, h, D, sigma, m, ab), F)
         u -= delta[0::2]
         v -= delta[1::2]
     raise NewtonConvergenceError(
@@ -177,13 +185,11 @@ def rightmost_eigenvalues(ab: np.ndarray) -> np.ndarray:
     J.  Only Ritz pairs whose residual is below ARNOLDI_RTOL |theta| are
     returned.  Raises SingularJacobianError when s is an eigenvalue.
     """
-    kl, ku = JACOBIAN_BANDS
     size = ab.shape[1]
-    # gbtrf wants kl spare rows above the band for the fill-in of pivoting
-    lu = np.zeros((2 * kl + ku + 1, size))
-    lu[kl:] = ab
-    lu[kl + ku] -= ARNOLDI_SHIFT
-    lu, ipiv, info = dgbtrf(lu, kl, ku, overwrite_ab=1)
+    lu = band_array(size // 2)
+    lu[KL:] = ab
+    lu[KL + KU] -= ARNOLDI_SHIFT
+    lu, ipiv, info = dgbtrf(lu, KL, KU, overwrite_ab=1)
     if info != 0:
         raise SingularJacobianError(f"J - {ARNOLDI_SHIFT} I is singular (gbtrf info {info})")
     k = min(ARNOLDI_VECTORS, size)
@@ -192,7 +198,7 @@ def rightmost_eigenvalues(ab: np.ndarray) -> np.ndarray:
     start = np.random.default_rng(0).standard_normal(size)
     basis[0] = start / np.linalg.norm(start)
     for j in range(k):
-        w = dgbtrs(lu, kl, ku, basis[j], ipiv)[0]
+        w = dgbtrs(lu, KL, KU, basis[j], ipiv)[0]
         # classical Gram-Schmidt, done twice to keep the basis orthogonal
         for _ in range(2):
             c = basis[: j + 1] @ w

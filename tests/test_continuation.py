@@ -200,6 +200,19 @@ class TestTraceBranch:
             tol = 0.03 if eps <= 0.02 else 0.10
             assert measured == pytest.approx(predicted, rel=tol)
 
+    @pytest.mark.parametrize("j", [10, 11])
+    def test_seeds_below_discrete_onset_on_coarse_grid(self, j):
+        # at n = 128 the discrete onset lies above sigma0 (0.19362 vs 0.18950
+        # for j = 10, 0.01217 vs 0.00541 for j = 11), so the first seed collapses
+        e = expansion_coefficients(j, params(0.3), REF)
+        curve = trace_branch(j, params(0.3), REF, sigma_min=e.sigma0 - 2e-3, n=128)
+        assert curve.termination is Termination.REACHED_SIGMA_MIN
+        assert len(curve.points) == 2
+        for bp in curve.points:
+            assert bp.amplitude > 0.04
+            assert modal_spectrum(bp.field).dominant == j
+            assert bp.residual < 1e-10
+
     def test_no_branch_beyond_cutoff(self):
         with pytest.raises(SeedFailureError):
             trace_branch(12, params(0.3), REF, sigma_min=0.05)
