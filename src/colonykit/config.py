@@ -1,9 +1,12 @@
 """Declarative experiment configuration.
 
 One YAML file describes an experiment: model parameters, the motility
-family, and per-command blocks.  Validation is strict; unknown keys are
-rejected and every diagnostic carries the offending key path and, when
-available, the source line.
+family, and per-command blocks.  It is read as UTF-8 and loaded by one
+PyYAML SafeLoader whose mappings record the source line of each key; any
+failure to read or load it, from invalid UTF-8 to a recursive alias, is a
+ConfigError.  Validation is strict; unknown keys are rejected and every
+diagnostic carries the offending key path and, when available, the source
+line.
 """
 
 from __future__ import annotations
@@ -32,53 +35,48 @@ __all__ = [
 ]
 
 
-def _compose_with_lines(text: str):
-    """Parse YAML into plain data plus a parallel tree of source lines."""
-    loader = yaml.SafeLoader(text)
+class _Mapping(dict):
+    """A YAML mapping; lines maps each key to its 1-based source line."""
+
+    lines: dict = {}
+
+
+def _construct_mapping(loader, node):
+    data = _Mapping(loader.construct_mapping(node, deep=True))
+    # construct_mapping flattened merge keys into node.value and cached every key
+    data.lines = {loader.construct_object(key_node): key_node.start_mark.line + 1
+                  for key_node, _ in node.value}
+    return data
+
+
+class _Loader(yaml.SafeLoader):
+    """SafeLoader whose mappings are ``_Mapping``."""
+
+
+_Loader.add_constructor("tag:yaml.org,2002:map", _construct_mapping)
+
+
+def _load_yaml(text: str):
     try:
-        node = loader.get_single_node()
-    finally:
-        loader.dispose()
-    if node is None:
-        return {}, {}
-
-    constructor = yaml.SafeLoader("")
-
-    def build(nd):
-        if isinstance(nd, yaml.MappingNode):
-            data, lines = {}, {}
-            for key_node, val_node in nd.value:
-                key = constructor.construct_object(key_node, deep=True)
-                val, sub = build(val_node)
-                data[key] = val
-                lines[key] = (key_node.start_mark.line + 1, sub)
-            return data, lines
-        if isinstance(nd, yaml.SequenceNode):
-            items = [build(child) for child in nd.value]
-            return [v for v, _ in items], {i: (nd.value[i].start_mark.line + 1, s)
-                                           for i, (_, s) in enumerate(items)}
-        return constructor.construct_object(nd, deep=True), {}
-
-    try:
-        return build(node)
+        data = yaml.load(text, _Loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML: {exc}") from exc
+    return _Mapping() if data is None else data
 
 
 class _Section:
     """A mapping under validation: typed reads, then unknown-key rejection."""
 
-    def __init__(self, data, lines, path):
+    def __init__(self, data, path):
         if not isinstance(data, dict):
             raise ConfigError(f"{path or 'top level'}: expected a mapping, got {type(data).__name__}")
         self.data = data
-        self.lines = lines or {}
         self.path = path
         self.seen = set()
 
     def _where(self, key):
-        entry = self.lines.get(key)
-        loc = f" (line {entry[0]})" if entry else ""
+        line = self.data.lines.get(key)
+        loc = f" (line {line})" if line else ""
         prefix = f"{self.path}." if self.path else ""
         return f"{prefix}{key}{loc}"
 
@@ -120,14 +118,13 @@ class _Section:
                 prefix = f"{self.path}." if self.path else ""
                 raise ConfigError(f"missing required section {prefix}{key}")
             return None
-        entry = self.lines.get(key, (None, {}))
         sub_path = f"{self.path}.{key}" if self.path else key
-        return _Section(self.data[key], entry[1], sub_path)
+        return _Section(self.data[key], sub_path)
 
     def finish(self):
         unknown = set(self.data) - self.seen
         if unknown:
-            key = sorted(unknown)[0]
+            key = min(unknown, key=str)
             raise ConfigError(f"unknown key {self._where(key)}")
 
 
@@ -205,8 +202,8 @@ def _parse_init(sec: _Section, default_seed: int):
 
 
 def parse_config(text: str, seed_override: int | None = None) -> ExperimentConfig:
-    data, lines = _compose_with_lines(text)
-    top = _Section(data, lines, "")
+    data = _load_yaml(text)
+    top = _Section(data, "")
 
     config_seed = top.take("seed", int, default=0, minimum=0)
     if seed_override is not None and seed_override < 0:
@@ -295,7 +292,7 @@ def parse_config(text: str, seed_override: int | None = None) -> ExperimentConfi
 
 def load_config(path: str | Path, seed_override: int | None = None) -> ExperimentConfig:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text, seed_override=seed_override)

@@ -13,15 +13,16 @@ applied (divergence form).  The time stepper's steady states solve it and
 continuation traces its nonconstant branches.  This module is the only
 place the stencil is written down: the Laplacian, the stationary residual
 in the interleaved ordering (u_0, v_0, u_1, v_1, ...), its banded Jacobian,
-and the backward-Euler band matrix of the signal equation.
+and the three diagonals of the signal equation's backward-Euler matrix.
+Each matrix has one layout, the one its LAPACK routine reads.
 
 J, the Jacobian, lives in LAPACK's band layout: a Fortran-ordered
 (2 KL + KU + 1, 2 (N+1)) array, bandwidths (KL, KU) = (2, 3), whose row
 KL + KU + i - j holds J[i, j] below KL rows of pivoting workspace.  Each
 Newton loop reuses one: ``linearize`` fills it by strided slices and
-``solve`` calls LAPACK gbsv on it in place.  ``newton`` converges once the
-residual max-norm is below NEWTON_TOL (1e-10) and gives up after
-MAX_NEWTON_ITERS (25) iterations.
+``solve`` calls LAPACK gbsv on it in place, as ``rightmost_eigenvalues``
+calls gbtrf.  ``newton`` converges once the residual max-norm is below
+NEWTON_TOL (1e-10) and gives up after MAX_NEWTON_ITERS (25) iterations.
 ``rightmost_eigenvalues`` gives the eigenvalues of J that decide the
 stability of a steady state.  It runs unrestarted shift-invert Arnoldi
 (Meerbergen, Spence & Roose, BIT 34, 1994) with ARNOLDI_VECTORS (30)
@@ -47,7 +48,6 @@ __all__ = [
     "residual",
     "band_array",
     "linearize",
-    "jacobian_banded",
     "solve",
     "newton",
     "rightmost_eigenvalues",
@@ -133,12 +133,6 @@ def linearize(u, v, h: float, D: float, sigma: float, m: MotilityModel, ab: np.n
     return ab
 
 
-def jacobian_banded(u, v, h: float, D: float, sigma: float, m: MotilityModel) -> np.ndarray:
-    """Banded Jacobian of the interleaved residual, laid out for
-    scipy.linalg.solve_banded with bandwidths (KL, KU)."""
-    return linearize(u, v, h, D, sigma, m, band_array(u.size))[KL:]
-
-
 def solve(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve J x = rhs for J written into ab by ``linearize`` and rhs one vector or
     Fortran-ordered columns; ab is overwritten by the LU factors and rhs by x."""
@@ -178,18 +172,18 @@ def newton(u, v, h: float, D: float, sigma: float, m: MotilityModel):
 
 
 def rightmost_eigenvalues(ab: np.ndarray) -> np.ndarray:
-    """Converged eigenvalues of the banded Jacobian ab nearest ARNOLDI_SHIFT,
-    in descending order of real part; the first gives the spectral abscissa.
+    """Converged eigenvalues of J nearest ARNOLDI_SHIFT, in descending order
+    of real part; the first gives the spectral abscissa.
 
-    A Ritz value theta of (J - s I)^-1 maps to the eigenvalue s + 1/theta of
-    J.  Only Ritz pairs whose residual is below ARNOLDI_RTOL |theta| are
-    returned.  Raises SingularJacobianError when s is an eigenvalue.
+    J is written into the ``band_array`` ab by ``linearize``; ab is
+    overwritten by the LU factors of J - s I.  A Ritz value theta of
+    (J - s I)^-1 maps to the eigenvalue s + 1/theta of J.  Only Ritz pairs
+    whose residual is below ARNOLDI_RTOL |theta| are returned.  Raises
+    SingularJacobianError when s is an eigenvalue.
     """
     size = ab.shape[1]
-    lu = band_array(size // 2)
-    lu[KL:] = ab
-    lu[KL + KU] -= ARNOLDI_SHIFT
-    lu, ipiv, info = dgbtrf(lu, KL, KU, overwrite_ab=1)
+    ab[KL + KU] -= ARNOLDI_SHIFT
+    lu, ipiv, info = dgbtrf(ab, KL, KU, overwrite_ab=1)
     if info != 0:
         raise SingularJacobianError(f"J - {ARNOLDI_SHIFT} I is singular (gbtrf info {info})")
     k = min(ARNOLDI_VECTORS, size)
@@ -215,16 +209,14 @@ def rightmost_eigenvalues(ab: np.ndarray) -> np.ndarray:
     return lam[np.argsort(-lam.real, kind="stable")]
 
 
-def signal_band(dt: float, h: float, D: float, out: np.ndarray) -> np.ndarray:
-    """Fill the (3, N+1) array out with (1 + dt) I - dt D Lap_h, the
-    backward-Euler matrix of the signal equation, laid out for
-    scipy.linalg.solve_banded with bandwidths (1, 1)."""
+def signal_band(dt: float, h: float, D: float, dl: np.ndarray, d: np.ndarray,
+                du: np.ndarray) -> None:
+    """Fill the sub-, main and super-diagonals dl (N), d (N+1) and du (N),
+    LAPACK gtsv's arguments, with (1 + dt) I - dt D Lap_h, the
+    backward-Euler matrix of the signal equation."""
     c = D * dt / (h * h)
-    out[0].fill(-c)
-    out[0, 0] = 0.0
-    out[0, 1] = -2.0 * c
-    out[1].fill(1.0 + dt + 2.0 * c)
-    out[2].fill(-c)
-    out[2, -1] = 0.0
-    out[2, -2] = -2.0 * c
-    return out
+    dl.fill(-c)
+    dl[-1] = -2.0 * c
+    d.fill(1.0 + dt + 2.0 * c)
+    du.fill(-c)
+    du[0] = -2.0 * c

@@ -65,8 +65,9 @@ from scipy.linalg.lapack import dgtsv
 
 from .asymptotics import expansion_coefficients, second_order_profiles
 from .discrete import (
-    jacobian_banded,
+    band_array,
     laplacian,
+    linearize,
     newton,
     residual,
     rightmost_eigenvalues,
@@ -415,7 +416,7 @@ def _certified_steady_state(cur, u_hist, x, h, p: ModelParams, m: MotilityModel)
     if len(set(zip(modes, peaks))) != 1:
         return None
     try:
-        lam = rightmost_eigenvalues(jacobian_banded(u, v, h, p.D, p.sigma, m))
+        lam = rightmost_eigenvalues(linearize(u, v, h, p.D, p.sigma, m, band_array(u.size)))
     except SingularJacobianError:
         return None
     return state if lam.size and lam[0].real < 0 else None
@@ -438,9 +439,8 @@ def simulate(config: SimConfig) -> Trajectory:
     scratch = np.empty_like(cur)
     tmp = np.empty(f0.u.size)
     lap_buf = np.empty_like(tmp)
-    ab_buf = np.empty((3, tmp.size))
     # gtsv's (sub, main, super) diagonals, refilled by signal_band every step
-    dl, d, du = ab_buf[2, :-1], ab_buf[1], ab_buf[0, 1:]
+    dl, d, du = np.empty(tmp.size - 1), np.empty_like(tmp), np.empty(tmp.size - 1)
     lo_old = cur.min(axis=1).tolist()
 
     x = f0.x
@@ -476,7 +476,7 @@ def simulate(config: SimConfig) -> Trajectory:
             # backward Euler for v: solve (1 + dt - dt D Lap_h) v_new = v + dt u_new in place
             np.multiply(u_new, dt, out=v_new)
             np.add(v, v_new, out=v_new)
-            signal_band(dt, h, D, ab_buf)
+            signal_band(dt, h, D, dl, d, du)
             info = dgtsv(dl, d, du, v_new, overwrite_dl=1, overwrite_d=1, overwrite_du=1,
                          overwrite_b=1)[-1]
             if info != 0:

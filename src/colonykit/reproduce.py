@@ -15,6 +15,7 @@ corrected chain and carries the discrepancy in its detail text.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field as dataclass_field
@@ -91,8 +92,27 @@ class CriterionResult:
         return self.status != "fail"
 
 
-def _verdict(ok: bool) -> str:
-    return "pass" if ok else "fail"
+# every criterion in order, each carrying its id and name as cid and name
+CRITERIA = []
+
+
+def _criterion(name: str):
+    """Register the decorated check as the next criterion of CRITERIA.  The
+    check returns (ok, detail, data); the registered function wraps them in
+    a CriterionResult with the criterion's id and name."""
+    def register(check):
+        cid = len(CRITERIA) + 1
+
+        @functools.wraps(check)
+        def run(ctx) -> CriterionResult:
+            ok, detail, data = check(ctx)
+            return CriterionResult(cid, name, "pass" if ok else "fail", detail, data)
+
+        run.cid, run.name = cid, name
+        CRITERIA.append(run)
+        return run
+
+    return register
 
 
 class ReproductionContext:
@@ -163,7 +183,8 @@ class ReproductionContext:
         return self._branches[key]
 
 
-def _crit_critical_values(ctx: ReproductionContext) -> CriterionResult:
+@_criterion("critical values")
+def _crit_critical_values(ctx: ReproductionContext):
     p, m = ctx.params(0.3), ctx.motility
     best = math.inf
     for _ in range(5):
@@ -183,10 +204,11 @@ def _crit_critical_values(ctx: ReproductionContext) -> CriterionResult:
         f"sigma_c={sigma_c:.12g} lambda_star={lambda_star:.12g} i_c={summary.i_c} "
         f"i_a={summary.i_a} sigma_a={summary.sigma_a:.6g} runtime={best * 1e3:.3f}ms"
     )
-    return CriterionResult(1, "critical values", _verdict(all(checks.values())), detail, checks)
+    return all(checks.values()), detail, checks
 
 
-def _crit_bifurcation_table(ctx) -> CriterionResult:
+@_criterion("bifurcation values sigma0_6..11")
+def _crit_bifurcation_table(ctx):
     rows = {}
     ok = True
     for j, ref in REF_SIGMA0.items():
@@ -194,10 +216,11 @@ def _crit_bifurcation_table(ctx) -> CriterionResult:
         rows[j] = val
         ok &= abs(val - ref) <= 5e-5
     detail = " ".join(f"sigma0_{j}={rows[j]:.6g}" for j in REF_SIGMA0)
-    return CriterionResult(2, "bifurcation values sigma0_6..11", _verdict(ok), detail, rows)
+    return ok, detail, rows
 
 
-def _crit_ordering(ctx) -> CriterionResult:
+@_criterion("bifurcation-value ordering")
+def _crit_ordering(ctx):
     sig = {j: ctx.summary.mode(j).sigma_j for j in range(1, 12)}
     stated_holds = all(
         sig[a] < sig[b] for a, b in zip(STATED_ORDERING, STATED_ORDERING[1:])
@@ -217,12 +240,11 @@ def _crit_ordering(ctx) -> CriterionResult:
         "uncontested_pairs_hold": uncontested,
         "sigma": sig,
     }
-    return CriterionResult(
-        3, "bifurcation-value ordering", _verdict(corrected_holds and uncontested), detail, data
-    )
+    return corrected_holds and uncontested, detail, data
 
 
-def _crit_sigma2_table(ctx) -> CriterionResult:
+@_criterion("second-order corrections sigma2_6..11")
+def _crit_sigma2_table(ctx):
     rows = {}
     ok = True
     for j, ref in REF_SIGMA2.items():
@@ -230,22 +252,21 @@ def _crit_sigma2_table(ctx) -> CriterionResult:
         rows[j] = val
         ok &= abs(val - ref) <= 2e-3 * abs(ref)
     detail = " ".join(f"sigma2_{j}={rows[j]:.6g}" for j in REF_SIGMA2)
-    return CriterionResult(4, "second-order corrections sigma2_6..11", _verdict(ok), detail, rows)
+    return ok, detail, rows
 
 
-def _crit_eta(ctx) -> CriterionResult:
+@_criterion("stability constant eta")
+def _crit_eta(ctx):
     e = ctx.expansion(6)
     quad = eta_by_quadrature(ctx.params(0.3), ctx.motility, ctx.summary)
     ok_ref = abs(e.eta - REF_ETA) <= 1e-3 * REF_ETA
     ok_quad = abs(quad - e.eta) <= 1e-6 * abs(e.eta)
     detail = f"eta={e.eta:.6f} (published {REF_ETA}), quadrature oracle {quad:.6f}"
-    return CriterionResult(
-        5, "stability constant eta", _verdict(ok_ref and ok_quad), detail,
-        {"eta": e.eta, "eta_quadrature": quad},
-    )
+    return ok_ref and ok_quad, detail, {"eta": e.eta, "eta_quadrature": quad}
 
 
-def _crit_pattern_coefficients(ctx) -> CriterionResult:
+@_criterion("pattern coefficients of mode 6")
+def _crit_pattern_coefficients(ctx):
     e = ctx.expansion(6)
     values = {
         "a": (e.a, REF_A6),
@@ -257,20 +278,19 @@ def _crit_pattern_coefficients(ctx) -> CriterionResult:
     }
     ok = all(abs(got - ref) <= 5e-4 for got, ref in values.values())
     detail = " ".join(f"{k}={got:.6g}" for k, (got, ref) in values.items())
-    return CriterionResult(6, "pattern coefficients of mode 6", _verdict(ok), detail, values)
+    return ok, detail, values
 
 
-def _crit_backward_branches(ctx) -> CriterionResult:
+@_criterion("all branches backward (sigma2 < 0, modes 1..11)")
+def _crit_backward_branches(ctx):
     vals = {j: ctx.expansion(j).sigma2 for j in range(1, 12)}
     ok = all(v < 0 for v in vals.values())
     worst = max(vals.values())
-    return CriterionResult(
-        7, "all branches backward (sigma2 < 0, modes 1..11)", _verdict(ok),
-        f"max sigma2 over modes 1..11 = {worst:.6g}", vals,
-    )
+    return ok, f"max sigma2 over modes 1..11 = {worst:.6g}", vals
 
 
-def _crit_residual_order(ctx) -> CriterionResult:
+@_criterion("asymptotic residual order")
+def _crit_residual_order(ctx):
     e = ctx.expansion(6)
     n_fine = 65536
     grid = np.linspace(0.0, REFERENCE_L, n_fine + 1)
@@ -285,18 +305,17 @@ def _crit_residual_order(ctx) -> CriterionResult:
     slope = float(np.polyfit(np.log(eps_values), np.log(residuals), 1)[0])
     ok = slope >= 2.7
     detail = f"residuals {['%.3e' % r for r in residuals]} -> observed order {slope:.3f}"
-    return CriterionResult(8, "asymptotic residual order", _verdict(ok), detail,
-                           {"slope": slope, "residuals": residuals})
+    return ok, detail, {"slope": slope, "residuals": residuals}
 
 
-def _crit_stable_regime(ctx) -> CriterionResult:
+@_criterion("stable regime at sigma=0.6")
+def _crit_stable_regime(ctx):
     traj = ctx.trajectory("uniform_at_060")
     du = float(np.max(np.abs(traj.final.u - 1.0)))
     dv = float(np.max(np.abs(traj.final.v - 1.0)))
     ok = traj.steady and du <= 1e-6 and dv <= 1e-6
     detail = f"steady={traj.steady} at t={traj.times[-1]:.0f}, |u-1|={du:.2e}, |v-1|={dv:.2e}"
-    return CriterionResult(9, "stable regime at sigma=0.6", _verdict(ok), detail,
-                           {"du": du, "dv": dv})
+    return ok, detail, {"du": du, "dv": dv}
 
 
 def _protocol_outcome(traj):
@@ -304,7 +323,8 @@ def _protocol_outcome(traj):
     return spec.dominant, count_peaks(traj.final)
 
 
-def _crit_mode_selection(ctx) -> CriterionResult:
+@_criterion("mode selection and transition timeline")
+def _crit_mode_selection(ctx):
     data = {}
     ok = True
     for name in ("mode3_at_030", "mode6_at_032", "mode4_at_040"):
@@ -329,10 +349,11 @@ def _crit_mode_selection(ctx) -> CriterionResult:
         [f"{k}: mode {v['dominant']}, {v['peaks']} peaks" for k, v in data.items() if k != "transition"]
         + [f"transition times {times} vs {REF_TRANSITION} (30% windows)"]
     )
-    return CriterionResult(10, "mode selection and transition timeline", _verdict(ok), detail, data)
+    return ok, detail, data
 
 
-def _crit_growth_fidelity(ctx) -> CriterionResult:
+@_criterion("linear growth fidelity")
+def _crit_growth_fidelity(ctx):
     p = ctx.params(0.3)
     lam = eigenvalue_lambda(6, p.l)
     rho = dispersion_roots(lam, p, ctx.motility)[0].real
@@ -351,8 +372,7 @@ def _crit_growth_fidelity(ctx) -> CriterionResult:
     rel = abs(fitted - rho) / rho
     ok = rel <= 0.02
     detail = f"fitted rate {fitted:.6f} vs dispersion root {rho:.6f} (rel err {rel:.2%})"
-    return CriterionResult(11, "linear growth fidelity", _verdict(ok), detail,
-                           {"fitted": fitted, "rho": rho})
+    return ok, detail, {"fitted": fitted, "rho": rho}
 
 
 def _branch_slope(curve, e):
@@ -368,7 +388,8 @@ def _branch_slope(curve, e):
     return slope, int(xs.size)
 
 
-def _crit_continuation(ctx) -> CriterionResult:
+@_criterion("branch continuation consistency")
+def _crit_continuation(ctx):
     e = ctx.expansion(6)
     curve = ctx.branch(6, 0.05)
     slope, n_pts = _branch_slope(curve, e)
@@ -380,8 +401,7 @@ def _crit_continuation(ctx) -> CriterionResult:
         f"({curve.termination.value}); near-onset slope {slope:.4f} vs {predicted:.4f} "
         f"(rel err {rel:.2%}, {n_pts} points)"
     )
-    return CriterionResult(12, "branch continuation consistency", _verdict(ok), detail,
-                           {"slope": slope, "predicted": predicted})
+    return ok, detail, {"slope": slope, "predicted": predicted}
 
 
 def _departure_config(ctx) -> SimConfig:
@@ -404,7 +424,8 @@ def _departure_config(ctx) -> SimConfig:
     )
 
 
-def _crit_stability_verdicts(ctx) -> CriterionResult:
+@_criterion("branch stability verdicts")
+def _crit_stability_verdicts(ctx):
     verdicts = {}
     ok = True
     for j in range(1, 12):
@@ -424,25 +445,8 @@ def _crit_stability_verdicts(ctx) -> CriterionResult:
         f"stable verdict at modes {stable_set} (expected [6]); mode-4 state at "
         f"sigma={cfg.params.sigma:.4f} departed to mode {dom} with {peaks} peaks"
     )
-    return CriterionResult(13, "branch stability verdicts", _verdict(ok), detail,
-                           {"verdicts": verdicts, "departure_mode": dom})
+    return ok, detail, {"verdicts": verdicts, "departure_mode": dom}
 
-
-CRITERIA = [
-    _crit_critical_values,
-    _crit_bifurcation_table,
-    _crit_ordering,
-    _crit_sigma2_table,
-    _crit_eta,
-    _crit_pattern_coefficients,
-    _crit_backward_branches,
-    _crit_residual_order,
-    _crit_stable_regime,
-    _crit_mode_selection,
-    _crit_growth_fidelity,
-    _crit_continuation,
-    _crit_stability_verdicts,
-]
 
 def _is_reference(config: ExperimentConfig | None) -> bool:
     if config is None:
@@ -462,9 +466,8 @@ def run_reproduction(config: ExperimentConfig | None = None, progress=None):
     """
     if not _is_reference(config):
         results = [
-            CriterionResult(i + 1, fn.__name__.replace("_crit_", "").replace("_", " "),
-                            "n/a", "expectations apply to the reference setup only")
-            for i, fn in enumerate(CRITERIA)
+            CriterionResult(fn.cid, fn.name, "n/a", "expectations apply to the reference setup only")
+            for fn in CRITERIA
         ]
         return results, False
 
@@ -475,7 +478,7 @@ def run_reproduction(config: ExperimentConfig | None = None, progress=None):
         try:
             res = fn(ctx)
         except ColonyKitError as exc:
-            res = CriterionResult(len(results) + 1, fn.__name__, "fail", f"raised {exc}")
+            res = CriterionResult(fn.cid, fn.name, "fail", f"raised {exc}")
         results.append(res)
         if progress:
             progress(f"[{res.status.upper():4s}] {res.cid:2d} {res.name}: {res.detail}")

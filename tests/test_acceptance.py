@@ -9,6 +9,8 @@ simulation-backed rows take a few minutes at the default resolution.
 import pytest
 
 import colonykit.reproduce as rp
+from colonykit import ColonyKitError
+from colonykit.config import parse_config
 
 
 @pytest.fixture(scope="session")
@@ -103,3 +105,28 @@ def test_criterion_12_continuation_consistency(ctx):
 def test_criterion_13_stability_verdicts(ctx):
     result = _run(rp._crit_stability_verdicts, ctx)
     assert result.passed, result.detail
+
+
+def test_rows_of_a_criterion_share_its_id_and_name(monkeypatch):
+    """The n/a row, the evaluated row and the row of a check that raises
+    carry the same (cid, name)."""
+    off_reference = parse_config("params: {sigma: 0.3, l: 10.0}\nmotility: {family: logistic_decay}\n")
+    na, applicable = rp.run_reproduction(off_reference)
+    assert not applicable
+    assert [r.cid for r in na] == list(range(1, 14))
+    assert [r.status for r in na] == ["n/a"] * 13
+
+    monkeypatch.setattr(rp, "CRITERIA", rp.CRITERIA[:8])
+    evaluated, applicable = rp.run_reproduction()
+    assert applicable
+    assert [(r.cid, r.name) for r in evaluated] == [(r.cid, r.name) for r in na[:8]]
+    assert all(r.status in ("pass", "fail") for r in evaluated)
+
+    def broken(*args):
+        raise ColonyKitError("quadrature failed")
+
+    monkeypatch.setattr(rp, "eta_by_quadrature", broken)
+    monkeypatch.setattr(rp, "CRITERIA", [rp.CRITERIA[4]])
+    [raised], _ = rp.run_reproduction()
+    assert (raised.cid, raised.name) == (na[4].cid, na[4].name) == (5, "stability constant eta")
+    assert (raised.status, raised.detail) == ("fail", "raised quadrature failed")

@@ -28,7 +28,7 @@ from colonykit import (
     cli,
 )
 from colonykit.cli import main
-from colonykit.config import parse_config
+from colonykit.config import load_config, parse_config
 
 GOOD_CONFIG = """\
 params:
@@ -57,6 +57,8 @@ continuation:
   sigma_min: 0.45
   n: 64
 """
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 # only the required keys; everything else takes the library's defaults
 MINIMAL_CONFIG = """\
@@ -127,6 +129,40 @@ class TestConfigParsing:
     def test_simulate_dt(self, dt, expected):
         cfg = parse_config(GOOD_CONFIG.replace("  t_end: 3.0", f"  t_end: 3.0\n  dt: {dt}"))
         assert cfg.simulate.options.get("dt") == expected
+
+    def test_merge_keys_are_accepted(self):
+        cfg = parse_config(MINIMAL_CONFIG + "reproduce: &res {n: 128}\n"
+                           "continuation: {<<: *res, j: 6, sigma_min: 0.45}\n")
+        assert cfg.continuation.options == {"n": 128}
+        assert cfg.reproduce == {"n": 128}
+
+    def test_shipped_configs_keep_their_hashes(self):
+        hashes = {path.name: load_config(path).config_hash for path in CONFIGS.glob("*.yaml")}
+        assert hashes == {
+            "analyze_reference.yaml": "953556d68ac9063c",
+            "continue_mode6.yaml": "cc47e6611fcbaf59",
+            "simulate_mode4_transition.yaml": "7f4f68089bb32731",
+        }
+
+
+# a YAML-punctuation alphabet for random edits of a config's text
+EDIT_CHARS = ":-?,[]{}#&*!|>'\"%@`~ \t\n0123456789.eax"
+
+
+@settings(max_examples=300, deadline=None)
+@given(edits=st.lists(st.tuples(st.integers(0, len(GOOD_CONFIG)), st.integers(0, 2),
+                                st.sampled_from(EDIT_CHARS)), min_size=1, max_size=4))
+def test_edited_config_text_raises_only_config_error(edits):
+    """1-4 character insertions, deletions or replacements anywhere in the
+    text parse to a config or raise ConfigError, never another exception."""
+    text = GOOD_CONFIG
+    for pos, op, char in edits:
+        pos = min(pos, len(text))
+        text = text[:pos] + ("" if op == 1 else char) + text[pos + (op > 0):]
+    try:
+        parse_config(text)
+    except ConfigError:
+        pass
 
 
 def test_cli_import_leaves_heavy_scipy_modules_out():
@@ -258,6 +294,24 @@ class TestCommands:
         path.write_text("params: {sigma: 0.3}\nmotility: {family: logistic_decay}\nbogus: 1\n")
         assert main(["analyze", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [
+        b"params: {sigma: 0.3\nmotility: {family: logistic_decay}\n",
+        b"--- 1\n--- 2\n",
+        b"params: *undefined\n",
+        b"params: &x {D: 1.0, l: *x}\n",
+        b"? [a, b]\n: 1\n",
+        b"params: {sigma: 0.3}\nmotility: {family: logistic_decay}\n1: a\nfoo: b\n",
+        b"params: {sigma: 0.3}\nmotility: {family: logistic_decay}\n# \xff\xfe\n",
+    ], ids=["syntax", "two_documents", "undefined_alias", "recursive_alias", "unhashable_key",
+            "mixed_unknown_keys", "invalid_utf8"])
+    def test_malformed_file_is_config_error(self, tmp_path, capsys, content):
+        path = tmp_path / "malformed.yaml"
+        path.write_bytes(content)
+        assert main(["analyze", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert "Traceback" not in err
 
     def test_runtime_error_exit_code(self, tmp_path, capsys):
         # continuation on a mode with no branch

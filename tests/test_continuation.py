@@ -22,7 +22,7 @@ from colonykit import (
 )
 from colonykit import continuation, discrete
 from colonykit.asymptotics import BranchVerdict, second_order_profiles
-from colonykit.discrete import jacobian_banded, residual, rightmost_eigenvalues
+from colonykit.discrete import band_array, linearize, residual, rightmost_eigenvalues
 
 REF = LogisticDecay(steepness=8.0, center=1.0)
 
@@ -38,18 +38,18 @@ def asymptotic_field(j, sigma, n=256):
 
 
 def dense_from_band(ab):
-    """The full matrix of a Jacobian in the (2, 3)-banded layout."""
+    """The full matrix of a Jacobian in LAPACK's (2, 3)-band layout."""
     size = ab.shape[1]
     dense = np.zeros((size, size))
     for col in range(size):
         for row in range(max(0, col - 3), min(size, col + 3)):
-            dense[row, col] = ab[3 + row - col, col]
+            dense[row, col] = ab[discrete.KL + 3 + row - col, col]
     return dense
 
 
 def jacobian_at(bp):
     f = bp.field
-    return jacobian_banded(f.u, f.v, f.h, 1.0, bp.sigma, REF)
+    return linearize(f.u, f.v, f.h, 1.0, bp.sigma, REF, band_array(f.u.size))
 
 
 class TestJacobian:
@@ -66,7 +66,7 @@ class TestJacobian:
         u = 1.0 + 0.1 * rng.uniform(-1, 1, n + 1)
         v = 1.0 + 0.1 * rng.uniform(-1, 1, n + 1)
         sigma, D = 0.37, 1.0
-        dense = dense_from_band(jacobian_banded(u, v, h, D, sigma, m))
+        dense = dense_from_band(linearize(u, v, h, D, sigma, m, band_array(n + 1)))
         m_size = 2 * (n + 1)
 
         def F(u_, v_):
@@ -134,8 +134,8 @@ class TestRightmostEigenvalues:
         curve = trace_branch(j, params(0.3), REF, sigma_min=0.315, n=128)
         bp = min(curve.points, key=lambda q: abs(q.sigma - 0.32))
         ab = jacobian_at(bp)
-        got = rightmost_eigenvalues(ab)
         dense = np.linalg.eigvals(dense_from_band(ab))
+        got = rightmost_eigenvalues(ab)
         dense = dense[np.argsort(-dense.real)]
         assert got.size >= 4
         # the rightmost eigenvalues, conjugate pairs matched by |Im|

@@ -24,7 +24,6 @@ from colonykit import continuation, discrete
 from colonykit.discrete import (
     band_array,
     interleave,
-    jacobian_banded,
     linearize,
     newton,
     residual,
@@ -145,7 +144,7 @@ class TestLinearize:
         u, v = random_state(n, seed)
         h = l / n
         ref = reference_jacobian(u, v, h, D, sigma, m)
-        assert np.array_equal(jacobian_banded(u, v, h, D, sigma, m), ref)
+        assert np.array_equal(linearize(u, v, h, D, sigma, m, band_array(n + 1))[discrete.KL:], ref)
         # refilled over the LU factors of another state's Jacobian
         ab = band_array(n + 1)
         solve(linearize(v, u, h, D, sigma, m, ab), np.ones(2 * (n + 1)))
@@ -223,13 +222,13 @@ class TestAgainstReference:
         assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
 
     @pytest.mark.parametrize("j", [4, 6, 8])
-    def test_rightmost_eigenvalues(self, states, j, monkeypatch):
+    def test_rightmost_eigenvalues(self, states, j):
         f = states[j].field
         args = (f.u, f.v, f.h, 1.0, states[j].sigma, REF)
-        got = rightmost_eigenvalues(jacobian_banded(*args))
+        got = rightmost_eigenvalues(linearize(*args, band_array(f.u.size)))
         # the LU array of the replaced code: C-ordered zeros
-        rows = 2 * discrete.KL + discrete.KU + 1
-        monkeypatch.setattr(discrete, "band_array", lambda npts: np.zeros((rows, 2 * npts)))
-        ref = rightmost_eigenvalues(reference_jacobian(*args))
+        ab = np.zeros((2 * discrete.KL + discrete.KU + 1, 2 * f.u.size))
+        ab[discrete.KL:] = reference_jacobian(*args)
+        ref = rightmost_eigenvalues(ab)
         assert got.size >= 4
         assert np.array_equal(got, ref)

@@ -195,7 +195,8 @@ def reference_run(cfg):
         if dt <= 0:
             dt = 1e-15
         u_new = u + dt * (laplacian(rv * u, h) + p.sigma * u * (1.0 - u))
-        ab = signal_band(dt, h, p.D, np.empty((3, u.size)))
+        ab = np.zeros((3, u.size))
+        signal_band(dt, h, p.D, ab[2, :-1], ab[1], ab[0, 1:])
         v = solve_banded((1, 1), ab, v + dt * u_new, check_finite=False)
         u = u_new
         t += dt
