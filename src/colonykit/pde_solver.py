@@ -42,9 +42,14 @@ one, and a change counts once it lasts EVENT_PERSIST snapshots.
 
 The step loop is written for per-call overhead, which dominates at a few
 hundred nodes: the state lives in two preallocated (2, N+1) arrays (row 0
-is u, row 1 is v) that swap roles each step, the signal solve calls LAPACK
-gtsv directly on the rows of the band matrix, and the new state is checked
-for blow-up, positivity loss and the steady rate in one fused pass.
+is u, row 1 is v) that swap roles each step, and the signal solve calls
+LAPACK gtsv directly on three diagonals that share one buffer.  The
+blow-up and positivity checks read one minimum per row and one maximum
+of the new state.  The rate max|new - old| / dt is computed in full only
+where it can decide something: at snapshot steps, where the stop attempt
+reads it, and when |new - old| / dt at the node that held the maximum last
+time, a lower bound of the rate, is below steady_tol.  Every decision is
+the one the full rate gives, so the run is the same step for step.
 
 Peak counting uses ``_find_peaks``, a numpy port of the rules of
 scipy.signal.find_peaks with a prominence threshold; the test suite checks
@@ -433,15 +438,26 @@ def simulate(config: SimConfig) -> Trajectory:
     p, m = config.params, config.motility
     f0 = initial_field(config.init, p, m, config.n)
     h, D, sigma, b_max = f0.h, p.D, p.sigma, config.b_max
-    # rows are (u, v); each step writes nxt from cur, then the two swap
-    cur = np.stack([f0.u, f0.v])
-    nxt = np.empty_like(cur)
-    scratch = np.empty_like(cur)
-    tmp = np.empty(f0.u.size)
+    dt_cap, t_end, steady_tol = config.dt, config.t_end, config.steady_tol
+    dt_bound = DT_SAFETY * h * h  # the explicit bound is dt_bound / max r
+    # each step writes the buffer nxt from cur, then the two swap; both are
+    # kept as (buffer, u row, v row)
+    npts = f0.u.size
+    state = np.stack([f0.u, f0.v])
+    spare = np.empty_like(state)
+    cur, nxt = (state, *state), (spare, *spare)
+    scratch = np.empty_like(state)
+    tmp = np.empty(npts)
     lap_buf = np.empty_like(tmp)
-    # gtsv's (sub, main, super) diagonals, refilled by signal_band every step
-    dl, d, du = np.empty(tmp.size - 1), np.empty_like(tmp), np.empty(tmp.size - 1)
-    lo_old = cur.min(axis=1).tolist()
+    # gtsv's diagonals in one buffer, refilled by signal_band every step:
+    # off is the sub-diagonal dl followed by the super-diagonal du
+    band = np.empty(3 * npts - 2)
+    off, d = band[:2 * npts - 2], band[2 * npts - 2:]
+    dl, du = off[:npts - 1], off[npts - 1:]
+    lo_old0, lo_old1 = state.min(axis=1).tolist()
+    node = 0  # flat index of the largest |nxt - cur| when the rate was last computed
+    asarray, multiply, subtract, add, absolute = np.asarray, np.multiply, np.subtract, np.add, np.abs
+    max_reduce, min_reduce = np.maximum.reduce, np.minimum.reduce
 
     x = f0.x
     last_try = -math.inf
@@ -455,56 +471,66 @@ def simulate(config: SimConfig) -> Trajectory:
     # a run that blows up past the float range reaches the BlowUpError check
     # through inf/NaN values; numpy need not warn on the way there
     with np.errstate(over="ignore", invalid="ignore"):
-        while t < config.t_end:
-            u, v = cur
-            u_new, v_new = nxt
-            rv = np.asarray(m.evaluate(v, 0), dtype=float)
-            dt_full = DT_SAFETY * h * h / float(rv.max())
-            if config.dt is not None:
-                dt_full = min(dt_full, config.dt)
-            dt = min(dt_full, next_snap - t, config.t_end - t)
+        while t < t_end:
+            now, u, v = cur
+            new, u_new, v_new = nxt
+            rv = asarray(m.evaluate(v, 0), dtype=float)
+            dt_full = dt_bound / float(max_reduce(rv))
+            if dt_cap is not None:
+                dt_full = min(dt_full, dt_cap)
+            dt = min(dt_full, next_snap - t, t_end - t)
             if dt <= 0:
                 dt = 1e-15  # fp guard when t has effectively reached a boundary
             # u_new = u + dt * (Lap_h(rv u) + sigma u (1 - u)), evaluated in that order
-            lap = laplacian(np.multiply(rv, u, out=tmp), h, lap_buf)
-            np.multiply(u, sigma, out=tmp)
-            np.subtract(1.0, u, out=u_new)
-            np.multiply(tmp, u_new, out=tmp)
-            np.add(lap, tmp, out=tmp)
-            np.multiply(tmp, dt, out=tmp)
-            np.add(u, tmp, out=u_new)
+            lap = laplacian(multiply(rv, u, out=tmp), h, lap_buf)
+            multiply(u, sigma, out=tmp)
+            subtract(1.0, u, out=u_new)
+            multiply(tmp, u_new, out=tmp)
+            add(lap, tmp, out=tmp)
+            multiply(tmp, dt, out=tmp)
+            add(u, tmp, out=u_new)
             # backward Euler for v: solve (1 + dt - dt D Lap_h) v_new = v + dt u_new in place
-            np.multiply(u_new, dt, out=v_new)
-            np.add(v, v_new, out=v_new)
-            signal_band(dt, h, D, dl, d, du)
-            info = dgtsv(dl, d, du, v_new, overwrite_dl=1, overwrite_d=1, overwrite_du=1,
-                         overwrite_b=1)[-1]
-            if info != 0:
+            multiply(u_new, dt, out=v_new)
+            add(v, v_new, out=v_new)
+            signal_band(dt, h, D, off, d)
+            if dgtsv(dl, d, du, v_new, 1, 1, 1, 1)[-1] != 0:  # overwrite all four in place
                 raise LinAlgError("singular matrix")
 
-            # one comparison catches NaN, inf and the bound
-            if not np.abs(nxt, out=scratch).max() <= b_max:
-                if not np.all(np.isfinite(nxt)):
+            # max|x| <= b_max, tested as max x <= b_max and -min x <= b_max for
+            # the minimum of each row, which the positivity test needs anyway;
+            # both reductions propagate NaN, so this also catches NaN and inf
+            lo0, lo1 = min_reduce(new, axis=1).tolist()
+            if not (float(max_reduce(new, axis=None)) <= b_max
+                    and -lo0 <= b_max and -lo1 <= b_max):
+                if not np.all(np.isfinite(new)):
                     raise BlowUpError(f"non-finite values at t={t + dt:.6g}")
                 raise BlowUpError(f"solution norm exceeded bound {b_max} at t={t + dt:.6g}")
-            lo = nxt.min(axis=1).tolist()
-            if lo[0] <= 0 < lo_old[0] or lo[1] <= 0 < lo_old[1]:
+            if lo0 <= 0 < lo_old0 or lo1 <= 0 < lo_old1:
                 raise PositivityLossError(f"positivity lost at t={t + dt:.6g}")
-            rate = np.abs(np.subtract(nxt, cur, out=scratch), out=scratch).max() / dt
-            cur, nxt, lo_old = nxt, cur, lo
+            cur, nxt, lo_old0, lo_old1 = nxt, cur, lo0, lo1
             t += dt
-            # rate estimates from boundary-clipped tiny steps are rounding noise
-            steady = bool(rate < config.steady_tol) and dt >= 0.25 * dt_full
-            if steady or t >= next_snap - 1e-12:
+            at_snap = t >= next_snap - 1e-12
+            # the rate max|nxt - cur| / dt decides the steady test below and,
+            # at snapshots, the stop attempt.  |nxt - cur| / dt at one node is
+            # a lower bound of it, so while that bound is >= steady_tol the
+            # run is not steady (steady stays False: True ends the loop), and
+            # between snapshots nothing more is needed
+            if at_snap or abs(new.item(node) - now.item(node)) / dt < steady_tol:
+                absolute(subtract(new, now, out=scratch), out=scratch)
+                node = scratch.argmax()
+                rate = scratch.item(node) / dt
+                # rate estimates from boundary-clipped tiny steps are rounding noise
+                steady = rate < steady_tol and dt >= 0.25 * dt_full
+            if steady or at_snap:
                 if (not steady and sigma != 0 and rate < STOP_RATE
                         and t - last_try >= STOP_RETRY and len(u_hist) >= EVENT_PERSIST):
                     last_try = t
-                    settled = _certified_steady_state(cur, u_hist, x, h, p, m)
+                    settled = _certified_steady_state(cur[0], u_hist, x, h, p, m)
                     if settled is not None:
-                        cur, steady = settled, True
+                        cur, steady = (settled, *settled), True
                 times.append(t)
-                u_hist.append(cur[0].copy())
-                v_hist.append(cur[1].copy())
+                u_hist.append(cur[1].copy())
+                v_hist.append(cur[2].copy())
                 next_snap += config.snapshot_every
             if steady:
                 break
@@ -517,7 +543,7 @@ def simulate(config: SimConfig) -> Trajectory:
         u_history=u_arr,
         v_history=v_arr,
         l=p.l,
-        final=Field(u=cur[0], v=cur[1], l=p.l),
+        final=Field(u=cur[1], v=cur[2], l=p.l),
         steady=steady,
         events=_annotate(times_arr, u_arr, x, p.l),
     )

@@ -177,10 +177,13 @@ class TestSimConfig:
             SimConfig(params=params(), motility=REF, init=UniformPerturbed(), **{name: value})
 
 
-def reference_run(cfg):
+def reference_run(cfg, rate_stop=False):
     """simulate's explicit loop written out plainly: the IMEX formula with
     scipy's solve_banded, the stability-bound dt and the snapshot clipping.
-    Stops at t_end only; returns the snapshots and the final state."""
+    Stops at t_end, and with rate_stop also at the first step whose rate
+    max|new - old| / dt is below steady_tol (unless the step was clipped
+    below a quarter of the full step), recording that step as the last
+    snapshot.  Returns the snapshots and the final state."""
     p, m = cfg.params, cfg.motility
     f0 = initial_field(cfg.init, p, m, cfg.n)
     h, u, v = f0.h, f0.u, f0.v
@@ -196,15 +199,21 @@ def reference_run(cfg):
             dt = 1e-15
         u_new = u + dt * (laplacian(rv * u, h) + p.sigma * u * (1.0 - u))
         ab = np.zeros((3, u.size))
-        signal_band(dt, h, p.D, ab[2, :-1], ab[1], ab[0, 1:])
-        v = solve_banded((1, 1), ab, v + dt * u_new, check_finite=False)
-        u = u_new
+        off = np.empty(2 * (u.size - 1))  # (sub-diagonal, super-diagonal)
+        signal_band(dt, h, p.D, off, ab[1])
+        ab[2, :-1], ab[0, 1:] = off[:u.size - 1], off[u.size - 1:]
+        v_new = solve_banded((1, 1), ab, v + dt * u_new, check_finite=False)
+        rate = np.max(np.abs(np.stack([u_new, v_new]) - np.stack([u, v]))) / dt
+        steady = rate_stop and rate < cfg.steady_tol and dt >= 0.25 * dt_full
+        u, v = u_new, v_new
         t += dt
-        if t >= next_snap - 1e-12:
+        if steady or t >= next_snap - 1e-12:
             times.append(t)
             us.append(u)
             vs.append(v)
             next_snap += cfg.snapshot_every
+        if steady:
+            break
     return np.array(times), np.array(us), np.array(vs), u, v
 
 
@@ -246,6 +255,38 @@ class TestStepLoopBitIdentity:
             assert np.array_equal(traj.v_history[i], vs[i]), i
         assert np.array_equal(traj.final.u, u_end)
         assert np.array_equal(traj.final.v, v_end)
+
+
+class TestStateChecks:
+    """The per-step checks decide exactly what the plain tests decide: the
+    max-norm bound, positivity and the steady rate."""
+
+    def test_rate_stop_between_snapshots_equals_reference_loop(self):
+        # sigma = 0 makes no stop attempt, and the rate falls below steady_tol
+        # long before the first snapshot; on the way the rate is computed in
+        # full twice without deciding, at nodes other than the one tested
+        cfg = SimConfig(params=params(0.0), motility=ExponentialDecay(r0=1.0, rate=0.5),
+                        init=UniformPerturbed(amplitude=0.05, seed=3), n=32, t_end=5000.0,
+                        steady_tol=1e-6, snapshot_every=1000.0)
+        times, us, vs, u_end, v_end = reference_run(cfg, rate_stop=True)
+        traj = simulate(cfg)
+        assert traj.steady
+        assert len(times) == 2 and times[-1] < cfg.snapshot_every
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.u_history, us)
+        assert np.array_equal(traj.v_history, vs)
+        assert np.array_equal(traj.final.u, u_end)
+        assert np.array_equal(traj.final.v, v_end)
+
+    @pytest.mark.parametrize("value, dt, b_max", [(-1.0, 0.1, 1.5), (2.0, 3.0, 3.0)],
+                             ids=["negative-field", "overshoot-past-zero"])
+    def test_state_below_minus_bound_exceeds_it(self, value, dt, b_max):
+        # u stays finite and drops below -b_max while every value stays
+        # within b_max from above; in the overshoot case u also crosses zero
+        # (2 + 3 * 2 * (1 - 2) = -4 in one step), and the bound is checked first
+        with pytest.raises(BlowUpError, match="exceeded bound"):
+            run_from(uniform_field(value), 1.0, dt=dt, t_end=10.0, snapshot_every=10.0,
+                     b_max=b_max)
 
 
 def mode6_state(sigma, n):
