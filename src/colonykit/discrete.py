@@ -25,11 +25,14 @@ calls gbtrf.  ``newton`` converges once the residual max-norm is below
 NEWTON_TOL (1e-10) and gives up after MAX_NEWTON_ITERS (25) iterations.
 ``rightmost_eigenvalues`` gives the eigenvalues of J that decide the
 stability of a steady state.  It runs unrestarted shift-invert Arnoldi
-(Meerbergen, Spence & Roose, BIT 34, 1994) with ARNOLDI_VECTORS (30)
+(Meerbergen, Spence & Roose, BIT 34, 1994) with ARNOLDI_VECTORS (60)
 Krylov vectors of (J - s I)^-1, s = ARNOLDI_SHIFT (0.5), on one LAPACK
 banded LU.  The eigenvalues nearest s converge first.  s lies right of the
 rightmost eigenvalues of the model's steady states, so those are among
-them.
+them.  The uniform state at large sigma needs the 60 vectors: its spectrum
+lies at -0.13 and below for sigma >= 0.7, and with 30 no Ritz value
+converged there.  A call takes 4-6 ms at N = 256 and about 13 ms at
+N = 1024 (2 and 6 ms with 30).
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ KL, KU = 2, 3
 NEWTON_TOL = 1e-10
 MAX_NEWTON_ITERS = 25
 ARNOLDI_SHIFT = 0.5
-ARNOLDI_VECTORS = 30
+ARNOLDI_VECTORS = 60
 # a Ritz pair counts as converged when its residual is below this share of |theta|
 ARNOLDI_RTOL = 1e-8
 

@@ -160,7 +160,6 @@ class ReproductionContext:
             init=init,
             n=self.n,
             t_end=2500.0,
-            steady_tol=1e-8,
             snapshot_every=1.0,
         )
 
@@ -365,7 +364,7 @@ def _crit_growth_fidelity(ctx):
     f = Field(u=1.0 + amp * evec * np.cos(6 * np.pi * x / p.l),
               v=1.0 + amp * np.cos(6 * np.pi * x / p.l), l=p.l)
     cfg = SimConfig(params=p, motility=ctx.motility, init=ExplicitField(f), n=n,
-                    t_end=1.0, steady_tol=1e-14, snapshot_every=0.1)
+                    t_end=1.0, snapshot_every=0.1)
     traj = simulate(cfg)
     coef = [modal_spectrum(traj.field(i)).amplitude(6) for i in range(len(traj.times))]
     fitted = float(np.polyfit(traj.times, np.log(np.abs(coef)), 1)[0])
@@ -420,7 +419,7 @@ def _departure_config(ctx) -> SimConfig:
     )
     return SimConfig(
         params=ctx.params(bp.sigma), motility=ctx.motility, init=ExplicitField(noisy),
-        n=bp.field.n, t_end=2000.0, steady_tol=1e-8, snapshot_every=1.0,
+        n=bp.field.n, t_end=2000.0, snapshot_every=1.0,
     )
 
 

@@ -128,11 +128,24 @@ class TestNewton:
             newton_steady(f, params(0.3), REF)
 
 
+@pytest.fixture(scope="module")
+def branch6():
+    return trace_branch(6, params(0.3), REF, sigma_min=0.05)
+
+
 class TestRightmostEigenvalues:
-    @pytest.mark.parametrize("j", [4, 6, 8])
-    def test_matches_dense_eigenvalues(self, j):
-        curve = trace_branch(j, params(0.3), REF, sigma_min=0.315, n=128)
-        bp = min(curve.points, key=lambda q: abs(q.sigma - 0.32))
+    @pytest.mark.parametrize("j, sigma", [(4, 0.32), (6, 0.32), (8, 0.32),
+                                          (0, 0.8), (0, 1.5), (0, 3.0)],
+                             ids=["4", "6", "8", "uniform-0.8", "uniform-1.5", "uniform-3.0"])
+    def test_matches_dense_eigenvalues(self, j, sigma):
+        # branch states near sigma = 0.32, and j = 0: the uniform state (1, 1)
+        # at growth rates where its whole spectrum lies at -0.19 and below,
+        # far left of the shift
+        if j:
+            curve = trace_branch(j, params(0.3), REF, sigma_min=0.315, n=128)
+            bp = min(curve.points, key=lambda q: abs(q.sigma - sigma))
+        else:
+            bp = newton_steady(Field(u=np.ones(129), v=np.ones(129), l=20.0), params(sigma), REF)
         ab = jacobian_at(bp)
         dense = np.linalg.eigvals(dense_from_band(ab))
         got = rightmost_eigenvalues(ab)
@@ -157,10 +170,23 @@ class TestRightmostEigenvalues:
         assert (abscissa < 0) == (e.verdict is BranchVerdict.STABLE_ADMISSIBLE)
         assert (abscissa < 0) == (j == 6)
 
-
-@pytest.fixture(scope="module")
-def branch6():
-    return trace_branch(6, params(0.3), REF, sigma_min=0.05)
+    def test_slow_eigenvalue_matches_gamma2_near_onset(self, branch6):
+        # exchange of stability at the mode-6 onset: the rightmost real
+        # eigenvalue of a branch state of amplitude eps = |c6| / a is
+        # eps^2 gamma2 (1 + O(eps^2)); further down another real eigenvalue
+        # overtakes it
+        e = expansion_coefficients(6, params(0.3), REF)
+        near = []
+        for bp in branch6.points:
+            eps = abs(modal_spectrum(bp.field).amplitude(6)) / abs(e.a)
+            if eps > 0.035:
+                break
+            lam = rightmost_eigenvalues(jacobian_at(bp))
+            slow = lam[lam.imag == 0][0].real
+            near.append((eps, slow / (eps ** 2 * e.gamma2)))
+        assert len(near) >= 4 and near[0][0] < 0.015
+        for eps, ratio in near:
+            assert 35.0 <= (ratio - 1.0) / eps ** 2 <= 50.0, (eps, ratio)
 
 
 class TestTraceBranch:
@@ -250,7 +276,7 @@ class TestDynamicCrossCheck:
         )
         cfg = SimConfig(
             params=params(bp.sigma), motility=REF, init=ExplicitField(noisy),
-            n=bp.field.n, t_end=300.0, steady_tol=1e-10, snapshot_every=1.0,
+            n=bp.field.n, t_end=300.0, snapshot_every=1.0,
         )
         traj = simulate(cfg)
         assert modal_spectrum(traj.final).dominant == 6
