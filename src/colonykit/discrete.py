@@ -21,8 +21,10 @@ J, the Jacobian, lives in LAPACK's band layout: a Fortran-ordered
 KL + KU + i - j holds J[i, j] below KL rows of pivoting workspace.  Each
 Newton loop reuses one: ``linearize`` fills it by strided slices and
 ``solve`` calls LAPACK gbsv on it in place, as ``rightmost_eigenvalues``
-calls gbtrf.  ``newton`` converges once the residual max-norm is below
-NEWTON_TOL (1e-10) and gives up after MAX_NEWTON_ITERS (25) iterations.
+calls gbtrf; both are scipy's compiled wrappers, which ``_compiled`` loads
+without importing scipy.linalg.  ``newton`` converges once the residual
+max-norm is below NEWTON_TOL (1e-10) and gives up after MAX_NEWTON_ITERS
+(25) iterations.
 ``rightmost_eigenvalues`` gives the eigenvalues of J that decide the
 stability of a steady state.  It runs unrestarted shift-invert Arnoldi
 (Meerbergen, Spence & Roose, BIT 34, 1994) with ARNOLDI_VECTORS (60)
@@ -40,8 +42,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv, dgbtrf, dgbtrs
 
+from ._compiled import dgbsv, dgbtrf, dgbtrs
 from .errors import NewtonConvergenceError, SingularJacobianError
 from .motility import MotilityModel
 

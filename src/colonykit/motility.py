@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy.special import expit
 
+from ._compiled import expit
 from .errors import EvaluationError
 
 __all__ = [

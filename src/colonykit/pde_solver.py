@@ -20,8 +20,9 @@ Whether a run is steady is decided at snapshot steps only, from the
 max-norm rate max|new - old| / dt of the step that reached the snapshot.
 At sigma = 0 mass conservation makes the Jacobian singular, so there the
 run is steady once that rate is below steady_tol, unless the step was
-clipped below a quarter of the full step.  For sigma != 0 the only way a
-run ends steady is the certified stop.  It is tried when the rate is below
+clipped below a quarter of the longest step the schedule allows, the
+smaller of the full step and snapshot_every.  For sigma != 0 the only way
+a run ends steady is the certified stop.  It is tried when the rate is below
 STOP_RATE (1e-3) and no attempt was made in the last STOP_RETRY (10) time
 units, and it ends the run when all of these hold:
 
@@ -45,9 +46,10 @@ one, and a change counts once it lasts EVENT_PERSIST snapshots.
 The step loop is written for per-call overhead, which dominates at a few
 hundred nodes: the state lives in two preallocated (2, N+1) arrays (row 0
 is u, row 1 is v) that swap roles each step, and the signal solve calls
-LAPACK gtsv directly on three diagonals that share one buffer.  The
-blow-up and positivity checks read one minimum per row and one maximum
-of the new state.
+LAPACK gtsv (scipy's compiled wrapper, which ``_compiled`` loads without
+importing scipy.linalg) directly on three diagonals that share one
+buffer.  The blow-up and positivity checks read one minimum per row and
+one maximum of the new state.
 
 Peak counting uses ``_find_peaks``, a numpy port of the rules of
 scipy.signal.find_peaks with a prominence threshold; the test suite checks
@@ -63,9 +65,9 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Union
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgtsv
+from numpy.linalg import LinAlgError
 
+from ._compiled import dgtsv
 from .asymptotics import expansion_coefficients, second_order_profiles
 from .discrete import (
     band_array,
@@ -508,8 +510,11 @@ def simulate(config: SimConfig) -> Trajectory:
             if t >= next_snap - 1e-12:
                 rate = float(np.max(np.abs(new - now))) / dt
                 if sigma == 0:
-                    # rate estimates from boundary-clipped tiny steps are rounding noise
-                    steady = rate < steady_tol and dt >= 0.25 * dt_full
+                    # rate estimates from boundary-clipped tiny steps are rounding
+                    # noise; the longest step the schedule allows is dt_full or
+                    # snapshot_every, whichever is shorter
+                    steady = (rate < steady_tol
+                              and dt >= 0.25 * min(dt_full, config.snapshot_every))
                 elif (rate < STOP_RATE and t - last_try >= STOP_RETRY
                         and len(u_hist) >= EVENT_PERSIST):
                     last_try = t

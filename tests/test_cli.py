@@ -1,5 +1,8 @@
 import copy
 import errno
+import importlib
+import importlib.machinery
+import importlib.util
 import json
 import math
 import os
@@ -15,6 +18,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import colonykit
+from colonykit import _compiled
 from colonykit import (
     BlowUpError,
     ConfigError,
@@ -165,16 +169,78 @@ def test_edited_config_text_raises_only_config_error(edits):
         pass
 
 
-def test_cli_import_leaves_heavy_scipy_modules_out():
-    # a fresh interpreter, so modules other tests imported do not count
+def fresh_interpreter(code):
+    """Standard output of ``code`` run in a fresh interpreter on this
+    colonykit, so modules other tests imported do not count."""
     src = Path(colonykit.__file__).resolve().parents[1]
     paths = [str(src), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    code = ("import sys, colonykit.cli; "
-            "print([m for m in ('scipy.signal', 'scipy.integrate', 'scipy.stats') if m in sys.modules])")
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
-    assert run.stdout.strip() == "[]"
+    return run.stdout.strip()
+
+
+def loaded_after_import(module, names):
+    """Which of ``names`` a fresh interpreter has loaded after ``import module``."""
+    return fresh_interpreter(f"import sys, {module}; "
+                             f"print([m for m in {tuple(names)!r} if m in sys.modules])")
+
+
+def compiled_files_present():
+    """Whether scipy's directory holds both extension modules _compiled loads."""
+    root = Path(importlib.util.find_spec("scipy").submodule_search_locations[0])
+    return all(any((root / package / (name + suffix)).is_file()
+                   for suffix in importlib.machinery.EXTENSION_SUFFIXES)
+               for package, name in (("linalg", "_flapack"), ("special", "_special_ufuncs")))
+
+
+def test_cli_import_leaves_heavy_scipy_modules_out():
+    names = ("scipy.signal", "scipy.integrate", "scipy.stats")
+    for module in ("colonykit", "colonykit.cli"):
+        assert loaded_after_import(module, names) == "[]", module
+
+
+@pytest.mark.skipif(not compiled_files_present(),
+                    reason="this scipy has no _flapack or _special_ufuncs extension file, "
+                           "so colonykit imports the public scipy modules")
+def test_import_runs_no_scipy_package_init():
+    # the five compiled callables come without scipy.linalg's and
+    # scipy.special's __init__, and so without scipy._lib._array_api
+    names = ("scipy.linalg", "scipy.special", "scipy._lib._array_api")
+    for module in ("colonykit", "colonykit.cli"):
+        assert loaded_after_import(module, names) == "[]", module
+
+
+def test_compiled_import_then_scipy_gives_the_public_callables():
+    # colonykit first, as the CLI does; scipy imported later reuses the
+    # extension modules colonykit registered, and still works
+    code = """if True:
+        import numpy as np
+        from colonykit import _compiled
+        import scipy.linalg, scipy.linalg.lapack, scipy.special
+        for name in ("dgtsv", "dgbsv", "dgbtrf", "dgbtrs"):
+            assert getattr(_compiled, name) is getattr(scipy.linalg.lapack, name), name
+        assert _compiled.expit is scipy.special.expit
+        ab = np.array([[0.0, 1.0, 1.0], [4.0, 4.0, 4.0], [1.0, 1.0, 0.0]])
+        x = scipy.linalg.solve_banded((1, 1), ab, np.array([5.0, 6.0, 5.0]))
+        assert np.allclose(x, 1.0), x
+        assert scipy.special.expit(0.0) == 0.5
+        print("ok")
+    """
+    assert fresh_interpreter(code) == "ok"
+
+
+@pytest.mark.parametrize("package, attrs, public", [
+    ("linalg", ("dgtsv", "dgbsv"), "scipy.linalg.lapack"),
+    ("special", ("expit",), "scipy.special"),
+])
+def test_compiled_import_falls_back_to_the_public_module(package, attrs, public):
+    full = f"scipy.{package}._no_such_module"
+    got = _compiled.load(package, "_no_such_module", attrs, public)
+    module = importlib.import_module(public)
+    assert len(got) == len(attrs)
+    assert all(g is getattr(module, a) for g, a in zip(got, attrs))
+    assert full not in sys.modules
 
 
 def per_value_csv(path, cfg, traj):

@@ -187,7 +187,8 @@ def reference_run(cfg, rate_stop=False):
     scipy's solve_banded, the stability-bound dt and the snapshot clipping.
     Stops at t_end, and with rate_stop also at the first snapshot step whose
     rate max|new - old| / dt is below steady_tol (unless the step was clipped
-    below a quarter of the full step).  Returns the snapshots and the final
+    below a quarter of the longest step the schedule allows, the smaller of
+    the full step and snapshot_every).  Returns the snapshots and the final
     state."""
     p, m = cfg.params, cfg.motility
     f0 = initial_field(cfg.init, p, m, cfg.n)
@@ -216,7 +217,8 @@ def reference_run(cfg, rate_stop=False):
             us.append(u)
             vs.append(v)
             next_snap += cfg.snapshot_every
-            if rate_stop and rate < cfg.steady_tol and dt >= 0.25 * dt_full:
+            if (rate_stop and rate < cfg.steady_tol
+                    and dt >= 0.25 * min(dt_full, cfg.snapshot_every)):
                 break
     return np.array(times), np.array(us), np.array(vs), u, v
 
@@ -280,6 +282,25 @@ class TestStateChecks:
         assert traj.steady
         assert 400.0 < times[-1] < cfg.t_end
         assert times[-1] == pytest.approx(cfg.snapshot_every * (len(times) - 1))
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.u_history, us)
+        assert np.array_equal(traj.v_history, vs)
+        assert np.array_equal(traj.final.u, u_end)
+        assert np.array_equal(traj.final.v, v_end)
+
+    @pytest.mark.slow
+    def test_rate_stop_with_snapshots_shorter_than_the_full_step(self):
+        # snapshot_every 0.01 is below a quarter of dt_full (about 0.156), so
+        # every step is clipped to the snapshot spacing; the run must still
+        # end steady near where the snapshot_every = 50 run above does
+        cfg = SimConfig(params=params(0.0), motility=ExponentialDecay(r0=1.0, rate=0.5),
+                        init=UniformPerturbed(amplitude=0.05, seed=3), n=32, t_end=1000.0,
+                        steady_tol=1e-6, snapshot_every=0.01)
+        assert 4.0 * cfg.snapshot_every < DT_SAFETY * (cfg.params.l / cfg.n) ** 2
+        times, us, vs, u_end, v_end = reference_run(cfg, rate_stop=True)
+        traj = simulate(cfg)
+        assert traj.steady
+        assert 400.0 < traj.times[-1] <= 450.0
         assert np.array_equal(traj.times, times)
         assert np.array_equal(traj.u_history, us)
         assert np.array_equal(traj.v_history, vs)
