@@ -231,23 +231,19 @@ def parse_config(text: str, seed_override: int | None = None) -> ExperimentConfi
 
     expand = ExpandSettings()
     if (esec := top.subsection("expand")) is not None:
-        modes = esec.take("modes", (list, str), default=None)
-        if isinstance(modes, str):
-            if modes != "unstable":
-                raise ConfigError(f"expand.modes: must be 'unstable' or a list of mode indices")
-            modes = None
-        if modes is not None:
-            if not all(isinstance(j, int) and not isinstance(j, bool) and j >= 1 for j in modes):
-                raise ConfigError("expand.modes: entries must be integers >= 1")
-            modes = tuple(modes)
-        expand = ExpandSettings(modes=modes)
+        modes = esec.take("modes", (list, str), default="unstable")
+        if modes != "unstable" and not (isinstance(modes, list) and all(
+                isinstance(j, int) and not isinstance(j, bool) and j >= 1 for j in modes)):
+            raise ConfigError(f"{esec._where('modes')}: must be 'unstable' or a list of "
+                              "integers >= 1")
+        expand = ExpandSettings(modes=None if modes == "unstable" else tuple(modes))
         esec.finish()
 
     simulate = None
     if (ssec := top.subsection("simulate")) is not None:
         init = _parse_init(ssec.subsection("init", required=True), seed)
         options = ssec.take_given(("n",), int, minimum=16)
-        options |= ssec.take_given(("t_end", "steady_tol", "snapshot_every", "b_max"), float,
+        options |= ssec.take_given(("t_end", "steady_tol", "snapshot_every"), float,
                                    minimum=0.0, exclusive=True)
         dt = ssec.take("dt", (float, int, str), default="auto")
         if dt != "auto":
@@ -266,7 +262,7 @@ def parse_config(text: str, seed_override: int | None = None) -> ExperimentConfi
     if (csec := top.subsection("continuation")) is not None:
         j = csec.take("j", int, required=True, minimum=1)
         sigma_min = csec.take("sigma_min", float, required=True, minimum=0.0)
-        options = csec.take_given(("ds", "seed_offset"), float, minimum=0.0, exclusive=True)
+        options = csec.take_given(("ds",), float, minimum=0.0, exclusive=True)
         options |= csec.take_given(("n",), int, minimum=16)
         continuation = ContinuationSettings(j=j, sigma_min=sigma_min, options=options)
         csec.finish()

@@ -49,6 +49,7 @@ MAX_CORRECTOR_ITERS = 8
 DS_MIN = 1e-5
 DS_MAX = 5e-2
 B_MAX = 100.0
+SEED_OFFSET = 1e-3
 MAX_POINTS = 2000
 MAX_FOLDS = 4
 
@@ -155,13 +156,12 @@ def trace_branch(
     ds: float = 1e-3,
     *,
     n: int = 256,
-    seed_offset: float = 1e-3,
     summary: BifurcationSummary | None = None,
 ) -> BranchCurve:
     """Trace the mode-j steady-state branch from just below its bifurcation
     value down to sigma_min.
 
-    Seeds with the second-order approximate state at sigma0_j - seed_offset,
+    Seeds with the second-order approximate state at sigma0_j - SEED_OFFSET,
     then follows the branch by pseudo-arclength steps (doubling after fast
     corrector convergence, halving on failure).  Terminates on sigma_min,
     a box-bound violation, corrector failure at the minimum step, the fold
@@ -176,7 +176,7 @@ def trace_branch(
     except ColonyKitError as exc:
         raise SeedFailureError(f"mode {j} has no branch to seed: {exc}") from exc
 
-    sigma_seed = expansion.sigma0 - seed_offset
+    sigma_seed = expansion.sigma0 - SEED_OFFSET
     if sigma_seed <= sigma_min:
         return BranchCurve(j=j, points=(), termination=Termination.REACHED_SIGMA_MIN)
 
@@ -201,7 +201,7 @@ def trace_branch(
     w = 1.0 / (2 * (n + 1))
 
     # second point by a natural step in sigma to start the secant tangent
-    sigma_next = sigma_seed - min(ds, seed_offset)
+    sigma_next = sigma_seed - min(ds, SEED_OFFSET)
     try:
         bp1 = newton_steady(bp0.field, replace(p, sigma=sigma_next), m)
     except ColonyKitError as exc:

@@ -16,6 +16,14 @@ dt <= DT_SAFETY h^2 / max r (DT_SAFETY = 0.4).  Any steady state of the
 scheme solves the spatially discrete stationary system exactly, independent
 of dt.
 
+Snapshot k = 1, 2, ... is at k snapshot_every while that is below
+(1 - LAST_STEP_SLACK) t_end, and the last one at t_end.  A step that would
+reach the next snapshot time within (1 + LAST_STEP_SLACK) full steps takes
+dt = t_snap - t and lands on it exactly, so rounding (of a sum of capped
+steps, or of a multiple just below t_end) leaves no sliver step; all others
+are full steps.  The run ends after the snapshot at t_end, or earlier when
+steady, so the last snapshot is always the final state.
+
 Whether a run is steady is decided at snapshot steps only, from the
 max-norm rate max|new - old| / dt of the step that reached the snapshot.
 At sigma = 0 mass conservation makes the Jacobian singular, so there the
@@ -37,6 +45,8 @@ units, and it ends the run when all of these hold:
 The stopped run's final field is that exact discrete steady state, and it
 takes the place of the snapshot at the stop time.  Every earlier snapshot
 is the one the full run records.
+
+A state outside [-B_MAX, B_MAX] (B_MAX = 100), or not finite, is a BlowUpError.
 
 Pattern-change events are read from the snapshots with fixed hysteresis: a
 pattern is established once its largest cosine amplitude reaches
@@ -104,6 +114,8 @@ EVENT_MARGIN = 2.0
 STOP_RATE = 1e-3
 STOP_RETRY = 10.0
 STOP_DIST = 1e-2
+LAST_STEP_SLACK = 1e-9
+B_MAX = 100.0
 
 
 @dataclass(frozen=True)
@@ -175,14 +187,13 @@ class SimConfig:
     t_end: float = 5000.0
     steady_tol: float = 1e-8         # decides steady at sigma = 0 only
     snapshot_every: float = 1.0
-    b_max: float = 100.0
 
     def __post_init__(self):
         if self.n < 16:
             raise ValueError(f"resolution n must be >= 16, got {self.n}")
         if self.dt is not None and not _finite_positive(self.dt):
             raise ValueError(f"dt must be finite and > 0 when given, got {self.dt}")
-        for name in ("t_end", "steady_tol", "snapshot_every", "b_max"):
+        for name in ("t_end", "steady_tol", "snapshot_every"):
             if not _finite_positive(getattr(self, name)):
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
 
@@ -231,7 +242,6 @@ class Trajectory:
     u_history: np.ndarray
     v_history: np.ndarray
     l: float
-    final: Field
     steady: bool
     events: tuple[Event, ...] = dataclass_field(default=())
 
@@ -241,6 +251,11 @@ class Trajectory:
 
     def field(self, i: int) -> Field:
         return Field(u=self.u_history[i], v=self.v_history[i], l=self.l)
+
+    @property
+    def final(self) -> Field:
+        """The state where the run ended: the last snapshot."""
+        return self.field(-1)
 
     @property
     def settle_time(self) -> float:
@@ -428,17 +443,17 @@ def _certified_steady_state(cur, u_hist, x, h, p: ModelParams, m: MotilityModel)
 
 
 def simulate(config: SimConfig) -> Trajectory:
-    """Integrate until steady or t_end, recording snapshots and
-    pattern-change events.
-
-    The run is steady, as the module docstring sets out, when the certified
-    stop ends it at a stable discrete steady state, or, at sigma = 0 only,
-    when the max-norm rate at a snapshot step drops below steady_tol.
-    """
+    """Integrate until steady or t_end on the module docstring's snapshot
+    schedule, recording snapshots and pattern-change events.  The run is
+    steady when the certified stop ends it at a stable discrete steady
+    state, or, at sigma = 0 only, when the max-norm rate at a snapshot step
+    drops below steady_tol."""
     p, m = config.params, config.motility
     f0 = initial_field(config.init, p, m, config.n)
-    h, D, sigma, b_max = f0.h, p.D, p.sigma, config.b_max
+    h, D, sigma, b_max = f0.h, p.D, p.sigma, B_MAX
     dt_cap, t_end, steady_tol = config.dt, config.t_end, config.steady_tol
+    every, last_step = config.snapshot_every, 1.0 + LAST_STEP_SLACK
+    t_last = (1.0 - LAST_STEP_SLACK) * t_end  # a later multiple of every is t_end
     dt_bound = DT_SAFETY * h * h  # the explicit bound is dt_bound / max r
     # each step writes the buffer nxt from cur, then the two swap; both are
     # kept as (buffer, u row, v row)
@@ -462,9 +477,7 @@ def simulate(config: SimConfig) -> Trajectory:
     times = [0.0]
     u_hist = [f0.u.copy()]
     v_hist = [f0.v.copy()]
-    t = 0.0
-    next_snap = config.snapshot_every
-    steady = False
+    t, k, steady = 0.0, 1, False
 
     # a run that blows up past the float range reaches the BlowUpError check
     # through inf/NaN values; numpy need not warn on the way there
@@ -472,13 +485,15 @@ def simulate(config: SimConfig) -> Trajectory:
         while t < t_end:
             now, u, v = cur
             new, u_new, v_new = nxt
+            t_snap = k * every if k * every < t_last else t_end
             rv = asarray(m.evaluate(v, 0), dtype=float)
             dt_full = dt_bound / float(max_reduce(rv))
             if dt_cap is not None:
                 dt_full = min(dt_full, dt_cap)
-            dt = min(dt_full, next_snap - t, t_end - t)
-            if dt <= 0:
-                dt = 1e-15  # fp guard when t has effectively reached a boundary
+            if t_snap - t <= dt_full * last_step:
+                dt, t_new = t_snap - t, t_snap
+            else:
+                dt, t_new = dt_full, t + dt_full
             # u_new = u + dt * (Lap_h(rv u) + sigma u (1 - u)), evaluated in that order
             lap = laplacian(multiply(rv, u, out=tmp), h, lap_buf)
             multiply(u, sigma, out=tmp)
@@ -501,20 +516,17 @@ def simulate(config: SimConfig) -> Trajectory:
             if not (float(max_reduce(new, axis=None)) <= b_max
                     and -lo0 <= b_max and -lo1 <= b_max):
                 if not np.all(np.isfinite(new)):
-                    raise BlowUpError(f"non-finite values at t={t + dt:.6g}")
-                raise BlowUpError(f"solution norm exceeded bound {b_max} at t={t + dt:.6g}")
+                    raise BlowUpError(f"non-finite values at t={t_new:.6g}")
+                raise BlowUpError(f"solution norm exceeded bound {b_max} at t={t_new:.6g}")
             if lo0 <= 0 < lo_old0 or lo1 <= 0 < lo_old1:
-                raise PositivityLossError(f"positivity lost at t={t + dt:.6g}")
-            cur, nxt, lo_old0, lo_old1 = nxt, cur, lo0, lo1
-            t += dt
-            if t >= next_snap - 1e-12:
+                raise PositivityLossError(f"positivity lost at t={t_new:.6g}")
+            cur, nxt, lo_old0, lo_old1, t = nxt, cur, lo0, lo1, t_new
+            if t == t_snap:
                 rate = float(np.max(np.abs(new - now))) / dt
                 if sigma == 0:
-                    # rate estimates from boundary-clipped tiny steps are rounding
-                    # noise; the longest step the schedule allows is dt_full or
-                    # snapshot_every, whichever is shorter
-                    steady = (rate < steady_tol
-                              and dt >= 0.25 * min(dt_full, config.snapshot_every))
+                    # the rate of a step clipped well below the longest one the
+                    # schedule allows (dt_full or snapshot_every) is rounding noise
+                    steady = rate < steady_tol and dt >= 0.25 * min(dt_full, every)
                 elif (rate < STOP_RATE and t - last_try >= STOP_RETRY
                         and len(u_hist) >= EVENT_PERSIST):
                     last_try = t
@@ -524,19 +536,10 @@ def simulate(config: SimConfig) -> Trajectory:
                 times.append(t)
                 u_hist.append(cur[1].copy())
                 v_hist.append(cur[2].copy())
-                next_snap += config.snapshot_every
                 if steady:
                     break
+                k += 1
 
-    times_arr = np.asarray(times)
-    u_arr = np.asarray(u_hist)
-    v_arr = np.asarray(v_hist)
-    return Trajectory(
-        times=times_arr,
-        u_history=u_arr,
-        v_history=v_arr,
-        l=p.l,
-        final=Field(u=cur[1], v=cur[2], l=p.l),
-        steady=steady,
-        events=_annotate(times_arr, u_arr, x, p.l),
-    )
+    times_arr, u_arr = np.asarray(times), np.asarray(u_hist)
+    return Trajectory(times=times_arr, u_history=u_arr, v_history=np.asarray(v_hist), l=p.l,
+                      steady=steady, events=_annotate(times_arr, u_arr, x, p.l))

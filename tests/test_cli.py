@@ -6,6 +6,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import signal
 import struct
 import subprocess
@@ -22,7 +23,6 @@ from colonykit import _compiled
 from colonykit import (
     BlowUpError,
     ConfigError,
-    Field,
     LogisticDecay,
     ModelParams,
     SeedFailureError,
@@ -128,6 +128,20 @@ class TestConfigParsing:
         # True is an int in Python; it used to become a row with j = True
         with pytest.raises(ConfigError, match="expand.modes"):
             parse_config(GOOD_CONFIG.replace("modes: [5, 6, 7]", "modes: [true, 6]"))
+
+    @pytest.mark.parametrize("modes", ["[true, 6]", "[0]", "stable"])
+    def test_expand_modes_errors_report_line(self, modes):
+        with pytest.raises(ConfigError, match=r"^expand\.modes \(line 13\): "):
+            parse_config(GOOD_CONFIG.replace("modes: [5, 6, 7]", f"modes: {modes}"))
+
+    @pytest.mark.parametrize("text, key", [
+        (GOOD_CONFIG.replace("  snapshot_every: 1.0", "  snapshot_every: 1.0\n  b_max: 50.0"),
+         "simulate.b_max (line 19)"),
+        (GOOD_CONFIG + "  seed_offset: 0.01\n", "continuation.seed_offset (line 26)"),
+    ], ids=["b_max", "seed_offset"])
+    def test_retired_keys_are_unknown(self, text, key):
+        with pytest.raises(ConfigError, match=re.escape(f"unknown key {key}")):
+            parse_config(text)
 
     @pytest.mark.parametrize("dt, expected", [("auto", None), ("0.5", 0.5), ("1", 1.0)])
     def test_simulate_dt(self, dt, expected):
@@ -300,13 +314,22 @@ class TestCommands:
         events_lines = (out1 / "events.jsonl").read_text().splitlines()
         assert "meta" in json.loads(events_lines[0])
 
+    def test_simulate_ends_at_t_end_off_the_snapshot_grid(self, tmp_path):
+        path = tmp_path / "off_grid.yaml"
+        path.write_text(GOOD_CONFIG.replace("  t_end: 3.0", "  t_end: 2.5"))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert summary["t_final"] == 2.5 and summary["t_end_reached"]
+        last_row = (tmp_path / "o" / "snapshots.csv").read_text().splitlines()[-1]
+        assert last_row.startswith("2.5,20.0,")
+
     def test_snapshot_csv_bytes_match_per_value_writer(self, tmp_path):
         u_hist = np.array([[1e-05, -1.5e-07, 1e+16, -3.0, 0.1 + 0.2],
                            [2.0, -0.0, 1.5e-07, 123456789.0, -1e-300]])
         v_hist = np.array([[1.0, 1e+16, 5e-324, -2.5, 1 / 3],
                            [-1e-05, 7.0, 0.0, 1e22, 2.0 ** 0.5]])
         traj = Trajectory(times=np.array([0.0, 1e-05]), u_history=u_hist, v_history=v_hist,
-                          l=1e-4, final=Field(u=u_hist[-1], v=v_hist[-1], l=1e-4), steady=False)
+                          l=1e-4, steady=False)
         cfg = parse_config(GOOD_CONFIG)
         cli._write_snapshots_csv(tmp_path / "fast.csv", cfg, traj)
         per_value_csv(tmp_path / "ref.csv", cfg, traj)
@@ -353,7 +376,7 @@ class TestCommands:
         assert main(["continue", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
         [(args, kwargs)] = calls
         assert args == (6, ModelParams(sigma=0.3), LogisticDecay(), 0.45)
-        assert kwargs == {}  # ds, n and seed_offset keep trace_branch's defaults
+        assert kwargs == {}  # ds and n keep trace_branch's defaults
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"
@@ -489,8 +512,7 @@ def random_trajectory(snapshots, n=16, seed=0):
 
     u_hist, v_hist = values(), values()
     times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.0, 1.0, snapshots - 1))])
-    return Trajectory(times=times, u_history=u_hist, v_history=v_hist, l=7.0,
-                      final=Field(u=u_hist[-1], v=v_hist[-1], l=7.0), steady=False)
+    return Trajectory(times=times, u_history=u_hist, v_history=v_hist, l=7.0, steady=False)
 
 
 class TestSnapshotWriterProcesses:

@@ -31,7 +31,14 @@ from colonykit import discrete, pde_solver
 from colonykit import reproduce as rp
 from colonykit.discrete import laplacian, signal_band
 from colonykit.asymptotics import second_order_profiles
-from colonykit.pde_solver import DT_SAFETY, STOP_DIST, _annotate, _find_peaks, initial_field
+from colonykit.pde_solver import (
+    DT_SAFETY,
+    LAST_STEP_SLACK,
+    STOP_DIST,
+    _annotate,
+    _find_peaks,
+    initial_field,
+)
 
 REF = LogisticDecay(steepness=8.0, center=1.0)
 
@@ -163,11 +170,12 @@ class TestStep:
             run_from(uniform_field(50.0), 1.0, dt=0.9, t_end=10.0)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_non_finite_detected(self):
+    def test_non_finite_detected(self, monkeypatch):
         # from a negative state no positivity is lost, and the logistic term
         # grows u quadratically until it overflows within a generous bound
+        monkeypatch.setattr(pde_solver, "B_MAX", 1e300)
         with pytest.raises(BlowUpError, match="non-finite"):
-            run_from(uniform_field(-1.0), 1.0, dt=0.5, t_end=10.0, b_max=1e300)
+            run_from(uniform_field(-1.0), 1.0, dt=0.5, t_end=10.0)
 
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ValueError):
@@ -175,7 +183,7 @@ class TestStep:
 
 
 class TestSimConfig:
-    @pytest.mark.parametrize("name", ["dt", "t_end", "steady_tol", "snapshot_every", "b_max"])
+    @pytest.mark.parametrize("name", ["dt", "t_end", "steady_tol", "snapshot_every"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_rejects_nonfinite_and_nonpositive(self, name, value):
         with pytest.raises(ValueError, match=name):
@@ -184,25 +192,32 @@ class TestSimConfig:
 
 def reference_run(cfg, rate_stop=False):
     """simulate's explicit loop written out plainly: the IMEX formula with
-    scipy's solve_banded, the stability-bound dt and the snapshot clipping.
-    Stops at t_end, and with rate_stop also at the first snapshot step whose
-    rate max|new - old| / dt is below steady_tol (unless the step was clipped
-    below a quarter of the longest step the schedule allows, the smaller of
-    the full step and snapshot_every).  Returns the snapshots and the final
-    state."""
+    scipy's solve_banded, the stability-bound dt and the snapshot schedule
+    k snapshot_every up to t_end, where a multiple within LAST_STEP_SLACK
+    of t_end (relative) is t_end and a step that reaches the next snapshot
+    time within (1 + LAST_STEP_SLACK) full steps lands on it.  Stops after
+    the snapshot at t_end, and with rate_stop also at the first snapshot
+    whose step's rate max|new - old| / dt is below steady_tol (unless the
+    step was clipped below a quarter of the longest step the schedule
+    allows, the smaller of the full step and snapshot_every).  Returns the
+    snapshots and the final state."""
     p, m = cfg.params, cfg.motility
     f0 = initial_field(cfg.init, p, m, cfg.n)
     h, u, v = f0.h, f0.u, f0.v
     times, us, vs = [0.0], [u], [v]
-    t, next_snap = 0.0, cfg.snapshot_every
+    t, k = 0.0, 1
     while t < cfg.t_end:
+        t_snap = k * cfg.snapshot_every
+        if t_snap >= (1.0 - LAST_STEP_SLACK) * cfg.t_end:
+            t_snap = cfg.t_end
         rv = m.evaluate(v, 0)
         dt_full = DT_SAFETY * h * h / float(np.max(rv))
         if cfg.dt is not None:
             dt_full = min(dt_full, cfg.dt)
-        dt = min(dt_full, next_snap - t, cfg.t_end - t)
-        if dt <= 0:
-            dt = 1e-15
+        if t_snap - t <= dt_full * (1.0 + LAST_STEP_SLACK):
+            dt, t_new = t_snap - t, t_snap
+        else:
+            dt, t_new = dt_full, t + dt_full
         u_new = u + dt * (laplacian(rv * u, h) + p.sigma * u * (1.0 - u))
         ab = np.zeros((3, u.size))
         off = np.empty(2 * (u.size - 1))  # (sub-diagonal, super-diagonal)
@@ -210,13 +225,12 @@ def reference_run(cfg, rate_stop=False):
         ab[2, :-1], ab[0, 1:] = off[:u.size - 1], off[u.size - 1:]
         v_new = solve_banded((1, 1), ab, v + dt * u_new, check_finite=False)
         rate = np.max(np.abs(np.stack([u_new, v_new]) - np.stack([u, v]))) / dt
-        u, v = u_new, v_new
-        t += dt
-        if t >= next_snap - 1e-12:
+        u, v, t = u_new, v_new, t_new
+        if t == t_snap:
             times.append(t)
             us.append(u)
             vs.append(v)
-            next_snap += cfg.snapshot_every
+            k += 1
             if (rate_stop and rate < cfg.steady_tol
                     and dt >= 0.25 * min(dt_full, cfg.snapshot_every)):
                 break
@@ -309,13 +323,40 @@ class TestStateChecks:
 
     @pytest.mark.parametrize("value, dt, b_max", [(-1.0, 0.1, 1.5), (2.0, 3.0, 3.0)],
                              ids=["negative-field", "overshoot-past-zero"])
-    def test_state_below_minus_bound_exceeds_it(self, value, dt, b_max):
+    def test_state_below_minus_bound_exceeds_it(self, value, dt, b_max, monkeypatch):
         # u stays finite and drops below -b_max while every value stays
         # within b_max from above; in the overshoot case u also crosses zero
         # (2 + 3 * 2 * (1 - 2) = -4 in one step), and the bound is checked first
+        monkeypatch.setattr(pde_solver, "B_MAX", b_max)
         with pytest.raises(BlowUpError, match="exceeded bound"):
-            run_from(uniform_field(value), 1.0, dt=dt, t_end=10.0, snapshot_every=10.0,
-                     b_max=b_max)
+            run_from(uniform_field(value), 1.0, dt=dt, t_end=10.0, snapshot_every=10.0)
+
+
+class TestSchedule:
+    """Snapshots fall exactly at k snapshot_every and at t_end, and the run's
+    end state is the last of them."""
+
+    # t_end off the grid, and t_end a multiple that 3 * 0.3 rounds just below
+    @pytest.mark.parametrize("t_end, every, times", [
+        (2.5, 1.0, [0.0, 1.0, 2.0, 2.5]),
+        (0.9, 0.3, [0.0, 0.3, 0.6, 0.9]),
+    ])
+    def test_t_end_is_the_last_snapshot(self, t_end, every, times):
+        cfg = SimConfig(params=params(0.3), motility=REF, init=UniformPerturbed(), n=32,
+                        t_end=t_end, snapshot_every=every)
+        traj = simulate(cfg)
+        assert traj.times.tolist() == times
+        # final, the last snapshot, is the state the plain loop ends with
+        _, _, _, u_end, v_end = reference_run(cfg)
+        assert np.array_equal(traj.final.u, u_end)
+        assert np.array_equal(traj.final.v, v_end)
+
+    def test_snapshot_times_are_exact_multiples(self):
+        # every step is clipped to a snapshot time, 400 of them
+        cfg = SimConfig(params=params(0.0), motility=REF, init=UniformPerturbed(), n=32,
+                        t_end=2.0, snapshot_every=0.005)
+        traj = simulate(cfg)
+        assert traj.times.tolist() == [k * 0.005 for k in range(401)]
 
 
 def mode6_state(sigma, n):
@@ -349,9 +390,8 @@ class TestCertifiedStop:
             assert np.array_equal(traj.u_history[i], us[i]), i
             assert np.array_equal(traj.v_history[i], vs[i]), i
         assert traj.events == _annotate(times[:k], us[:k], traj.final.x, traj.l)
-        # the last snapshot is the exact discrete steady state near the run's state
-        assert np.array_equal(traj.u_history[-1], traj.final.u)
-        assert np.array_equal(traj.v_history[-1], traj.final.v)
+        # the last snapshot, the final state, is the exact discrete steady
+        # state near the run's state
         assert max(stationary_residual(traj.final, cfg.params, REF)) < 1e-10
         assert np.max(np.abs(traj.final.u - us[k - 1])) <= STOP_DIST
 
@@ -396,15 +436,21 @@ class TestCertifiedStop:
 
     @settings(max_examples=8, deadline=None)
     @given(st.floats(0.30, 0.48), st.floats(0.0, 0.02), st.integers(0, 2 ** 16))
+    @example(0.32421875, 0.0027247405999265436, 1)
     def test_steady_state_does_not_depend_on_dt(self, sigma, amplitude, seed):
+        # Newton stops at a residual below 1e-10, which does not bound the
+        # state's error by 1e-10 (this example's finals differ by 1.5e-10);
+        # one more Newton correction takes each to the steady state's rounding
         start = perturbed(mode6_state(sigma, 48), amplitude, seed)
-        finals = []
+        p, h, finals = params(sigma), start.h, []
         for dt in (0.02, 0.01):
             traj = run_from(start, sigma, dt=dt, t_end=300.0)
             assert traj.steady
-            finals.append(newton_steady(traj.final, params(sigma), REF).field)
-        a, b = finals
-        assert max(np.max(np.abs(a.u - b.u)), np.max(np.abs(a.v - b.v))) <= 1e-10
+            f = newton_steady(traj.final, p, REF).field
+            ab = discrete.linearize(f.u, f.v, h, p.D, sigma, REF, discrete.band_array(f.u.size))
+            res = discrete.residual(f.u, f.v, h, p.D, sigma, REF)
+            finals.append(discrete.interleave(f.u, f.v) - discrete.solve(ab, res))
+        assert np.max(np.abs(finals[0] - finals[1])) <= 1e-10
 
     # where each run's max-norm rate falls below 1e-8 when no stop is tried
     RATE_SETTLED = {"mode3_at_030": 233.5, "mode6_at_032": 165.9, "mode4_at_040": 1091.1,
