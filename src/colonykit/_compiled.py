@@ -1,7 +1,10 @@
-"""LAPACK's banded solvers and expit from scipy's compiled modules alone.
+"""LAPACK's banded solvers, expit and find_peaks's core from scipy's compiled
+modules alone.
 
 LAPACK's dgtsv, dgbsv, dgbtrf and dgbtrs live in the extension module
-``scipy.linalg._flapack`` and ``expit`` in ``scipy.special._special_ufuncs``.
+``scipy.linalg._flapack``, ``expit`` in ``scipy.special._special_ufuncs``
+and the two functions ``scipy.signal.find_peaks`` runs in
+``scipy.signal._peak_finding_utils``.
 Importing them through ``scipy.linalg`` and ``scipy.special`` runs those
 packages' ``__init__`` files, about 0.4 s that mostly goes to
 ``scipy._lib._array_api`` and the numpy modules it pulls in.  Here each
@@ -9,18 +12,21 @@ extension is loaded from its file in scipy's directory (a few ms) and
 registered in ``sys.modules``, so a later scipy import in the same process
 reuses it and the objects are the public ones.  Where the file is missing
 or will not load (an older scipy layout, or a platform whose extensions need
-scipy's own set-up first) the public module is imported instead.
+scipy's own set-up first) the public module is imported instead.  The
+peak finder's module runs ``scipy/__init__`` (about 20 ms), so
+``peak_finding`` loads it on its first call, not at import.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib
 import importlib.machinery
 import importlib.util
 import os
 import sys
 
-__all__ = ["dgtsv", "dgbsv", "dgbtrf", "dgbtrs", "expit"]
+__all__ = ["dgtsv", "dgbsv", "dgbtrf", "dgbtrs", "expit", "peak_finding"]
 
 
 def _module(package: str, name: str):
@@ -58,3 +64,11 @@ def load(package: str, name: str, attrs: tuple[str, ...], public: str) -> tuple:
 dgtsv, dgbsv, dgbtrf, dgbtrs = load("linalg", "_flapack", ("dgtsv", "dgbsv", "dgbtrf", "dgbtrs"),
                                     "scipy.linalg.lapack")
 (expit,) = load("special", "_special_ufuncs", ("expit",), "scipy.special")
+
+
+@functools.cache
+def peak_finding() -> tuple:
+    """scipy.signal's compiled ``_local_maxima_1d`` and ``_peak_prominences``,
+    loaded on the first call."""
+    return load("signal", "_peak_finding_utils", ("_local_maxima_1d", "_peak_prominences"),
+                "scipy.signal._peak_finding_utils")

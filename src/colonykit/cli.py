@@ -39,12 +39,12 @@ from .reproduce import format_report, run_reproduction
 __all__ = ["main"]
 
 
+def _json_meta(cfg: ExperimentConfig) -> dict:
+    return {"toolkit_version": __version__, "config_hash": cfg.config_hash, "seed": cfg.seed}
+
+
 def _meta_lines(cfg: ExperimentConfig) -> list[str]:
-    return [
-        f"# toolkit_version={__version__}",
-        f"# config_hash={cfg.config_hash}",
-        f"# seed={cfg.seed}",
-    ]
+    return [f"# {key}={value}" for key, value in _json_meta(cfg).items()]
 
 
 def _write_csv(path: Path, cfg: ExperimentConfig, header: list[str], rows) -> None:
@@ -54,10 +54,6 @@ def _write_csv(path: Path, cfg: ExperimentConfig, header: list[str], rows) -> No
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(map(str, row)) + "\n")
-
-
-def _json_meta(cfg: ExperimentConfig) -> dict:
-    return {"toolkit_version": __version__, "config_hash": cfg.config_hash, "seed": cfg.seed}
 
 
 def _out_dir(args) -> Path:

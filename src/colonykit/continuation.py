@@ -13,8 +13,8 @@ at its residual max-norm NEWTON_TOL (1e-10) and gives up after
 MAX_CORRECTOR_ITERS (8) iterations.  Step control doubles the step after a
 corrector that needed at most 3 iterations, up to DS_MAX (5e-2), and halves
 it on failure down to DS_MIN (1e-5).  A trace stops when a state leaves the
-box [1 / B_MAX, B_MAX] (B_MAX = 100), after MAX_FOLDS (4) folds, or at
-MAX_POINTS (2000) points.
+box [1 / B_MAX, B_MAX] (``pde_solver.B_MAX``, 100, the simulator's blow-up
+bound), after MAX_FOLDS (4) folds, or at MAX_POINTS (2000) points.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .errors import (
 )
 from .linear_analysis import BifurcationSummary, ModelParams, _bifurcation_sigma, scan_modes
 from .motility import MotilityModel, taylor_at_one
-from .pde_solver import Field
+from .pde_solver import B_MAX, Field
 
 __all__ = [
     "BranchPoint",
@@ -48,7 +48,6 @@ __all__ = [
 MAX_CORRECTOR_ITERS = 8
 DS_MIN = 1e-5
 DS_MAX = 5e-2
-B_MAX = 100.0
 SEED_OFFSET = 1e-3
 MAX_POINTS = 2000
 MAX_FOLDS = 4

@@ -61,10 +61,8 @@ importing scipy.linalg) directly on three diagonals that share one
 buffer.  The blow-up and positivity checks read one minimum per row and
 one maximum of the new state.
 
-Peak counting uses ``_find_peaks``, a numpy port of the rules of
-scipy.signal.find_peaks with a prominence threshold; the test suite checks
-that both return the same indices.  Importing scipy.signal would more than
-double the package's import time for that one call.
+Peak counting runs the compiled core of scipy.signal.find_peaks, which
+``_compiled`` loads on the first count without importing scipy.signal.
 """
 
 from __future__ import annotations
@@ -77,7 +75,7 @@ from typing import Union
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from ._compiled import dgtsv
+from ._compiled import dgtsv, peak_finding
 from .asymptotics import expansion_coefficients, second_order_profiles
 from .discrete import (
     band_array,
@@ -297,41 +295,13 @@ def modal_spectrum(f: Field) -> ModalSpectrum:
     return ModalSpectrum(coefficients=coeffs, dominant=dominant)
 
 
-def _stretch_minima(vals: list) -> list:
-    """For each value, the minimum over the stretch that reaches left from
-    it while values stay <= its own (the value itself included)."""
-    out = []
-    stack = []  # (value, minimum of the stretch it ends); values strictly decrease
-    for val in vals:
-        lo = val
-        while stack and stack[-1][0] <= val:
-            lo = min(lo, stack.pop()[1])
-        stack.append((val, lo))
-        out.append(lo)
-    return out
-
-
 def _find_peaks(x: np.ndarray, prominence: float) -> np.ndarray:
-    """Indices of the maxima of x whose prominence is at least prominence.
-
-    Follows scipy.signal.find_peaks(x, prominence=prominence): a run of
-    equal values counts as one point, a maximum is a run strictly above the
-    runs on both sides (never the first or last run) and sits at the middle
-    of its run, rounded down, and its prominence is its height above the
-    higher of the two minima reached going left and right while values stay
-    <= the peak.  Those minima lie among the turning runs and the two ends,
-    so only they are scanned.
-    """
-    moves = np.flatnonzero(x[1:] != x[:-1])  # run i ends at moves[i], run i + 1 starts after it
-    rising = x[moves + 1] > x[moves]
-    bend = np.flatnonzero(rising[1:] != rising[:-1])  # run bend + 1 is a turning run
-    if bend.size == 0:
-        return bend
-    top = x[moves[bend + 1]]
-    vals = [float(x[0]), *top.tolist(), float(x[-1])]
-    base = np.maximum(_stretch_minima(vals), _stretch_minima(vals[::-1])[::-1])[1:-1]
-    keep = rising[bend] & (top - base >= prominence)
-    return ((moves[bend] + 1 + moves[bend + 1]) // 2)[keep]
+    """scipy.signal.find_peaks(x, prominence=prominence)[0] for a
+    C-contiguous float64 x, from the compiled functions it runs (``wlen``
+    -1 is no window)."""
+    local_maxima, prominences = peak_finding()
+    peaks = local_maxima(x)[0]
+    return peaks[prominences(x, peaks, -1)[0] >= prominence]
 
 
 def _count_peaks(u: np.ndarray) -> float:

@@ -209,7 +209,8 @@ def compiled_files_present():
 
 
 def test_cli_import_leaves_heavy_scipy_modules_out():
-    names = ("scipy.signal", "scipy.integrate", "scipy.stats")
+    # the peak finder's core is loaded on the first peak count, not at import
+    names = ("scipy.signal", "scipy.integrate", "scipy.stats", "scipy.signal._peak_finding_utils")
     for module in ("colonykit", "colonykit.cli"):
         assert loaded_after_import(module, names) == "[]", module
 
@@ -244,9 +245,29 @@ def test_compiled_import_then_scipy_gives_the_public_callables():
     assert fresh_interpreter(code) == "ok"
 
 
+def test_peak_count_then_scipy_signal_import_gives_the_public_core():
+    # a peak count loads find_peaks's compiled core; scipy.signal imported
+    # later reuses that module, and find_peaks still works
+    code = """if True:
+        import numpy as np
+        from colonykit import Field, _compiled, count_peaks
+        u = 1.0 + 0.02 * np.cos(6 * np.pi * np.linspace(0.0, 1.0, 65))
+        assert count_peaks(Field(u=u, v=np.ones_like(u), l=20.0)) == 3.0
+        from scipy.signal import _peak_finding, find_peaks
+        local_maxima, prominences = _compiled.peak_finding()
+        assert _peak_finding._local_maxima_1d is local_maxima
+        assert _peak_finding._peak_prominences is prominences
+        peaks = find_peaks(np.array([0.0, 2.0, 0.0, 1.0, 1.0, 0.0, 0.5, 0.0]), prominence=0.75)[0]
+        assert peaks.tolist() == [1, 3], peaks
+        print("ok")
+    """
+    assert fresh_interpreter(code) == "ok"
+
+
 @pytest.mark.parametrize("package, attrs, public", [
     ("linalg", ("dgtsv", "dgbsv"), "scipy.linalg.lapack"),
     ("special", ("expit",), "scipy.special"),
+    ("signal", ("_local_maxima_1d", "_peak_prominences"), "scipy.signal._peak_finding_utils"),
 ])
 def test_compiled_import_falls_back_to_the_public_module(package, attrs, public):
     full = f"scipy.{package}._no_such_module"
