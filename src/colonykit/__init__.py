@@ -18,7 +18,6 @@ from .errors import (
     BranchSideError,
     ColonyKitError,
     ConfigError,
-    EvaluationError,
     NewtonConvergenceError,
     NewtonError,
     NoInstabilityWindowError,
@@ -44,7 +43,6 @@ from .linear_analysis import (
     scan_modes,
 )
 from .motility import (
-    CustomMotility,
     ExponentialDecay,
     LogisticDecay,
     MotilityModel,

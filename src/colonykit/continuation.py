@@ -35,7 +35,7 @@ from .errors import (
 )
 from .linear_analysis import BifurcationSummary, ModelParams, _bifurcation_sigma, scan_modes
 from .motility import MotilityModel, taylor_at_one
-from .pde_solver import B_MAX, Field
+from .pde_solver import B_MAX, Field, _finite_positive
 
 __all__ = [
     "BranchPoint",
@@ -164,10 +164,15 @@ def trace_branch(
     then follows the branch by pseudo-arclength steps (doubling after fast
     corrector convergence, halving on failure).  Terminates on sigma_min,
     a box-bound violation, corrector failure at the minimum step, the fold
-    budget, or the cap on the point count.
+    budget, or the cap on the point count.  Raises ValueError unless
+    sigma_min is finite and >= 0, ds finite and > 0, and n >= 16.
     """
-    if ds <= 0:
-        raise ValueError(f"ds must be > 0, got {ds}")
+    if not (math.isfinite(sigma_min) and sigma_min >= 0):
+        raise ValueError(f"sigma_min must be finite and >= 0, got {sigma_min}")
+    if not _finite_positive(ds):
+        raise ValueError(f"ds must be finite and > 0, got {ds}")
+    if n < 16:
+        raise ValueError(f"resolution n must be >= 16, got {n}")
     if summary is None:
         summary = scan_modes(p, m)
     try:

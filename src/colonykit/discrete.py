@@ -100,7 +100,7 @@ def laplacian(w: np.ndarray, h: float, out: np.ndarray | None = None) -> np.ndar
 
 def residual(u, v, h: float, D: float, sigma: float, m: MotilityModel) -> np.ndarray:
     """Interleaved residual of the discrete stationary system."""
-    rv = np.asarray(m.evaluate(v, 0), dtype=float)
+    rv = m.evaluate(v, 0)
     res_u = laplacian(rv * u, h) + sigma * u * (1.0 - u)
     res_v = D * laplacian(v, h) - v + u
     return interleave(res_u, res_v)
@@ -116,8 +116,8 @@ def linearize(u, v, h: float, D: float, sigma: float, m: MotilityModel, ab: np.n
     of the ``band_array`` ab and return ab.  Every band entry inside the
     matrix is written, so ab may hold the LU factors of an earlier ``solve``."""
     hh = h * h
-    rv = np.asarray(m.evaluate(v, 0), dtype=float)
-    rpv_u = np.asarray(m.evaluate(v, 1), dtype=float) * u
+    rv = m.evaluate(v, 0)
+    rpv_u = m.evaluate(v, 1) * u
     # zero-flux stencil weights: row i couples i-1, i, i+1 with the
     # off-diagonal weight doubled at the mirrored boundaries
     sup_w = np.full(u.size - 1, 1.0 / hh)

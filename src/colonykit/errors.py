@@ -5,10 +5,6 @@ class ColonyKitError(Exception):
     """Base class for all toolkit errors."""
 
 
-class EvaluationError(ColonyKitError):
-    """A user-supplied motility evaluator failed at some concentration."""
-
-
 class NoInstabilityWindowError(ColonyKitError):
     """r'(1) + r(1) >= 0: the uniform state has no unstable band of modes."""
 

@@ -439,7 +439,7 @@ def simulate(config: SimConfig) -> Trajectory:
     off, d = band[:2 * npts - 2], band[2 * npts - 2:]
     dl, du = off[:npts - 1], off[npts - 1:]
     lo_old0, lo_old1 = state.min(axis=1).tolist()
-    asarray, multiply, subtract, add = np.asarray, np.multiply, np.subtract, np.add
+    multiply, subtract, add = np.multiply, np.subtract, np.add
     max_reduce, min_reduce = np.maximum.reduce, np.minimum.reduce
 
     x = f0.x
@@ -456,7 +456,7 @@ def simulate(config: SimConfig) -> Trajectory:
             now, u, v = cur
             new, u_new, v_new = nxt
             t_snap = k * every if k * every < t_last else t_end
-            rv = asarray(m.evaluate(v, 0), dtype=float)
+            rv = m.evaluate(v, 0)
             dt_full = dt_bound / float(max_reduce(rv))
             if dt_cap is not None:
                 dt_full = min(dt_full, dt_cap)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import simpson
@@ -9,6 +11,7 @@ from colonykit import (
     LogisticDecay,
     ModelParams,
     NonpositiveSigma0Error,
+    ResonantDenominatorError,
     epsilon_for_sigma,
     eta_by_quadrature,
     expansion_coefficients,
@@ -29,6 +32,11 @@ def summary():
 @pytest.fixture(scope="module")
 def exp6(summary):
     return expansion_coefficients(6, P, REF, summary)
+
+
+# for k = 8 and D = 1 the second harmonic of mode 1 is resonant at
+# lam = (-5 + sqrt(73)) / 8: the solvability denominator vanishes there
+RESONANT_L = math.pi / math.sqrt((-5.0 + math.sqrt(73.0)) / 8.0)
 
 
 class TestCoefficients:
@@ -61,6 +69,12 @@ class TestCoefficients:
     def test_nonpositive_sigma0_rejected(self, summary):
         with pytest.raises(NonpositiveSigma0Error):
             expansion_coefficients(12, P, REF, summary)
+
+    def test_resonant_second_harmonic_rejected(self):
+        with pytest.raises(ResonantDenominatorError):
+            expansion_coefficients(1, ModelParams(D=1.0, sigma=0.3, l=RESONANT_L), REF)
+        near = expansion_coefficients(1, ModelParams(D=1.0, sigma=0.3, l=1.01 * RESONANT_L), REF)
+        assert near.sigma2 == pytest.approx(-15.533, rel=1e-3)
 
     def test_eta_populated_only_at_admissible_mode(self, summary):
         e5 = expansion_coefficients(5, P, REF, summary)

@@ -430,6 +430,16 @@ class TestCommands:
         path.write_text(cfg)
         assert main(["continue", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
 
+    def test_resonant_expansion_exit_code(self, tmp_path, capsys):
+        # mode 1's second harmonic is resonant at this l (tests/test_asymptotics.py)
+        l = math.pi / math.sqrt((-5.0 + math.sqrt(73.0)) / 8.0)
+        path = tmp_path / "resonant.yaml"
+        path.write_text(MINIMAL_CONFIG.replace("{sigma: 0.3}", f"{{sigma: 0.3, l: {l!r}}}")
+                        + "expand: {modes: [1]}\n")
+        assert main(["expand", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "resonant" in err
+
     @pytest.mark.parametrize("old, new", [
         ("D: 1.0", "D: .nan"),
         ("sigma: 0.32", "sigma: .nan"),

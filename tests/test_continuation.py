@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from colonykit import (
-    CustomMotility,
     ExplicitField,
     ExponentialDecay,
     Field,
@@ -53,19 +53,24 @@ def jacobian_at(bp):
 
 
 class TestJacobian:
-    @pytest.mark.parametrize("m", [
-        REF,
-        ExponentialDecay(r0=np.e ** 2, rate=2.0),
-        CustomMotility(lambda v: 2.0 / (1.0 + v ** 2)),
-    ], ids=["logistic", "exponential", "custom"])
-    def test_matches_finite_differences(self, m):
+    # a and b are the family's two parameters, (steepness, center) or
+    # (r0, rate); every example runs with both families
+    @pytest.mark.parametrize("family", [LogisticDecay, ExponentialDecay],
+                             ids=["logistic", "exponential"])
+    @settings(max_examples=50, deadline=None)
+    @given(a=st.floats(0.5, 12.0), b=st.floats(0.2, 3.0), sigma=st.floats(0.0, 2.0),
+           D=st.floats(0.05, 20.0), seed=st.integers(0, 2 ** 32 - 1))
+    @example(a=8.0, b=1.0, sigma=0.37, D=1.0, seed=5)
+    @example(a=np.e ** 2, b=2.0, sigma=0.37, D=1.0, seed=5)
+    @example(a=3.0, b=0.7, sigma=0.37, D=1.0, seed=5)
+    def test_matches_finite_differences(self, family, a, b, sigma, D, seed):
         # analytic banded assembly vs column-wise finite differences
-        rng = np.random.default_rng(5)
+        m = family(a, b)
+        rng = np.random.default_rng(seed)
         n = 12
         h = 20.0 / n
         u = 1.0 + 0.1 * rng.uniform(-1, 1, n + 1)
         v = 1.0 + 0.1 * rng.uniform(-1, 1, n + 1)
-        sigma, D = 0.37, 1.0
         dense = dense_from_band(linearize(u, v, h, D, sigma, m, band_array(n + 1)))
         m_size = 2 * (n + 1)
 
@@ -257,6 +262,22 @@ class TestTraceBranch:
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
             trace_branch(6, params(0.3), REF, sigma_min=0.05, ds=-1.0)
+
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(ds=0.0), "ds"),
+        (dict(ds=float("inf")), "ds"),
+        (dict(ds=float("nan")), "ds"),
+        (dict(sigma_min=float("nan")), "sigma_min"),
+        (dict(sigma_min=float("-inf")), "sigma_min"),
+        (dict(sigma_min=-0.1), "sigma_min"),
+        (dict(n=0), "n must be >= 16"),
+        (dict(n=15), "n must be >= 16"),
+    ])
+    def test_rejects_bad_input(self, kwargs, match, monkeypatch):
+        # rejected before any work: the mode scan is never reached
+        monkeypatch.setattr(continuation, "scan_modes", None)
+        with pytest.raises(ValueError, match=match):
+            trace_branch(6, params(0.3), REF, **{"sigma_min": 0.05, **kwargs})
 
 
 @pytest.mark.slow

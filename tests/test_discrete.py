@@ -14,7 +14,6 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import LinAlgError, solve_banded
 
 from colonykit import (
-    CustomMotility,
     ExponentialDecay,
     LogisticDecay,
     ModelParams,
@@ -35,7 +34,7 @@ from colonykit.discrete import (
 
 REF = LogisticDecay(steepness=8.0, center=1.0)
 P = ModelParams(D=1.0, sigma=0.3, l=20.0)
-MODELS = [REF, ExponentialDecay(r0=np.e ** 2, rate=2.0), CustomMotility(lambda v: 2.0 / (1.0 + v ** 2))]
+MODELS = [REF, ExponentialDecay(r0=np.e ** 2, rate=2.0), LogisticDecay(steepness=3.0, center=0.7)]
 
 
 def reference_jacobian(u, v, h, D, sigma, m):
@@ -142,8 +141,9 @@ class TestLinearize:
     @given(n=st.sampled_from([16, 17, 64, 1024]), seed=st.integers(0, 2 ** 32 - 1),
            sigma=st.floats(0.0, 2.0), D=st.floats(0.05, 20.0), l=st.floats(1.0, 60.0),
            m=st.sampled_from(MODELS))
-    # at sigma = 0 mass conservation makes J singular
-    @example(n=16, seed=11627, sigma=0.0, D=1.0, l=1.0, m=MODELS[2])
+    # at sigma = 0 mass conservation makes J singular, and with this draw
+    # gbsv reports it, so the refill starts from a singular LU
+    @example(n=16, seed=7, sigma=0.0, D=1.0, l=1.0, m=MODELS[1])
     def test_matches_reference_assembly(self, n, seed, sigma, D, l, m):
         u, v = random_state(n, seed)
         h = l / n

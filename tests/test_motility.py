@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from colonykit import (
-    CustomMotility,
-    EvaluationError,
-    ExponentialDecay,
-    LogisticDecay,
-)
+from colonykit import ExponentialDecay, LogisticDecay
 
 
 class TestLogisticDecay:
@@ -92,38 +87,24 @@ class TestDerivativeConsistency:
 
 class TestEvaluate:
     def test_order_validation(self):
-        for m in (LogisticDecay(), ExponentialDecay(), CustomMotility(lambda v: np.exp(-v))):
+        for m in (LogisticDecay(), ExponentialDecay()):
             for order in (4, -1):
                 with pytest.raises(ValueError):
                     m.evaluate(1.0, order)
+
+    @pytest.mark.parametrize("m", [LogisticDecay(), ExponentialDecay()])
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_return_types(self, m, order):
+        # callers use the result as it comes: float64 arrays, Python floats
+        assert type(m.evaluate(1.0, order)) is float
+        for v in (np.array([0.5, 1.0, 2.0]), np.array([0, 1, 2]), np.full((2, 3), 1.5)):
+            out = m.evaluate(v, order)
+            assert isinstance(out, np.ndarray)
+            assert out.dtype == np.float64 and out.shape == v.shape
 
     def test_vectorized(self):
         m = ExponentialDecay(r0=1.0, rate=1.0)
         v = np.array([0.0, 1.0, 2.0])
         np.testing.assert_allclose(m.evaluate(v, 0), np.exp(-v))
         np.testing.assert_allclose(m.evaluate(v, 1), -np.exp(-v))
-
-
-class TestCustomMotility:
-    def test_matches_analytic_family(self):
-        exact = LogisticDecay(steepness=8.0, center=1.0)
-        custom = CustomMotility(lambda v: 1.0 / (1.0 + np.exp(8.0 * (v - 1.0))))
-        for order in range(4):
-            for v in [0.5, 1.0, 1.5]:
-                assert custom.evaluate(v, order) == pytest.approx(
-                    exact.evaluate(v, order), rel=1e-6, abs=1e-4
-                )
-
-    def test_failing_evaluator(self):
-        def broken(v):
-            raise RuntimeError("sensor offline")
-
-        m = CustomMotility(broken)
-        with pytest.raises(EvaluationError):
-            m.evaluate(1.0, 0)
-
-    def test_nonfinite_evaluator(self):
-        m = CustomMotility(lambda v: np.where(v > 0.9, np.inf, 1.0))
-        with pytest.raises(EvaluationError):
-            m.evaluate(1.0, 0)
 
