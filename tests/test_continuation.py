@@ -52,15 +52,36 @@ def jacobian_at(bp):
     return linearize(f.u, f.v, f.h, 1.0, bp.sigma, REF, band_array(f.u.size))
 
 
+class RationalDecay:
+    """Duck-typed motility r(v) = a / (1 + (v / b)^2), outside both
+    library families: the assembly reads r only through ``evaluate``.
+    Orders 0 and 1 are all that ``residual`` and ``linearize`` ask for."""
+
+    def __init__(self, a, b):
+        self.a = a
+        self.b = b
+
+    def evaluate(self, v, order=0):
+        w = np.asarray(v, dtype=float) / self.b
+        if order == 0:
+            out = self.a / (1.0 + w * w)
+        elif order == 1:
+            out = -2.0 * self.a * w / (self.b * (1.0 + w * w) ** 2)
+        else:
+            raise ValueError(f"derivative order must be in 0..1, got {order}")
+        return out if np.ndim(v) else float(out)
+
+
 class TestJacobian:
-    # a and b are the family's two parameters, (steepness, center) or
-    # (r0, rate); every example runs with both families
-    @pytest.mark.parametrize("family", [LogisticDecay, ExponentialDecay],
-                             ids=["logistic", "exponential"])
+    # a and b are the model's two parameters, (steepness, center), (r0,
+    # rate) or the rational (a, b); every example runs with all three
+    @pytest.mark.parametrize("family", [LogisticDecay, ExponentialDecay, RationalDecay],
+                             ids=["logistic", "exponential", "custom"])
     @settings(max_examples=50, deadline=None)
     @given(a=st.floats(0.5, 12.0), b=st.floats(0.2, 3.0), sigma=st.floats(0.0, 2.0),
            D=st.floats(0.05, 20.0), seed=st.integers(0, 2 ** 32 - 1))
     @example(a=8.0, b=1.0, sigma=0.37, D=1.0, seed=5)
+    @example(a=2.0, b=1.0, sigma=0.37, D=1.0, seed=5)
     @example(a=np.e ** 2, b=2.0, sigma=0.37, D=1.0, seed=5)
     @example(a=3.0, b=0.7, sigma=0.37, D=1.0, seed=5)
     def test_matches_finite_differences(self, family, a, b, sigma, D, seed):
