@@ -1,20 +1,21 @@
 """Nonconstant steady states by Newton iteration and branch tracing.
 
 The discrete stationary system of ``discrete`` (the one the time stepper's
-steady states solve) is solved by Newton with its analytically assembled
-banded Jacobian in the interleaved ordering (u_0, v_0, u_1, v_1, ...).
-Branches in the growth rate are traced by pseudo-arclength continuation:
-secant predictor, Newton corrector on the bordered system, adaptive step.
+steady states solve) is solved by ``discrete.newton``: at fixed sigma by
+``newton_steady`` and for a trace's first two points, and bordered by the
+arclength condition as the corrector.  Branches in the growth rate are
+traced by pseudo-arclength continuation: secant predictor, Newton corrector
+on the bordered system, adaptive step.
 The state part of the arclength metric is mean-squared so domain resolution
 does not change the parameterization.
 
-Fixed settings: Newton is ``discrete.newton``, and the corrector converges
-at its residual max-norm NEWTON_TOL (1e-10) and gives up after
-MAX_CORRECTOR_ITERS (8) iterations.  Step control doubles the step after a
-corrector that needed at most 3 iterations, up to DS_MAX (5e-2), and halves
-it on failure down to DS_MIN (1e-5).  A trace stops when a state leaves the
-box [1 / B_MAX, B_MAX] (``pde_solver.B_MAX``, 100, the simulator's blow-up
-bound), after MAX_FOLDS (4) folds, or at MAX_POINTS (2000) points.
+Fixed settings: the corrector converges at its residual max-norm
+NEWTON_TOL (1e-10) and gives up after MAX_CORRECTOR_STEPS (7) Newton steps.
+Step control doubles the step after a corrector that needed at most 3
+steps, up to DS_MAX (5e-2), and halves it on failure down to DS_MIN
+(1e-5).  A trace stops when a state leaves the box [1 / B_MAX, B_MAX]
+(``pde_solver.B_MAX``, 100, the simulator's blow-up bound), after
+MAX_FOLDS (4) folds, or at MAX_POINTS (2000) points.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from enum import Enum
 import numpy as np
 
 from .asymptotics import epsilon_for_sigma, expansion_coefficients, second_order_profiles
-from .discrete import NEWTON_TOL, band_array, interleave, linearize, newton, residual, solve
+from .discrete import interleave, newton
 from .errors import (
     ColonyKitError,
     NewtonConvergenceError,
@@ -45,7 +46,7 @@ __all__ = [
     "trace_branch",
 ]
 
-MAX_CORRECTOR_ITERS = 8
+MAX_CORRECTOR_STEPS = 7
 DS_MIN = 1e-5
 DS_MAX = 5e-2
 SEED_OFFSET = 1e-3
@@ -92,7 +93,7 @@ def newton_steady(init: Field, p: ModelParams, m: MotilityModel) -> BranchPoint:
     """
     if abs(init.l - p.l) > 1e-9 * max(1.0, p.l):
         raise ValueError(f"field length {init.l} does not match params length {p.l}")
-    u, v, iters, res = newton(init.u, init.v, init.h, p.D, p.sigma, m)
+    u, v, _, iters, res = newton(init.u, init.v, init.h, p.D, p.sigma, m)
     return BranchPoint(
         sigma=p.sigma,
         field=Field(u=u, v=v, l=p.l),
@@ -107,44 +108,15 @@ def newton_steady(init: Field, p: ModelParams, m: MotilityModel) -> BranchPoint:
 # ---------------------------------------------------------------------------
 
 
-def _dot(xu, xs, yu, ys, w) -> float:
-    """Arclength inner product: state part weighted by w, plus sigma part."""
-    return float(xu @ yu) * w + xs * ys
-
-
-def _corrector(u, v, sigma, tan_u, tan_s, anchor_u, anchor_s, ds, h, D, m, w):
-    """Newton on the bordered (stationary + arclength) system.
-
-    Returns (u, v, sigma, iters, residual) or raises a Newton error.
-    """
-    ab = band_array(u.size)
-    # columns: the residual F and its derivative in sigma, (u (1 - u), 0) interleaved
-    rhs = np.empty((ab.shape[1], 2), order="F")
-    for it in range(1, MAX_CORRECTOR_ITERS + 1):
-        F = residual(u, v, h, D, sigma, m)
-        res = float(np.max(np.abs(F)))
-        if not math.isfinite(res):
-            raise NewtonConvergenceError("corrector produced non-finite residual")
-        N = _dot(tan_u, tan_s, interleave(u, v) - anchor_u, sigma - anchor_s, w) - ds
-        if res < NEWTON_TOL and abs(N) < max(1e-12, 1e-6 * abs(ds)):
-            return u, v, sigma, it - 1, res
-
-        rhs[:, 0] = F
-        rhs[0::2, 1] = u * (1.0 - u)
-        rhs[1::2, 1] = 0.0
-        # one factorization for both right-hand sides
-        a, b = solve(linearize(u, v, h, D, sigma, m, ab), rhs).T
-        denom = tan_s - _dot(tan_u, 0.0, b, 0.0, w)
-        if abs(denom) < 1e-14:
-            raise SingularJacobianError("bordered system is singular (tangent orthogonal)")
-        d_sigma = (_dot(tan_u, 0.0, a, 0.0, w) - N) / denom
-        delta = -a - d_sigma * b
-        u = u + delta[0::2]
-        v = v + delta[1::2]
-        sigma = sigma + d_sigma
-    raise NewtonConvergenceError(
-        f"corrector did not converge in {MAX_CORRECTOR_ITERS} iterations"
-    )
+def _secant(X_new, s_new, X_old, s_old, w):
+    """The secant from (X_old, s_old) to (X_new, s_new), scaled to unit length
+    in the arclength metric w |X|^2 + s^2, or None when the points coincide."""
+    tan_x = X_new - X_old
+    tan_s = s_new - s_old
+    scale = math.sqrt(float(tan_x @ tan_x) * w + tan_s * tan_s)
+    if scale == 0.0:
+        return None
+    return tan_x / scale, tan_s / scale
 
 
 def trace_branch(
@@ -213,11 +185,10 @@ def trace_branch(
     points.append(bp1)
 
     X_cur, s_cur = interleave(bp1.field.u, bp1.field.v), bp1.sigma
-    tan_u = X_cur - interleave(bp0.field.u, bp0.field.v)
-    tan_s = s_cur - bp0.sigma
-    scale = math.sqrt(_dot(tan_u, tan_s, tan_u, tan_s, w))
-    tan_u /= scale
-    tan_s /= scale
+    secant = _secant(X_cur, s_cur, interleave(bp0.field.u, bp0.field.v), bp0.sigma, w)
+    if secant is None:
+        raise SeedFailureError(f"the first continuation step (ds={ds:g}) left the seed unchanged")
+    tan_x, tan_s = secant
 
     step_size = ds
     folds = 0
@@ -229,13 +200,13 @@ def trace_branch(
         if len(points) >= MAX_POINTS:
             termination = Termination.MAX_POINTS
             break
-        u_pred = X_cur[0::2] + step_size * tan_u[0::2]
-        v_pred = X_cur[1::2] + step_size * tan_u[1::2]
+        u_pred = X_cur[0::2] + step_size * tan_x[0::2]
+        v_pred = X_cur[1::2] + step_size * tan_x[1::2]
         s_pred = s_cur + step_size * tan_s
         try:
-            u_new, v_new, s_new, iters, res = _corrector(
-                u_pred, v_pred, s_pred, tan_u, tan_s, X_cur, s_cur, step_size,
-                h, p.D, m, w,
+            u_new, v_new, s_new, iters, res = newton(
+                u_pred, v_pred, h, p.D, s_pred, m,
+                (tan_x, tan_s, X_cur, s_cur, step_size, w), MAX_CORRECTOR_STEPS,
             )
             amplitude = float(np.max(np.abs(u_new - 1.0)))
             if amplitude < 1e-9:
@@ -256,18 +227,14 @@ def trace_branch(
         points.append(BranchPoint(s_new, Field(u=u_new, v=v_new, l=p.l), amplitude, iters, res))
 
         X_new = interleave(u_new, v_new)
-        new_tan_u = X_new - X_cur
-        new_tan_s = s_new - s_cur
+        secant = _secant(X_new, s_new, X_cur, s_cur, w)
         X_cur, s_cur = X_new, s_new
-        scale = math.sqrt(_dot(new_tan_u, new_tan_s, new_tan_u, new_tan_s, w))
-        if scale == 0.0:
+        if secant is None:
             termination = Termination.NEWTON_FAILURE
             break
-        new_tan_u /= scale
-        new_tan_s /= scale
-        if new_tan_s * tan_s < 0:
+        if secant[1] * tan_s < 0:
             folds += 1
-        tan_u, tan_s = new_tan_u, new_tan_s
+        tan_x, tan_s = secant
         if folds > MAX_FOLDS:
             termination = Termination.FOLD_LIMIT
             break

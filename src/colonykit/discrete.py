@@ -18,13 +18,14 @@ Each matrix has one layout, the one its LAPACK routine reads.
 
 J, the Jacobian, lives in LAPACK's band layout: a Fortran-ordered
 (2 KL + KU + 1, 2 (N+1)) array, bandwidths (KL, KU) = (2, 3), whose row
-KL + KU + i - j holds J[i, j] below KL rows of pivoting workspace.  Each
-Newton loop reuses one: ``linearize`` fills it by strided slices and
-``solve`` calls LAPACK gbsv on it in place, as ``rightmost_eigenvalues``
-calls gbtrf; both are scipy's compiled wrappers, which ``_compiled`` loads
-without importing scipy.linalg.  ``newton`` converges once the residual
-max-norm is below NEWTON_TOL (1e-10) and gives up after MAX_NEWTON_ITERS
-(25) iterations.
+KL + KU + i - j holds J[i, j] below KL rows of pivoting workspace.
+``linearize`` fills it by strided slices and ``solve`` calls LAPACK gbsv on
+it in place, as ``rightmost_eigenvalues`` calls gbtrf; both are scipy's
+compiled wrappers, which ``_compiled`` loads without importing scipy.linalg.
+``newton``, the one Newton iteration, reuses one band array for its steps,
+pinned (fixed sigma: the bordered system whose border row pins sigma,
+Keller 1977) or as continuation's pseudo-arclength corrector, to residual
+max-norm NEWTON_TOL (1e-10), by default within MAX_NEWTON_ITERS (25) steps.
 ``rightmost_eigenvalues`` gives the eigenvalues of J that decide the
 stability of a steady state.  It runs unrestarted shift-invert Arnoldi
 (Meerbergen, Spence & Roose, BIT 34, 1994) with ARNOLDI_VECTORS (60)
@@ -149,33 +150,53 @@ def solve(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def newton(u, v, h: float, D: float, sigma: float, m: MotilityModel):
-    """Newton iteration on the stationary system from (u, v), which stay unchanged.
+def newton(u, v, h: float, D: float, sigma: float, m: MotilityModel, border=None, max_steps=None):
+    """Newton iteration on the stationary system from (u, v, sigma), which stay unchanged.
 
-    Returns (u, v, iterations, residual max-norm) once the residual
-    max-norm is below NEWTON_TOL.  Raises SingularJacobianError when the
-    linearization is singular and NewtonConvergenceError when the
-    iteration budget runs out or the iterates leave the finite range.
+    border = (tan_x, tan_s, anchor_x, anchor_s, ds, w) frees sigma and adds
+    the row N = w tan_x . (X - anchor_x) + tan_s (sigma - anchor_s) - ds = 0
+    for the interleaved state X.  None pins sigma (tan_x = 0, tan_s = 1,
+    anchor_s = sigma, ds = 0), so N and every sigma update are exactly 0.
+    Returns (u, v, sigma, steps, residual max-norm) once that max-norm is
+    below NEWTON_TOL and |N| < max(1e-12, 1e-6 |ds|), checked before each
+    step and after the last.  Raises SingularJacobianError when J or the
+    bordered system is singular and NewtonConvergenceError when the iterates
+    leave the finite range or max_steps steps (None: MAX_NEWTON_ITERS, read
+    at call time) do not converge.
     """
-    u = u.copy()
-    v = v.copy()
+    if border is None:
+        border = (np.zeros(2 * u.size), 1.0, 0.0, sigma, 0.0, 1.0)
+    tan_x, tan_s, anchor_x, anchor_s, ds, w = border
+    max_steps = MAX_NEWTON_ITERS if max_steps is None else max_steps
     ab = band_array(u.size)
-    for it in range(MAX_NEWTON_ITERS + 1):
-        F = residual(u, v, h, D, sigma, m)
-        # max propagates NaN, so this is also the finiteness check
-        res = float(np.max(np.abs(F)))
-        if not math.isfinite(res):
-            raise NewtonConvergenceError("residual became non-finite during Newton iteration")
-        if res < NEWTON_TOL:
-            return u, v, it, res
-        if it == MAX_NEWTON_ITERS:
-            break
-        delta = solve(linearize(u, v, h, D, sigma, m, ab), F)
-        u -= delta[0::2]
-        v -= delta[1::2]
-    raise NewtonConvergenceError(
-        f"no convergence after {MAX_NEWTON_ITERS} Newton iterations (residual {res:.3e})"
-    )
+    # columns: the residual F and its derivative in sigma, (u (1 - u), 0) interleaved
+    rhs = np.empty((ab.shape[1], 2), order="F")
+    # an overflowing iterate fails the finiteness check; numpy need not warn first
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(max_steps + 1):
+            F = residual(u, v, h, D, sigma, m)
+            # max propagates NaN, so this is also the finiteness check
+            res = float(np.max(np.abs(F)))
+            if not math.isfinite(res):
+                raise NewtonConvergenceError("residual became non-finite during Newton iteration")
+            N = float(tan_x @ (interleave(u, v) - anchor_x)) * w + tan_s * (sigma - anchor_s) - ds
+            if res < NEWTON_TOL and abs(N) < max(1e-12, 1e-6 * abs(ds)):
+                return u, v, sigma, step, res
+            if step == max_steps:
+                break
+            rhs[:, 0] = F
+            rhs[0::2, 1] = u * (1.0 - u)
+            rhs[1::2, 1] = 0.0
+            a, b = solve(linearize(u, v, h, D, sigma, m, ab), rhs).T
+            denom = tan_s - float(tan_x @ b) * w
+            if abs(denom) < 1e-14:
+                raise SingularJacobianError("bordered system is singular (tangent orthogonal)")
+            d_sigma = (float(tan_x @ a) * w - N) / denom
+            delta = -a - d_sigma * b
+            u = u + delta[0::2]
+            v = v + delta[1::2]
+            sigma += d_sigma
+    raise NewtonConvergenceError(f"no convergence after {max_steps} Newton steps (residual {res:.3e})")
 
 
 def rightmost_eigenvalues(ab: np.ndarray) -> np.ndarray:

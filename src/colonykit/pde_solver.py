@@ -46,7 +46,8 @@ The stopped run's final field is that exact discrete steady state, and it
 takes the place of the snapshot at the stop time.  Every earlier snapshot
 is the one the full run records.
 
-A state outside [-B_MAX, B_MAX] (B_MAX = 100), or not finite, is a BlowUpError.
+A state outside [-B_MAX, B_MAX] (B_MAX = 100), or not finite, is a BlowUpError,
+and so is an asymptotic seed that overflows.
 
 Pattern-change events are read from the snapshots with fixed hysteresis: a
 pattern is established once its largest cosine amplitude reaches
@@ -215,8 +216,12 @@ def initial_field(init: InitSpec, p: ModelParams, m: MotilityModel, n: int) -> F
         return Field(u=u, v=v, l=p.l)
     if isinstance(init, AsymptoticMode):
         e = expansion_coefficients(init.j, p, m)
-        u, v = second_order_profiles(e, init.epsilon, x, u1_scale=init.u1_scale)
-        return Field(u=u, v=v, l=p.l)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                u, v = second_order_profiles(e, init.epsilon, x, u1_scale=init.u1_scale)
+            return Field(u=u, v=v, l=p.l)
+        except (OverflowError, ValueError) as exc:  # the profiles leave the float range
+            raise BlowUpError(f"mode {init.j} seed at epsilon={init.epsilon:g} is not finite") from exc
     raise TypeError(f"unknown initial condition spec: {init!r}")
 
 
@@ -395,7 +400,7 @@ def _certified_steady_state(cur, u_hist, x, h, p: ModelParams, m: MotilityModel)
     dominant mode and peak count of the last EVENT_PERSIST snapshots (d).
     """
     try:
-        u, v, _, _ = newton(cur[0], cur[1], h, p.D, p.sigma, m)
+        u, v, _, _, _ = newton(cur[0], cur[1], h, p.D, p.sigma, m)
     except (NewtonConvergenceError, SingularJacobianError):
         return None
     state = np.stack([u, v])

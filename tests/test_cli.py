@@ -440,6 +440,19 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "resonant" in err
 
+    @pytest.mark.parametrize("epsilon", ["1.0e+154", "1.0e+200"])
+    def test_non_finite_asymptotic_seed_exit_code(self, tmp_path, capsys, epsilon):
+        # the second-order profiles overflow: epsilon ** 2 * d1 at 1e154,
+        # epsilon ** 2 itself at 1e200
+        path = tmp_path / "seed.yaml"
+        path.write_text(GOOD_CONFIG.replace(
+            "    kind: uniform_perturbed\n    amplitude: 0.01",
+            f"    kind: asymptotic_mode\n    j: 3\n    epsilon: {epsilon}"))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not finite" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("old, new", [
         ("D: 1.0", "D: .nan"),
         ("sigma: 0.32", "sigma: .nan"),

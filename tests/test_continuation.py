@@ -280,6 +280,18 @@ class TestTraceBranch:
         assert curve.termination is Termination.MAX_POINTS
         assert len(curve.points) == 5
 
+    def test_overflowing_corrector_fails_without_warning(self):
+        # the first corrector iterates at this step overflow; under the suite's
+        # error::RuntimeWarning filter numpy's overflow warning would be raised
+        curve = trace_branch(6, params(0.3), REF, sigma_min=0.05, ds=1e300, n=64)
+        assert curve.termination is Termination.AMPLITUDE_BOUND
+        assert len(curve.points) == 2
+
+    def test_first_step_below_rounding_is_seed_failure(self):
+        # sigma_seed - 1e-300 == sigma_seed: the secant tangent has length 0
+        with pytest.raises(SeedFailureError, match="left the seed unchanged"):
+            trace_branch(6, params(0.3), REF, sigma_min=0.05, ds=1e-300, n=64)
+
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
             trace_branch(6, params(0.3), REF, sigma_min=0.05, ds=-1.0)

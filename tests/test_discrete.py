@@ -1,9 +1,11 @@
-"""Oracle tests for the band-layout linearization and the direct LAPACK solve.
+"""Oracle tests for the band-layout linearization, the direct LAPACK solve and
+the one Newton iteration.
 
 The reference functions below are the assembly and solves they replaced: the
 Jacobian assembled by fancy indexing into a fresh (6, 2N) array, and Newton
-and the bordered corrector solving through scipy.linalg.solve_banded.  The
-arithmetic is unchanged, so every comparison is exact (np.array_equal).
+at fixed sigma and the bordered corrector as two loops solving through
+scipy.linalg.solve_banded.  ``discrete.newton`` keeps their arithmetic, so
+every comparison is exact (np.array_equal).
 """
 
 import contextlib
@@ -87,9 +89,18 @@ def reference_newton(u, v, h, D, sigma, m):
     raise NewtonConvergenceError("no convergence")
 
 
+# the replaced corrector checked its residual this many times and gave up
+# after that many solves, the last one unchecked
+REFERENCE_CORRECTOR_ITERS = 8
+
+
+def dot(xu, xs, yu, ys, w):
+    """Arclength inner product: state part weighted by w, plus sigma part."""
+    return float(xu @ yu) * w + xs * ys
+
+
 def reference_corrector(u, v, sigma, tan_u, tan_s, anchor_u, anchor_s, ds, h, D, m, w):
-    dot = continuation._dot
-    for it in range(1, continuation.MAX_CORRECTOR_ITERS + 1):
+    for it in range(1, REFERENCE_CORRECTOR_ITERS + 1):
         F = residual(u, v, h, D, sigma, m)
         if not np.all(np.isfinite(F)):
             raise NewtonConvergenceError("corrector produced non-finite residual")
@@ -112,10 +123,18 @@ def reference_corrector(u, v, sigma, tan_u, tan_s, anchor_u, anchor_s, ds, h, D,
     raise NewtonConvergenceError("corrector did not converge")
 
 
+def reference_dispatch(u, v, h, D, sigma, m, border=None, max_steps=None):
+    """``discrete.newton``'s signature over the two replaced loops."""
+    if border is None:
+        u, v, it, res = reference_newton(u, v, h, D, sigma, m)
+        return u, v, sigma, it, res
+    tan_x, tan_s, anchor_x, anchor_s, ds, w = border
+    return reference_corrector(u, v, sigma, tan_x, tan_s, anchor_x, anchor_s, ds, h, D, m, w)
+
+
 def reference_trace(monkeypatch, *args, **kwargs):
     with monkeypatch.context() as patch:
-        patch.setattr(continuation, "_corrector", reference_corrector)
-        patch.setattr(continuation, "newton", reference_newton)
+        patch.setattr(continuation, "newton", reference_dispatch)
         return trace_branch(*args, **kwargs)
 
 
@@ -191,6 +210,85 @@ def test_newton_rejects_non_finite_residual():
         newton(u, v, 20.0 / 16, 1.0, 0.3, REF)
 
 
+def outcome(solver, *args):
+    """What solver returns, or the class of the Newton error it raises."""
+    try:
+        # the replaced loop did not silence overflow; its finiteness check
+        # still turns an overflowed iterate into NewtonConvergenceError
+        with np.errstate(over="ignore", invalid="ignore"):
+            return solver(*args)
+    except (NewtonConvergenceError, SingularJacobianError) as exc:
+        return type(exc)
+
+
+class TestPinnedNewton:
+    # seeds of one cosine mode plus noise: of 300 such draws 262 converged
+    # onto the uniform state, 11 onto a pattern and 27 failed
+    @settings(max_examples=100, deadline=None)
+    @given(m=st.sampled_from(MODELS), sigma=st.floats(0.0, 1.0), D=st.floats(0.1, 10.0),
+           n=st.integers(16, 200), j=st.integers(1, 12), amplitude=st.floats(0.0, 0.9),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_reference_newton(self, m, sigma, D, n, j, amplitude, seed):
+        x = np.linspace(0.0, 1.0, n + 1)
+        noise = np.random.default_rng(seed).uniform(-0.01, 0.01, (2, n + 1))
+        u = 1.0 + amplitude * np.cos(np.pi * j * x) + noise[0]
+        v = 1.0 + amplitude * np.cos(np.pi * j * x) + noise[1]
+        u0, v0 = u.copy(), v.copy()
+        h = 20.0 / n
+        got = outcome(newton, u, v, h, D, sigma, m)
+        ref = outcome(reference_newton, u, v, h, D, sigma, m)
+        assert np.array_equal(u, u0) and np.array_equal(v, v0)
+        if isinstance(ref, type):
+            assert got is ref
+        else:
+            assert got[2] == sigma and got[3:] == ref[2:]
+            assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of the calls ``newton`` makes to ``linearize`` and ``residual``."""
+    count = {"linearize": 0, "residual": 0}
+    for name in count:
+        def counted(*args, _name=name, _fn=getattr(discrete, name)):
+            count[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(discrete, name, counted)
+    return count
+
+
+class TestNewtonBudget:
+    """A solve that fails after k steps has checked the residual of each of
+    them: k linearizations and k + 1 residuals."""
+
+    def test_pinned_solve(self, calls, monkeypatch):
+        monkeypatch.setattr(discrete, "MAX_NEWTON_ITERS", 4)
+        rng = np.random.default_rng(0)
+        u, v = 5 + rng.uniform(-1, 1, 65), 0.1 + 0.05 * rng.uniform(-1, 1, 65)
+        with pytest.raises(NewtonConvergenceError, match="after 4 Newton steps"):
+            newton(u, v, 20.0 / 64, 1.0, 0.3, REF)
+        assert calls == {"linearize": 4, "residual": 5}
+
+    def test_failing_corrector_in_a_trace(self, calls, monkeypatch):
+        failed = []
+
+        def watched(*args, **kwargs):
+            before = dict(calls)
+            try:
+                return newton(*args, **kwargs)
+            except NewtonConvergenceError:
+                failed.append({name: calls[name] - before[name] for name in calls})
+                raise
+
+        monkeypatch.setattr(continuation, "newton", watched)
+        # one corrector of this trace runs out of steps
+        trace_branch(6, P, REF, sigma_min=0.05, n=64)
+        steps = continuation.MAX_CORRECTOR_STEPS
+        assert failed == [{"linearize": steps, "residual": steps + 1}]
+        # the replaced corrector's residual checks: the same points converge
+        assert steps + 1 == REFERENCE_CORRECTOR_ITERS
+
+
 @pytest.fixture(scope="module")
 def states():
     """Branch points of modes 4, 6 and 8 nearest sigma = 0.32 at n = 128,
@@ -223,8 +321,9 @@ class TestAgainstReference:
         bump = 1e-3 * np.cos(np.pi * j * f.x / f.l)
         got = newton(f.u + bump, f.v, f.h, 1.0, bp.sigma, REF)
         ref = reference_newton(f.u + bump, f.v, f.h, 1.0, bp.sigma, REF)
-        assert got[2] == ref[2] > 1
-        assert got[3] == ref[3]
+        assert got[2] == bp.sigma
+        assert got[3] == ref[2] > 1
+        assert got[4] == ref[3]
         assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
 
     @pytest.mark.parametrize("j", [4, 6, 8])
