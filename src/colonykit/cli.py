@@ -300,16 +300,10 @@ def cmd_continue(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    if args.config is not None:
-        cfg = load_config(args.config, seed_override=args.seed)
-    else:
-        cfg = None
     out = _out_dir(args)
-    results, applicable = run_reproduction(config=cfg, progress=print)
-    report = format_report(results, applicable)
-    print(report)
+    results = run_reproduction(progress=print)
+    print(format_report(results))
     payload = {
-        "applicable": applicable,
         "results": [
             {"id": r.cid, "name": r.name, "status": r.status, "detail": r.detail}
             for r in results
@@ -317,9 +311,7 @@ def cmd_reproduce(args) -> int:
     }
     (out / "reproduction_report.json").write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {out / 'reproduction_report.json'}")
-    if applicable and any(r.status == "fail" for r in results):
-        return 3
-    return 0
+    return 0 if all(r.passed for r in results) else 3
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -330,31 +322,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"colonykit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    out_option = argparse.ArgumentParser(add_help=False)
+    out_option.add_argument("--out", default="out", help="output directory (default: ./out)")
 
-    def common(sp, config_required=True):
-        sp.add_argument("--config", required=config_required, default=None,
-                        help="experiment configuration file (YAML)")
-        sp.add_argument("--out", default="out", help="output directory (default: ./out)")
+    for name, func, help_text in (
+        ("analyze", cmd_analyze, "mode scan and uniform-state classification"),
+        ("expand", cmd_expand, "expansion coefficient table"),
+        ("simulate", cmd_simulate, "integrate the time-dependent model"),
+        ("continue", cmd_continue, "trace a steady-state branch"),
+    ):
+        sp = sub.add_parser(name, help=help_text, parents=[out_option])
+        sp.add_argument("--config", required=True, help="experiment configuration file (YAML)")
         sp.add_argument("--seed", type=int, default=None, help="override the config seed")
+        sp.set_defaults(func=func)
 
-    sp = sub.add_parser("analyze", help="mode scan and uniform-state classification")
-    common(sp)
-    sp.set_defaults(func=cmd_analyze)
-
-    sp = sub.add_parser("expand", help="expansion coefficient table")
-    common(sp)
-    sp.set_defaults(func=cmd_expand)
-
-    sp = sub.add_parser("simulate", help="integrate the time-dependent model")
-    common(sp)
-    sp.set_defaults(func=cmd_simulate)
-
-    sp = sub.add_parser("continue", help="trace a steady-state branch")
-    common(sp)
-    sp.set_defaults(func=cmd_continue)
-
-    sp = sub.add_parser("reproduce-paper", help="run the benchmark reproduction table")
-    common(sp, config_required=False)
+    # the reference setup only: no config, no seed
+    sp = sub.add_parser("reproduce-paper", help="run the benchmark reproduction table",
+                        parents=[out_option])
     sp.set_defaults(func=cmd_reproduce)
 
     return parser

@@ -164,7 +164,6 @@ class ExperimentConfig:
     expand: ExpandSettings
     simulate: SimulateSettings | None
     continuation: ContinuationSettings | None
-    reproduce: dict  # the ReproductionContext keyword arguments the file sets
     raw: dict = dataclass_field(repr=False, default_factory=dict)
 
     @property
@@ -262,15 +261,9 @@ def parse_config(text: str, seed_override: int | None = None) -> ExperimentConfi
     if (csec := top.subsection("continuation")) is not None:
         j = csec.take("j", int, required=True, minimum=1)
         sigma_min = csec.take("sigma_min", float, required=True, minimum=0.0)
-        options = csec.take_given(("ds",), float, minimum=0.0, exclusive=True)
-        options |= csec.take_given(("n",), int, minimum=16)
+        options = csec.take_given(("n",), int, minimum=16)
         continuation = ContinuationSettings(j=j, sigma_min=sigma_min, options=options)
         csec.finish()
-
-    reproduce = {}
-    if (rsec := top.subsection("reproduce")) is not None:
-        reproduce = rsec.take_given(("n",), int, minimum=16)
-        rsec.finish()
 
     top.finish()
     return ExperimentConfig(
@@ -281,7 +274,6 @@ def parse_config(text: str, seed_override: int | None = None) -> ExperimentConfi
         expand=expand,
         simulate=simulate,
         continuation=continuation,
-        reproduce=reproduce,
         raw=data,
     )
 

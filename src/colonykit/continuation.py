@@ -11,11 +11,12 @@ does not change the parameterization.
 
 Fixed settings: the corrector converges at its residual max-norm
 NEWTON_TOL (1e-10) and gives up after MAX_CORRECTOR_STEPS (7) Newton steps.
-Step control doubles the step after a corrector that needed at most 3
-steps, up to DS_MAX (5e-2), and halves it on failure down to DS_MIN
-(1e-5).  A trace stops when a state leaves the box [1 / B_MAX, B_MAX]
-(``pde_solver.B_MAX``, 100, the simulator's blow-up bound), after
-MAX_FOLDS (4) folds, or at MAX_POINTS (2000) points.
+The first arclength step is DS_START (1e-3).  Step control doubles the step
+after a corrector that needed at most 3 steps, up to DS_MAX (5e-2), and
+halves it on failure down to DS_MIN (1e-5).  A trace stops when a state
+leaves the box [1 / B_MAX, B_MAX] (``pde_solver.B_MAX``, 100, the
+simulator's blow-up bound), after MAX_FOLDS (4) folds, or at MAX_POINTS
+(2000) points.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .errors import (
 )
 from .linear_analysis import BifurcationSummary, ModelParams, _bifurcation_sigma, scan_modes
 from .motility import MotilityModel, taylor_at_one
-from .pde_solver import B_MAX, Field, _finite_positive
+from .pde_solver import B_MAX, Field
 
 __all__ = [
     "BranchPoint",
@@ -47,6 +48,7 @@ __all__ = [
 ]
 
 MAX_CORRECTOR_STEPS = 7
+DS_START = 1e-3
 DS_MIN = 1e-5
 DS_MAX = 5e-2
 SEED_OFFSET = 1e-3
@@ -124,7 +126,6 @@ def trace_branch(
     p: ModelParams,
     m: MotilityModel,
     sigma_min: float,
-    ds: float = 1e-3,
     *,
     n: int = 256,
     summary: BifurcationSummary | None = None,
@@ -137,12 +138,10 @@ def trace_branch(
     corrector convergence, halving on failure).  Terminates on sigma_min,
     a box-bound violation, corrector failure at the minimum step, the fold
     budget, or the cap on the point count.  Raises ValueError unless
-    sigma_min is finite and >= 0, ds finite and > 0, and n >= 16.
+    sigma_min is finite and >= 0 and n >= 16.
     """
     if not (math.isfinite(sigma_min) and sigma_min >= 0):
         raise ValueError(f"sigma_min must be finite and >= 0, got {sigma_min}")
-    if not _finite_positive(ds):
-        raise ValueError(f"ds must be finite and > 0, got {ds}")
     if n < 16:
         raise ValueError(f"resolution n must be >= 16, got {n}")
     if summary is None:
@@ -177,7 +176,7 @@ def trace_branch(
     w = 1.0 / (2 * (n + 1))
 
     # second point by a natural step in sigma to start the secant tangent
-    sigma_next = sigma_seed - min(ds, SEED_OFFSET)
+    sigma_next = sigma_seed - min(DS_START, SEED_OFFSET)
     try:
         bp1 = newton_steady(bp0.field, replace(p, sigma=sigma_next), m)
     except ColonyKitError as exc:
@@ -187,10 +186,11 @@ def trace_branch(
     X_cur, s_cur = interleave(bp1.field.u, bp1.field.v), bp1.sigma
     secant = _secant(X_cur, s_cur, interleave(bp0.field.u, bp0.field.v), bp0.sigma, w)
     if secant is None:
-        raise SeedFailureError(f"the first continuation step (ds={ds:g}) left the seed unchanged")
+        raise SeedFailureError(
+            f"the first continuation step (ds={DS_START:g}) left the seed unchanged")
     tan_x, tan_s = secant
 
-    step_size = ds
+    step_size = DS_START
     folds = 0
     termination = None
     while termination is None:

@@ -10,7 +10,8 @@ class NoInstabilityWindowError(ColonyKitError):
 
 
 class ScanWindowError(ColonyKitError):
-    """Mode scan ended while bifurcation values were still positive."""
+    """Mode scan ended while bifurcation values were still positive, or its
+    window would exceed MAX_SCAN_MODES modes."""
 
 
 class NoPositiveModesError(ColonyKitError):

@@ -42,6 +42,13 @@ __all__ = [
     "classify_uniform_state",
 ]
 
+# from this length up, (pi j / l)^2 for every j <= MAX_SCAN_MODES and a grid's
+# h^2 stay well inside the float range; at l = 1e-300 the first overflowed and
+# the second underflowed to 0
+L_MIN = 1e-100
+# a scan this wide takes about 1 s (2-vCPU Xeon); l = 1e12 asked for 1e12 modes
+MAX_SCAN_MODES = 100_000
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -56,8 +63,8 @@ class ModelParams:
             raise ValueError(f"D must be finite and > 0, got {self.D}")
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
-        if not (math.isfinite(self.l) and self.l > 0):
-            raise ValueError(f"l must be finite and > 0, got {self.l}")
+        if not (math.isfinite(self.l) and self.l >= L_MIN):
+            raise ValueError(f"l must be finite and >= {L_MIN:g}, got {self.l}")
 
 
 @dataclass(frozen=True)
@@ -157,30 +164,38 @@ def _critical_sigma(p: ModelParams, r1: float, rp1: float) -> tuple[float, float
     return sigma_c, lambda_star
 
 
-def _mode_limit(p: ModelParams, r1: float, rp1: float) -> int:
-    """Scan window covering the unstable band with margin.
+def _scan_window(p: ModelParams, r1: float, rp1: float, j_max: int | None) -> int:
+    """The last mode of a scan: j_max, or by default a window covering the
+    unstable band with margin.
 
     sigma_j < 0 once lam_j exceeds a few multiples of lambda_star, so four
     times the mode count reaching lambda_star is a safe ceiling.  Falls back
-    to a small fixed window when no instability band exists.
+    to a small fixed window when no instability band exists.  Raises
+    ScanWindowError for a window of more than MAX_SCAN_MODES modes.
     """
-    if rp1 + r1 >= 0:
-        return max(16, 2 * math.ceil(p.l / math.pi))
-    _, lambda_star = _critical_sigma(p, r1, rp1)
-    return max(4, 4 * math.ceil(p.l * math.sqrt(lambda_star) / math.pi))
+    if j_max is None:
+        if rp1 + r1 >= 0:
+            least, factor, reach = 16, 2, p.l / math.pi
+        else:
+            _, lambda_star = _critical_sigma(p, r1, rp1)
+            least, factor, reach = 4, 4, p.l * math.sqrt(lambda_star) / math.pi
+        # reach may be inf: clipped at the cap, the window still exceeds it
+        j_max = max(least, factor * math.ceil(min(MAX_SCAN_MODES, reach)))
+    if j_max > MAX_SCAN_MODES:
+        raise ScanWindowError(f"the scan window exceeds MAX_SCAN_MODES = {MAX_SCAN_MODES} modes")
+    return j_max
 
 
 def scan_modes(p: ModelParams, m: MotilityModel, j_max: int | None = None) -> BifurcationSummary:
     """Compute per-mode bifurcation data for j = 1..j_max and the aggregates.
 
     Raises ScanWindowError if sigma_{j_max} is still positive (cannot
-    bracket i_c) and NoPositiveModesError if no grid mode has a positive
-    bifurcation value.
+    bracket i_c) or the window is wider than MAX_SCAN_MODES, and
+    NoPositiveModesError if no grid mode has a positive bifurcation value.
     """
     r1, rp1 = taylor_at_one(m, 2)
     sigma_c, lambda_star = _critical_sigma(p, r1, rp1)  # also enforces the window precondition
-    if j_max is None:
-        j_max = _mode_limit(p, r1, rp1)
+    j_max = _scan_window(p, r1, rp1, j_max)
     if j_max < 1:
         raise ValueError(f"j_max must be >= 1, got {j_max}")
 
@@ -245,8 +260,7 @@ def classify_uniform_state(
     stability criterion applies; that window reports INDETERMINATE.
     """
     r1, rp1 = taylor_at_one(m, 2)
-    if j_max is None:
-        j_max = _mode_limit(p, r1, rp1)
+    j_max = _scan_window(p, r1, rp1, j_max)
 
     rates = {}
     for j in range(0, j_max + 1):

@@ -47,7 +47,9 @@ takes the place of the snapshot at the stop time.  Every earlier snapshot
 is the one the full run records.
 
 A state outside [-B_MAX, B_MAX] (B_MAX = 100), or not finite, is a BlowUpError,
-and so is an asymptotic seed that overflows.
+and so are an asymptotic seed that overflows and a signal solve that LAPACK
+finds singular: with D dt / h^2 so large that the 1 + dt of its diagonal
+rounds away, the matrix is the Neumann Laplacian's, which is singular.
 
 Pattern-change events are read from the snapshots with fixed hysteresis: a
 pattern is established once its largest cosine amplitude reaches
@@ -74,7 +76,6 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Union
 
 import numpy as np
-from numpy.linalg import LinAlgError
 
 from ._compiled import dgtsv, peak_finding
 from .asymptotics import expansion_coefficients, second_order_profiles
@@ -482,7 +483,7 @@ def simulate(config: SimConfig) -> Trajectory:
             add(v, v_new, out=v_new)
             signal_band(dt, h, D, off, d)
             if dgtsv(dl, d, du, v_new, 1, 1, 1, 1)[-1] != 0:  # overwrite all four in place
-                raise LinAlgError("singular matrix")
+                raise BlowUpError(f"signal solve singular at t={t_new:.6g}")
 
             # max|x| <= b_max, tested as max x <= b_max and -min x <= b_max for
             # the minimum of each row, which the positivity test needs anyway;

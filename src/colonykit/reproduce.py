@@ -4,7 +4,7 @@ Reference configuration: logistic motility with steepness 8 centered at 1,
 signal diffusivity D = 1, domain length l = 20, expansion amplitude 0.01.
 Each criterion compares a computed quantity against the published value at
 a pinned tolerance and reports pass/fail; simulation-based rows run the
-stated protocols at the configured resolution.
+stated protocols at the context's resolution (n = 512).
 
 Known misprint: the published ascending chain of bifurcation values starts
 "sigma_1 < sigma_11", but the same closed form that produces every other
@@ -28,7 +28,6 @@ from .asymptotics import (
     expansion_coefficients,
     second_order_profiles,
 )
-from .config import ExperimentConfig
 from .continuation import Termination, trace_branch
 from .errors import ColonyKitError
 from .linear_analysis import (
@@ -83,13 +82,13 @@ TRANSITION_REL_TOL = 0.30
 class CriterionResult:
     cid: int
     name: str
-    status: str  # "pass" | "fail" | "n/a"
+    status: str  # "pass" | "fail"
     detail: str
     data: dict = dataclass_field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
-        return self.status != "fail"
+        return self.status == "pass"
 
 
 # every criterion in order, each carrying its id and name as cid and name
@@ -404,11 +403,13 @@ def _crit_continuation(ctx):
 
 
 def _departure_config(ctx) -> SimConfig:
-    """Criterion 13's dynamic cross-check: a mode-4 branch state with seeded
-    noise, which should decay toward mode 6.  The state is the point of the
-    trace to sigma_min = 0.315 nearest sigma = 0.32.  The trace's step grows
-    on the way down, and at n = 256 its last two points are at sigma = 0.3391
-    and 0.3059, so the run starts at sigma = 0.3059, past sigma_min."""
+    """Criterion 13's dynamic cross-check: a state of the mode-4 branch with
+    seeded noise, which should decay toward mode 6.  The state is the point
+    of the trace to sigma_min = 0.315 nearest sigma = 0.32.  The trace's step
+    grows on the way down, and at n = 256 its last two points are at
+    sigma = 0.3391 and 0.3059, so the run starts at sigma = 0.3059, past
+    sigma_min.  That far down the branch the state's largest cosine is
+    mode 8, not mode 4 (|c8| = 0.132 against |c4| = 0.106)."""
     curve = ctx.branch(4, 0.315)
     bp = min(curve.points, key=lambda q: abs(q.sigma - 0.32))
     rng = np.random.default_rng(7)
@@ -441,37 +442,15 @@ def _crit_stability_verdicts(ctx):
     ok &= departed
     stable_set = sorted(j for j, v in verdicts.items() if v == "stable_admissible")
     detail = (
-        f"stable verdict at modes {stable_set} (expected [6]); mode-4 state at "
+        f"stable verdict at modes {stable_set} (expected [6]); mode-4 branch state at "
         f"sigma={cfg.params.sigma:.4f} departed to mode {dom} with {peaks} peaks"
     )
     return ok, detail, {"verdicts": verdicts, "departure_mode": dom}
 
 
-def _is_reference(config: ExperimentConfig | None) -> bool:
-    if config is None:
-        return True
-    return (
-        config.params.D == REFERENCE_D
-        and config.params.l == REFERENCE_L
-        and config.motility == REFERENCE_MOTILITY
-    )
-
-
-def run_reproduction(config: ExperimentConfig | None = None, progress=None):
-    """Run every criterion; returns (results, applicable).
-
-    When the supplied configuration deviates from the reference setup, the
-    expectations do not apply and every row is marked n/a.
-    """
-    if not _is_reference(config):
-        results = [
-            CriterionResult(fn.cid, fn.name, "n/a", "expectations apply to the reference setup only")
-            for fn in CRITERIA
-        ]
-        return results, False
-
-    options = config.reproduce if config is not None else {}
-    ctx = ReproductionContext(progress=progress, **options)
+def run_reproduction(progress=None) -> list[CriterionResult]:
+    """Run every criterion on the reference setup, in order."""
+    ctx = ReproductionContext(progress=progress)
     results = []
     for fn in CRITERIA:
         try:
@@ -481,17 +460,15 @@ def run_reproduction(config: ExperimentConfig | None = None, progress=None):
         results.append(res)
         if progress:
             progress(f"[{res.status.upper():4s}] {res.cid:2d} {res.name}: {res.detail}")
-    return results, True
+    return results
 
 
-def format_report(results, applicable: bool) -> str:
+def format_report(results) -> str:
     lines = ["benchmark reproduction report", "=" * 64]
-    if not applicable:
-        lines.append("configuration is not the reference setup; rows are not applicable")
     for r in results:
         lines.append(f"[{r.status.upper():4s}] {r.cid:2d} {r.name}")
         lines.append(f"       {r.detail}")
-    n_fail = sum(r.status == "fail" for r in results)
+    n_fail = sum(not r.passed for r in results)
     lines.append("=" * 64)
     lines.append(
         f"{len(results) - n_fail}/{len(results)} criteria passed"

@@ -10,7 +10,6 @@ import pytest
 
 import colonykit.reproduce as rp
 from colonykit import ColonyKitError
-from colonykit.config import parse_config
 
 
 @pytest.fixture(scope="session")
@@ -108,18 +107,14 @@ def test_criterion_13_stability_verdicts(ctx):
 
 
 def test_rows_of_a_criterion_share_its_id_and_name(monkeypatch):
-    """The n/a row, the evaluated row and the row of a check that raises
-    carry the same (cid, name)."""
-    off_reference = parse_config("params: {sigma: 0.3, l: 10.0}\nmotility: {family: logistic_decay}\n")
-    na, applicable = rp.run_reproduction(off_reference)
-    assert not applicable
-    assert [r.cid for r in na] == list(range(1, 14))
-    assert [r.status for r in na] == ["n/a"] * 13
+    """The evaluated row and the row of a check that raises carry the
+    (cid, name) of their criterion."""
+    expected = [(fn.cid, fn.name) for fn in rp.CRITERIA]
+    assert [cid for cid, _ in expected] == list(range(1, 14))
 
     monkeypatch.setattr(rp, "CRITERIA", rp.CRITERIA[:8])
-    evaluated, applicable = rp.run_reproduction()
-    assert applicable
-    assert [(r.cid, r.name) for r in evaluated] == [(r.cid, r.name) for r in na[:8]]
+    evaluated = rp.run_reproduction()
+    assert [(r.cid, r.name) for r in evaluated] == expected[:8]
     assert all(r.status in ("pass", "fail") for r in evaluated)
 
     def broken(*args):
@@ -127,6 +122,6 @@ def test_rows_of_a_criterion_share_its_id_and_name(monkeypatch):
 
     monkeypatch.setattr(rp, "eta_by_quadrature", broken)
     monkeypatch.setattr(rp, "CRITERIA", [rp.CRITERIA[4]])
-    [raised], _ = rp.run_reproduction()
-    assert (raised.cid, raised.name) == (na[4].cid, na[4].name) == (5, "stability constant eta")
+    [raised] = rp.run_reproduction()
+    assert (raised.cid, raised.name) == expected[4] == (5, "stability constant eta")
     assert (raised.status, raised.detail) == ("fail", "raised quadrature failed")

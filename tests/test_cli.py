@@ -138,7 +138,9 @@ class TestConfigParsing:
         (GOOD_CONFIG.replace("  snapshot_every: 1.0", "  snapshot_every: 1.0\n  b_max: 50.0"),
          "simulate.b_max (line 19)"),
         (GOOD_CONFIG + "  seed_offset: 0.01\n", "continuation.seed_offset (line 26)"),
-    ], ids=["b_max", "seed_offset"])
+        (GOOD_CONFIG + "  ds: 1.0e-3\n", "continuation.ds (line 26)"),
+        (GOOD_CONFIG + "reproduce:\n  n: 128\n", "reproduce (line 26)"),
+    ], ids=["b_max", "seed_offset", "ds", "reproduce"])
     def test_retired_keys_are_unknown(self, text, key):
         with pytest.raises(ConfigError, match=re.escape(f"unknown key {key}")):
             parse_config(text)
@@ -149,16 +151,17 @@ class TestConfigParsing:
         assert cfg.simulate.options.get("dt") == expected
 
     def test_merge_keys_are_accepted(self):
-        cfg = parse_config(MINIMAL_CONFIG + "reproduce: &res {n: 128}\n"
+        cfg = parse_config(MINIMAL_CONFIG
+                           + "simulate: {<<: &res {n: 128}, init: {kind: uniform_perturbed}}\n"
                            "continuation: {<<: *res, j: 6, sigma_min: 0.45}\n")
         assert cfg.continuation.options == {"n": 128}
-        assert cfg.reproduce == {"n": 128}
+        assert cfg.simulate.options == {"n": 128}
 
     def test_shipped_configs_keep_their_hashes(self):
         hashes = {path.name: load_config(path).config_hash for path in CONFIGS.glob("*.yaml")}
         assert hashes == {
             "analyze_reference.yaml": "953556d68ac9063c",
-            "continue_mode6.yaml": "cc47e6611fcbaf59",
+            "continue_mode6.yaml": "96cf8ea9bd7dbe57",
             "simulate_mode4_transition.yaml": "7f4f68089bb32731",
         }
 
@@ -397,7 +400,7 @@ class TestCommands:
         assert main(["continue", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
         [(args, kwargs)] = calls
         assert args == (6, ModelParams(sigma=0.3), LogisticDecay(), 0.45)
-        assert kwargs == {}  # ds and n keep trace_branch's defaults
+        assert kwargs == {}  # n keeps trace_branch's default
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"
@@ -515,15 +518,56 @@ class TestCommands:
         lines = (out / "modes.csv").read_text().splitlines()
         assert len(lines) == 4  # metadata + header only
 
-    def test_reproduce_not_applicable_config(self, tmp_path, capsys):
-        cfg = GOOD_CONFIG.replace("steepness: 8.0", "steepness: 7.0")
-        path = tmp_path / "k7.yaml"
-        path.write_text(cfg)
+    def test_reproduce_not_applicable_config(self, config_file, tmp_path, capsys):
+        # reproduce-paper runs the reference setup only: it takes no config or seed
         out = tmp_path / "results"
-        assert main(["reproduce-paper", "--config", str(path), "--out", str(out)]) == 0
-        payload = json.loads((out / "reproduction_report.json").read_text())
-        assert payload["applicable"] is False
-        assert all(r["status"] == "n/a" for r in payload["results"])
+        for argv in (["--config", str(config_file)], ["--seed", "1"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["reproduce-paper", *argv, "--out", str(out)])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {argv[0]}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_singular_signal_solve_exit_code(self, tmp_path, capsys):
+        # 1 + dt rounds away beside D dt / h^2: the signal matrix is the
+        # Neumann Laplacian's, which LAPACK finds singular
+        path = tmp_path / "huge_d.yaml"
+        path.write_text(GOOD_CONFIG.replace("D: 1.0", "D: 1.0e+300")
+                        .replace("n: 64", "n: 16").replace("t_end: 3.0", "t_end: 1.0"))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: signal solve singular at t=1\n"
+
+    @pytest.mark.parametrize("command", ["analyze", "expand", "simulate", "continue"])
+    def test_tiny_length_is_config_error(self, tmp_path, capsys, command):
+        # h^2 underflowed to 0 in simulate, and (pi j / l)^2 overflowed elsewhere
+        path = tmp_path / "tiny_l.yaml"
+        path.write_text(GOOD_CONFIG.replace("l: 20.0", "l: 1.0e-300"))
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == "configuration error: params: l must be finite and >= 1e-100, got 1e-300\n"
+
+    @pytest.mark.parametrize("command, edits", [
+        ("analyze", [("l: 20.0", "l: 1.0e+12"), ("analyze:\n  j_max: 30\n", "")]),
+        ("expand", [("l: 20.0", "l: 1.0e+12")]),
+        ("continue", [("l: 20.0", "l: 1.0e+12")]),
+        ("analyze", [("j_max: 30", "j_max: 1000000000000")]),
+    ], ids=["analyze-l", "expand-l", "continue-l", "analyze-j_max"])
+    def test_huge_scan_window_fails_at_once(self, tmp_path, command, edits):
+        # these scan windows asked for about 1e12 modes, months of scanning; run
+        # in a child with a timeout, so a regression fails instead of hanging
+        text = GOOD_CONFIG
+        for old, new in edits:
+            text = text.replace(old, new)
+        path = tmp_path / "huge.yaml"
+        path.write_text(text)
+        run = subprocess.run(
+            [sys.executable, "-m", "colonykit.cli", command, "--config", str(path),
+             "--out", str(tmp_path / "o")],
+            env=dict(os.environ, PYTHONPATH=str(Path(colonykit.__file__).resolve().parents[1])),
+            capture_output=True, text=True, timeout=60)
+        assert run.returncode == 1
+        assert run.stderr == "error: the scan window exceeds MAX_SCAN_MODES = 100000 modes\n"
 
     @pytest.mark.parametrize("command", ["simulate", "analyze"])
     @pytest.mark.parametrize("below", [False, True], ids=["file", "below_file"])

@@ -280,26 +280,24 @@ class TestTraceBranch:
         assert curve.termination is Termination.MAX_POINTS
         assert len(curve.points) == 5
 
-    def test_overflowing_corrector_fails_without_warning(self):
+    def test_overflowing_corrector_fails_without_warning(self, monkeypatch):
         # the first corrector iterates at this step overflow; under the suite's
         # error::RuntimeWarning filter numpy's overflow warning would be raised
-        curve = trace_branch(6, params(0.3), REF, sigma_min=0.05, ds=1e300, n=64)
+        monkeypatch.setattr(continuation, "DS_START", 1e300)
+        curve = trace_branch(6, params(0.3), REF, sigma_min=0.05, n=64)
         assert curve.termination is Termination.AMPLITUDE_BOUND
         assert len(curve.points) == 2
 
-    def test_first_step_below_rounding_is_seed_failure(self):
+    def test_first_step_below_rounding_is_seed_failure(self, monkeypatch):
         # sigma_seed - 1e-300 == sigma_seed: the secant tangent has length 0
+        monkeypatch.setattr(continuation, "DS_START", 1e-300)
         with pytest.raises(SeedFailureError, match="left the seed unchanged"):
-            trace_branch(6, params(0.3), REF, sigma_min=0.05, ds=1e-300, n=64)
-
-    def test_rejects_bad_step(self):
-        with pytest.raises(ValueError):
-            trace_branch(6, params(0.3), REF, sigma_min=0.05, ds=-1.0)
+            trace_branch(6, params(0.3), REF, sigma_min=0.05, n=64)
 
     @pytest.mark.parametrize("kwargs, match", [
-        (dict(ds=0.0), "ds"),
-        (dict(ds=float("inf")), "ds"),
-        (dict(ds=float("nan")), "ds"),
+        (dict(sigma_min=float("inf")), "sigma_min"),
+        (dict(sigma_min=-5e-324), "sigma_min"),
+        (dict(n=-16), "n must be >= 16"),
         (dict(sigma_min=float("nan")), "sigma_min"),
         (dict(sigma_min=float("-inf")), "sigma_min"),
         (dict(sigma_min=-0.1), "sigma_min"),

@@ -18,6 +18,7 @@ from colonykit import (
     eigenvalue_lambda,
     scan_modes,
 )
+from colonykit import linear_analysis
 
 REF = LogisticDecay(steepness=8.0, center=1.0)
 
@@ -203,6 +204,25 @@ class TestScanModes:
         with pytest.raises(ScanWindowError):
             scan_modes(params(), REF, j_max=5)
 
+    @pytest.mark.parametrize("scan", [scan_modes, classify_uniform_state])
+    def test_scan_window_capped(self, scan, monkeypatch):
+        # the reference window is 4 ceil(l sqrt(lambda_star) / pi) = 28 modes
+        monkeypatch.setattr(linear_analysis, "MAX_SCAN_MODES", 28)
+        scan(params(), REF)
+        scan(params(), REF, 28)
+        monkeypatch.setattr(linear_analysis, "MAX_SCAN_MODES", 27)
+        for j_max in (None, 28):
+            with pytest.raises(ScanWindowError, match="MAX_SCAN_MODES = 27"):
+                scan(params(), REF, j_max)
+
+    @pytest.mark.parametrize("scan", [scan_modes, classify_uniform_state])
+    def test_infinite_scan_window_is_refused(self, scan):
+        # a subnormal D makes lambda_star inf, whose window math.ceil cannot
+        # take; the huge finite windows are tested in a child process by
+        # tests/test_cli.py, since without the cap they run for months
+        with pytest.raises(ScanWindowError):
+            scan(params(D=5e-324), REF)
+
     def test_no_positive_modes_on_short_domain(self):
         # lambda_1 already beyond the instability band
         with pytest.raises(NoPositiveModesError):
@@ -242,3 +262,10 @@ class TestModelParams:
         defaults.update(kwargs)
         with pytest.raises(ValueError):
             ModelParams(**defaults)
+
+    def test_shortest_length(self):
+        # L_MIN keeps (pi j / l)^2 finite across the largest scan window
+        assert ModelParams(l=linear_analysis.L_MIN).l == 1e-100
+        with pytest.raises(ValueError, match="l must be finite and >= 1e-100"):
+            ModelParams(l=math.nextafter(1e-100, 0.0))
+        assert math.isfinite(eigenvalue_lambda(linear_analysis.MAX_SCAN_MODES, 1e-100))
