@@ -46,6 +46,9 @@ The stopped run's final field is that exact discrete steady state, and it
 takes the place of the snapshot at the stop time.  Every earlier snapshot
 is the one the full run records.
 
+A run whose snapshots would hold over MAX_SNAPSHOT_VALUES floats, or that
+would take over MAX_STEPS steps as long as its first, is a ColonyKitError.
+
 A state outside [-B_MAX, B_MAX] (B_MAX = 100), or not finite, is a BlowUpError,
 and so are an asymptotic seed that overflows and a signal solve that LAPACK
 finds singular: with D dt / h^2 so large that the 1 + dt of its diagonal
@@ -88,7 +91,8 @@ from .discrete import (
     rightmost_eigenvalues,
     signal_band,
 )
-from .errors import BlowUpError, NewtonConvergenceError, PositivityLossError, SingularJacobianError
+from .errors import (BlowUpError, ColonyKitError, NewtonConvergenceError, PositivityLossError,
+                     SingularJacobianError)
 from .linear_analysis import ModelParams
 from .motility import MotilityModel
 
@@ -116,6 +120,9 @@ STOP_RETRY = 10.0
 STOP_DIST = 1e-2
 LAST_STEP_SLACK = 1e-9
 B_MAX = 100.0
+# far above the criteria's protocol runs: about 2.1e6 steps, 2.6e6 values
+MAX_STEPS = 1e8
+MAX_SNAPSHOT_VALUES = 1e8
 
 
 @dataclass(frozen=True)
@@ -431,6 +438,9 @@ def simulate(config: SimConfig) -> Trajectory:
     every, last_step = config.snapshot_every, 1.0 + LAST_STEP_SLACK
     t_last = (1.0 - LAST_STEP_SLACK) * t_end  # a later multiple of every is t_end
     dt_bound = DT_SAFETY * h * h  # the explicit bound is dt_bound / max r
+    if (t_end / every + 1.0) * 2 * f0.u.size > MAX_SNAPSHOT_VALUES:
+        raise ColonyKitError(f"the snapshots would hold over MAX_SNAPSHOT_VALUES = "
+                             f"{MAX_SNAPSHOT_VALUES:.0e} values")
     # each step writes the buffer nxt from cur, then the two swap; both are
     # kept as (buffer, u row, v row)
     npts = f0.u.size
@@ -466,6 +476,9 @@ def simulate(config: SimConfig) -> Trajectory:
             dt_full = dt_bound / float(max_reduce(rv))
             if dt_cap is not None:
                 dt_full = min(dt_full, dt_cap)
+            if t == 0.0 and t_end > MAX_STEPS * dt_full:
+                raise ColonyKitError(f"the run would take over MAX_STEPS = {MAX_STEPS:.0e} "
+                                     f"steps of dt = {dt_full:.3g}")
             if t_snap - t <= dt_full * last_step:
                 dt, t_new = t_snap - t, t_snap
             else:

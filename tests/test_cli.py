@@ -11,7 +11,10 @@ import signal
 import struct
 import subprocess
 import sys
+from multiprocessing import resource_tracker
+from multiprocessing.process import BaseProcess
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -212,8 +215,10 @@ def compiled_files_present():
 
 
 def test_cli_import_leaves_heavy_scipy_modules_out():
-    # the peak finder's core is loaded on the first peak count, not at import
-    names = ("scipy.signal", "scipy.integrate", "scipy.stats", "scipy.signal._peak_finding_utils")
+    # the peak finder's core is loaded on the first peak count, not at import,
+    # and the snapshot writer's process pool on the first parallel write
+    names = ("scipy.signal", "scipy.integrate", "scipy.stats", "scipy.signal._peak_finding_utils",
+             "multiprocessing", "concurrent.futures.process")
     for module in ("colonykit", "colonykit.cli"):
         assert loaded_after_import(module, names) == "[]", module
 
@@ -375,6 +380,24 @@ class TestCommands:
         assert t0 == 0.0
         u0 = np.frombuffer(blob, dtype="<f8", count=n + 1, offset=24)
         assert np.all(np.abs(u0 - 1.0) <= 0.01)
+
+    def test_failed_binary_write_leaves_no_output(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "bin.yaml"
+        path.write_text(GOOD_CONFIG.replace("  t_end: 3.0",
+                                            "  t_end: 3.0\n  snapshot_format: binary"))
+        calls = []
+
+        def pack(*args):
+            calls.append(args)
+            if len(calls) == 3:  # after the header and the first snapshot
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return struct.pack(*args)
+
+        monkeypatch.setattr(cli, "struct", SimpleNamespace(pack=pack))
+        out = tmp_path / "results"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+        assert len(calls) == 3 and list(out.iterdir()) == []
 
     def test_continue(self, config_file, tmp_path):
         out = tmp_path / "results"
@@ -569,6 +592,28 @@ class TestCommands:
         assert run.returncode == 1
         assert run.stderr == "error: the scan window exceeds MAX_SCAN_MODES = 100000 modes\n"
 
+    @pytest.mark.parametrize("edits, message", [
+        ([("l: 20.0", "l: 1.0e-3"), ("n: 64", "n: 16"), ("t_end: 3.0", "t_end: 1.0")],
+         "error: the run would take over MAX_STEPS = 1e+08 steps of dt = 3.01e-09\n"),
+        ([("snapshot_every: 1.0", "snapshot_every: 1.0e-9")],
+         "error: the snapshots would hold over MAX_SNAPSHOT_VALUES = 1e+08 values\n"),
+    ], ids=["steps", "snapshots"])
+    def test_unbounded_run_fails_at_once(self, tmp_path, edits, message):
+        # about 3e8 steps, or 3e9 snapshots of 130 values each; run in a child
+        # with a timeout, so a regression fails instead of hanging
+        text = GOOD_CONFIG
+        for old, new in edits:
+            text = text.replace(old, new)
+        path = tmp_path / "unbounded.yaml"
+        path.write_text(text)
+        run = subprocess.run(
+            [sys.executable, "-m", "colonykit.cli", "simulate", "--config", str(path),
+             "--out", str(tmp_path / "o")],
+            env=dict(os.environ, PYTHONPATH=str(Path(colonykit.__file__).resolve().parents[1])),
+            capture_output=True, text=True, timeout=5)
+        assert run.returncode == 1
+        assert run.stderr == message
+
     @pytest.mark.parametrize("command", ["simulate", "analyze"])
     @pytest.mark.parametrize("below", [False, True], ids=["file", "below_file"])
     def test_unusable_out_is_runtime_error(self, config_file, tmp_path, capsys, command, below):
@@ -604,74 +649,83 @@ def random_trajectory(snapshots, n=16, seed=0):
 
 
 class TestSnapshotWriterProcesses:
-    """The CSV writer forks one process per usable CPU (cli._cpus)."""
+    """The CSV writer formats on a fork-context process pool of one worker
+    per usable CPU (cli._cpus), in-process with one."""
 
-    @pytest.mark.parametrize("count, parts, bounds", [
-        (7, 3, [(0, 3), (3, 5), (5, 7)]),
-        (6, 2, [(0, 3), (3, 6)]),
-        (1, 1, [(0, 1)]),
-    ])
-    def test_slices_are_contiguous_and_balanced(self, count, parts, bounds):
-        assert cli._slice_bounds(count, parts) == bounds
+    @pytest.fixture(autouse=True)
+    def no_resource_tracker(self):
+        # a process pool on the fork context starts no resource tracker; a
+        # left-over one is a child process too, which conftest also fails
+        yield
+        assert resource_tracker._resource_tracker._pid is None
+
+    @pytest.fixture()
+    def started(self, monkeypatch):
+        """The processes multiprocessing starts during the test."""
+        processes, start = [], BaseProcess.start
+
+        def counting_start(process):
+            processes.append(process)
+            start(process)
+
+        monkeypatch.setattr(BaseProcess, "start", counting_start)
+        return processes
 
     @pytest.mark.parametrize("snapshots", [1, 2, 7])
-    def test_bytes_do_not_depend_on_process_count(self, tmp_path, monkeypatch, snapshots):
+    def test_bytes_do_not_depend_on_process_count(self, tmp_path, monkeypatch, started,
+                                                  snapshots):
         traj = random_trajectory(snapshots)
         cfg = parse_config(GOOD_CONFIG)
         per_value_csv(tmp_path / "ref.csv", cfg, traj)
-        forks = []
-        fork = os.fork
-
-        def counting_fork():
-            forks.append(1)
-            return fork()
-
-        monkeypatch.setattr(os, "fork", counting_fork)
         for cpus in (1, 2, 3):
             monkeypatch.setattr(cli, "_cpus", lambda: cpus)
-            forks.clear()
+            started.clear()
             path = tmp_path / f"cpus{cpus}.csv"
             cli._write_snapshots_csv(path, cfg, traj)
             assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes(), cpus
-            assert len(forks) == min(cpus, snapshots) - 1  # no process for an empty slice
+            workers = min(cpus, snapshots)
+            assert len(started) == (workers if workers > 1 else 0), cpus
+            assert not any(process.is_alive() for process in started)
 
     @pytest.mark.parametrize("failure", ["raises", "killed"])
     def test_failed_child_leaves_no_output(self, config_file, tmp_path, monkeypatch, capfd,
-                                           failure):
+                                           started, failure):
         parent = os.getpid()
-        write_rows = cli._write_snapshot_rows
+        float_reprs = cli._float_reprs
 
-        def failing_in_child(fh, *args):
+        def failing_in_worker(a):
             if os.getpid() != parent:
                 if failure == "killed":
                     os.kill(os.getpid(), signal.SIGKILL)
                 raise OSError(errno.ENOSPC, "No space left on device")
-            write_rows(fh, *args)
+            return float_reprs(a)
 
         monkeypatch.setattr(cli, "_cpus", lambda: 3)
-        monkeypatch.setattr(cli, "_write_snapshot_rows", failing_in_child)
+        monkeypatch.setattr(cli, "_float_reprs", failing_in_worker)
         out = tmp_path / "results"
         assert main(["simulate", "--config", str(config_file), "--out", str(out)]) == 1
         err = capfd.readouterr().err
-        assert "error: snapshot writer process exited with status" in err
-        assert ("No space left on device" in err) == (failure == "raises")
+        if failure == "raises":
+            assert err == "error: [Errno 28] No space left on device\n"
+        else:
+            assert err.startswith("error: a snapshot writer process died: ")
+            assert err.count("\n") == 1
         assert list(out.iterdir()) == []
+        assert len(started) == 3 and not any(process.is_alive() for process in started)
 
-    def test_failure_in_parent_stops_the_children(self, config_file, tmp_path, monkeypatch, capsys):
-        parent = os.getpid()
-        write_rows = cli._write_snapshot_rows
-
-        def failing_in_parent(fh, *args):
-            if os.getpid() == parent:
-                raise OSError(errno.ENOSPC, "No space left on device")
-            write_rows(fh, *args)
+    def test_failure_in_parent_stops_the_children(self, config_file, tmp_path, monkeypatch, capsys,
+                                                  started):
+        # the header is written once the workers are formatting
+        def failing_header(cfg):
+            raise OSError(errno.ENOSPC, "No space left on device")
 
         monkeypatch.setattr(cli, "_cpus", lambda: 3)
-        monkeypatch.setattr(cli, "_write_snapshot_rows", failing_in_parent)
+        monkeypatch.setattr(cli, "_meta_lines", failing_header)
         out = tmp_path / "results"
         assert main(["simulate", "--config", str(config_file), "--out", str(out)]) == 1
-        assert "No space left on device" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
         assert list(out.iterdir()) == []
+        assert len(started) == 3 and not any(process.is_alive() for process in started)
 
     def test_simulate_error_before_the_writer_leaves_no_output(self, config_file, tmp_path,
                                                                 monkeypatch):

@@ -10,6 +10,7 @@ from scipy.signal import find_peaks
 from colonykit import (
     AsymptoticMode,
     BlowUpError,
+    ColonyKitError,
     ExplicitField,
     ExponentialDecay,
     Field,
@@ -357,6 +358,33 @@ class TestSchedule:
                         t_end=2.0, snapshot_every=0.005)
         traj = simulate(cfg)
         assert traj.times.tolist() == [k * 0.005 for k in range(401)]
+
+
+class TestWorkBounds:
+    """A run is refused before its first step when its snapshots would hold
+    more than MAX_SNAPSHOT_VALUES floats, or when it would take more than
+    MAX_STEPS steps as long as its first; a run right at either bound runs."""
+
+    def test_snapshot_values(self, monkeypatch):
+        # 3 snapshots of u and v on 17 nodes: 102 values
+        cfg = SimConfig(params=params(0.3), motility=REF, init=UniformPerturbed(), n=16,
+                        t_end=1.0, snapshot_every=0.5)
+        monkeypatch.setattr(pde_solver, "MAX_SNAPSHOT_VALUES", 102)
+        traj = simulate(cfg)
+        assert traj.u_history.size + traj.v_history.size == 102
+        monkeypatch.setattr(pde_solver, "MAX_SNAPSHOT_VALUES", 101)
+        with pytest.raises(ColonyKitError, match="MAX_SNAPSHOT_VALUES"):
+            simulate(cfg)
+
+    def test_steps(self, monkeypatch):
+        # the step is the cap dt = 0.01, below the stability bound: 100 steps
+        cfg = SimConfig(params=params(0.3), motility=REF, init=UniformPerturbed(), n=16,
+                        dt=0.01, t_end=1.0, snapshot_every=1.0)
+        monkeypatch.setattr(pde_solver, "MAX_STEPS", 100)
+        assert simulate(cfg).times.tolist() == [0.0, 1.0]
+        monkeypatch.setattr(pde_solver, "MAX_STEPS", 99)
+        with pytest.raises(ColonyKitError, match="over MAX_STEPS = .* steps of dt = 0.01"):
+            simulate(cfg)
 
 
 def mode6_state(sigma, n):
