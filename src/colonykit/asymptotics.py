@@ -46,7 +46,6 @@ __all__ = [
     "Expansion",
     "expansion_coefficients",
     "eta_by_quadrature",
-    "adjoint_projection_first_order",
     "epsilon_for_sigma",
 ]
 
@@ -232,23 +231,6 @@ class _PerturbationFields:
         self.ubar = e.c * cos1
 
 
-def _first_order_eigen_forcing(e: Expansion, m: MotilityModel, f: _PerturbationFields):
-    _, rp1, rpp1, _ = taylor_at_one(m, 4)
-    s0 = e.sigma0
-    return (
-        -rp1 * f.v1 * f.phi0_xx
-        - rp1 * f.u1 * f.psi0_xx
-        - rpp1 * f.v1 * f.psi0_xx
-        - 2.0 * rp1 * f.v1_x * f.phi0_x
-        - 2.0 * rpp1 * f.v1_x * f.psi0_x
-        - 2.0 * rp1 * f.u1_x * f.psi0_x
-        - rpp1 * f.v1_xx * f.psi0
-        - rp1 * f.u1_xx * f.psi0
-        - rp1 * f.v1_xx * f.phi0
-        + 2.0 * s0 * f.u1 * f.phi0
-    )
-
-
 def _second_order_eigen_forcing(e: Expansion, m: MotilityModel, f: _PerturbationFields):
     _, rp1, rpp1, rppp1 = taylor_at_one(m, 4)
     s0 = e.sigma0
@@ -306,21 +288,6 @@ def _simpson(y: np.ndarray, x: np.ndarray) -> float:
     return np.sum(hsum / 6.0 * (y[:-2:2] * (2.0 - 1.0 / h0divh1)
                                 + y[1:-1:2] * (hsum * (hsum / hprod))
                                 + y[2::2] * (2.0 - h0divh1)))
-
-
-def adjoint_projection_first_order(
-    p: ModelParams, m: MotilityModel, summary: BifurcationSummary
-) -> float:
-    """Quadrature of the first-order forcing against the adjoint kernel.
-
-    This integral is the numerator of the first eigenvalue correction; the
-    expansion machinery relies on it vanishing identically.
-    """
-    e = expansion_coefficients(summary.i_a, p, m, summary)
-    x = np.linspace(0.0, p.l, QUADRATURE_POINTS)
-    f = _PerturbationFields(e, x)
-    g = _first_order_eigen_forcing(e, m, f)
-    return float(_simpson(g * f.ubar, x))
 
 
 def eta_by_quadrature(p: ModelParams, m: MotilityModel, summary: BifurcationSummary) -> float:

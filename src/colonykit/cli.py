@@ -144,7 +144,7 @@ def _cpus() -> int:
 def _snapshot_rows(x_cols: list[str], t: float, u, v) -> str:
     """The rows t,x,u,v of one snapshot, every value the repr of the float."""
     t_col = repr(t) + ","
-    return "".join([t_col + x_col + u_val + "," + v_val + "\n" for x_col, u_val, v_val
+    return "".join([f"{t_col}{x_col}{u_val},{v_val}\n" for x_col, u_val, v_val
                     in zip(x_cols, _float_reprs(u), _float_reprs(v))])
 
 
@@ -196,7 +196,6 @@ def cmd_simulate(args) -> int:
         raise ConfigError("config has no 'simulate' section")
     out = _out_dir(args)
     traj = simulate(cfg.simulate.sim_config(cfg.params, cfg.motility))
-    # the spectrum first: its 8 MB of cosine tables (n = 1024) would add to the writer's heap
     spec = modal_spectrum(traj.final)
     summary = {
         "meta": _json_meta(cfg),

@@ -48,11 +48,25 @@ is the one the full run records.
 
 A run whose snapshots would hold over MAX_SNAPSHOT_VALUES floats, or that
 would take over MAX_STEPS steps as long as its first, is a ColonyKitError.
+The snapshot count follows from the schedule before the first step, and
+each snapshot is written once, into its row of the returned histories; a
+run that stops early keeps a copy of the rows it wrote.
 
 A state outside [-B_MAX, B_MAX] (B_MAX = 100), or not finite, is a BlowUpError,
-and so are an asymptotic seed that overflows and a signal solve that LAPACK
-finds singular: with D dt / h^2 so large that the 1 + dt of its diagonal
-rounds away, the matrix is the Neumann Laplacian's, which is singular.
+the initial state already before the first step, and so are an asymptotic
+seed that overflows and a signal solve that LAPACK finds singular: with
+D dt / h^2 so large that the 1 + dt of its diagonal rounds away, the matrix
+is the Neumann Laplacian's, which is singular.
+
+The cosine amplitudes of a state u are the trapezoid projections of
+u - mean(u) onto cos(pi j x / l), j = 0 .. N/2.  On the uniform grid that is
+a DCT-I, computed as the real FFT of the even extension
+[c_0 .. c_N, c_(N-1) .. c_1] of the centred values c, divided by N, with the
+j = 0 term halved.  Rows are transformed in blocks of at most
+FFT_BLOCK_VALUES extension values, so the work memory is O(N) per row and
+does not grow with the number of modes.  The last bits of the amplitudes
+depend on numpy's FFT; the tests hold them within 1e-13 of the largest
+amplitude of the direct trapezoid sums.
 
 Pattern-change events are read from the snapshots with fixed hysteresis: a
 pattern is established once its largest cosine amplitude reaches
@@ -123,6 +137,8 @@ B_MAX = 100.0
 # far above the criteria's protocol runs: about 2.1e6 steps, 2.6e6 values
 MAX_STEPS = 1e8
 MAX_SNAPSHOT_VALUES = 1e8
+# the even extensions one block of the cosine projection holds (512 kB)
+FFT_BLOCK_VALUES = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -278,16 +294,22 @@ class Trajectory:
 
 
 def _cosine_coefficients(u_rows: np.ndarray, x: np.ndarray, l: float, j_max: int) -> np.ndarray:
-    """Trapezoid projections of u - mean(u) onto cos(pi j x / l), rows x modes."""
+    """Trapezoid projections of u - mean(u) onto cos(pi j x / l), rows x
+    modes, by the blocked FFT of the module docstring."""
     n = x.size - 1
     weights = np.full(x.size, l / n)
     weights[0] *= 0.5
     weights[-1] *= 0.5
-    table = np.cos(np.outer(np.arange(j_max + 1), np.pi * x / l))  # (modes, nodes)
     mean = (u_rows @ weights) / l
-    centered = u_rows - mean[..., None]
-    coeffs = (centered * weights) @ table.T * (2.0 / l)
-    coeffs[..., 0] *= 0.5
+    coeffs = np.empty((len(u_rows), j_max + 1))
+    rows = max(1, FFT_BLOCK_VALUES // (2 * n))
+    for start in range(0, len(u_rows), rows):
+        block = slice(start, start + rows)
+        ext = np.empty((len(coeffs[block]), 2 * n))  # [c_0 .. c_n, c_{n-1} .. c_1]
+        np.subtract(u_rows[block], mean[block, None], out=ext[:, :n + 1])
+        ext[:, n + 1:] = ext[:, n - 1:0:-1]
+        np.divide(np.fft.rfft(ext)[:, :j_max + 1].real, n, out=coeffs[block])
+    coeffs[:, 0] *= 0.5
     return coeffs
 
 
@@ -384,8 +406,8 @@ def _hysteresis_series(mags, established, margin):
 def _pattern_data(u_rows, x, l):
     """Per row: cosine magnitudes of modes 1..n//2, whether a pattern is
     established, and its peak count (None when not established)."""
-    coeffs = _cosine_coefficients(u_rows, x, l, (x.size - 1) // 2)
-    mags = np.abs(coeffs[:, 1:])
+    mags = _cosine_coefficients(u_rows, x, l, (x.size - 1) // 2)[:, 1:]
+    np.abs(mags, out=mags)
     established = mags.max(axis=1) >= EVENT_FLOOR
     peaks = tuple(_count_peaks(row) if ok else None for row, ok in zip(u_rows, established))
     return mags, established, peaks
@@ -400,12 +422,13 @@ def _annotate(times, u_hist, x, l):
     return tuple(events)
 
 
-def _certified_steady_state(cur, u_hist, x, h, p: ModelParams, m: MotilityModel):
+def _certified_steady_state(cur, recent, x, h, p: ModelParams, m: MotilityModel):
     """The discrete steady state that ends the run at the state cur, or None.
 
     It is Newton's solution from cur (a) if that lies within STOP_DIST of
     cur in max-norm (b), has a negative spectral abscissa (c), and shows the
-    dominant mode and peak count of the last EVENT_PERSIST snapshots (d).
+    dominant mode and peak count of the rows of recent, the u of the last
+    EVENT_PERSIST snapshots (d).
     """
     try:
         u, v, _, _, _ = newton(cur[0], cur[1], h, p.D, p.sigma, m)
@@ -414,7 +437,7 @@ def _certified_steady_state(cur, u_hist, x, h, p: ModelParams, m: MotilityModel)
     state = np.stack([u, v])
     if not np.abs(state - cur).max() <= STOP_DIST:
         return None
-    mags, established, peaks = _pattern_data(np.array(u_hist[-EVENT_PERSIST:] + [u]), x, p.l)
+    mags, established, peaks = _pattern_data(np.vstack([recent, u]), x, p.l)
     modes = [int(np.argmax(row)) + 1 if ok else None for row, ok in zip(mags, established)]
     if len(set(zip(modes, peaks))) != 1:
         return None
@@ -423,6 +446,26 @@ def _certified_steady_state(cur, u_hist, x, h, p: ModelParams, m: MotilityModel)
     except SingularJacobianError:
         return None
     return state if lam.size and lam[0].real < 0 else None
+
+
+def _multiples_below(step: float, bound: float) -> float:
+    """The number of k >= 1 with k * step < bound, in floating point as the
+    step loop computes it; inf when that exceeds 2**53."""
+    q = bound / step
+    if not q < 2.0 ** 53:
+        return math.inf
+    k = math.ceil(q)
+    while k > 0 and k * step >= bound:
+        k -= 1
+    while (k + 1) * step < bound:
+        k += 1
+    return k
+
+
+def _raise_out_of_bound(state: np.ndarray, t: float, b_max: float):
+    if not np.all(np.isfinite(state)):
+        raise BlowUpError(f"non-finite values at t={t:.6g}")
+    raise BlowUpError(f"solution norm exceeded bound {b_max} at t={t:.6g}")
 
 
 def simulate(config: SimConfig) -> Trajectory:
@@ -438,12 +481,13 @@ def simulate(config: SimConfig) -> Trajectory:
     every, last_step = config.snapshot_every, 1.0 + LAST_STEP_SLACK
     t_last = (1.0 - LAST_STEP_SLACK) * t_end  # a later multiple of every is t_end
     dt_bound = DT_SAFETY * h * h  # the explicit bound is dt_bound / max r
-    if (t_end / every + 1.0) * 2 * f0.u.size > MAX_SNAPSHOT_VALUES:
+    npts = f0.u.size
+    snapshots = 2 + _multiples_below(every, t_last)  # t = 0, the multiples and t_end
+    if snapshots * 2 * npts > MAX_SNAPSHOT_VALUES:
         raise ColonyKitError(f"the snapshots would hold over MAX_SNAPSHOT_VALUES = "
                              f"{MAX_SNAPSHOT_VALUES:.0e} values")
     # each step writes the buffer nxt from cur, then the two swap; both are
     # kept as (buffer, u row, v row)
-    npts = f0.u.size
     state = np.stack([f0.u, f0.v])
     spare = np.empty_like(state)
     cur, nxt = (state, *state), (spare, *spare)
@@ -455,14 +499,17 @@ def simulate(config: SimConfig) -> Trajectory:
     off, d = band[:2 * npts - 2], band[2 * npts - 2:]
     dl, du = off[:npts - 1], off[npts - 1:]
     lo_old0, lo_old1 = state.min(axis=1).tolist()
+    if not (float(state.max()) <= b_max and -lo_old0 <= b_max and -lo_old1 <= b_max):
+        _raise_out_of_bound(state, 0.0, b_max)
     multiply, subtract, add = np.multiply, np.subtract, np.add
     max_reduce, min_reduce = np.maximum.reduce, np.minimum.reduce
 
     x = f0.x
     last_try = -math.inf
+    # snapshot k is row k; rows past the last snapshot of an early stop are never written
     times = [0.0]
-    u_hist = [f0.u.copy()]
-    v_hist = [f0.v.copy()]
+    u_hist, v_hist = np.empty((snapshots, npts)), np.empty((snapshots, npts))
+    u_hist[0], v_hist[0] = f0.u, f0.v
     t, k, steady = 0.0, 1, False
 
     # a run that blows up past the float range reaches the BlowUpError check
@@ -504,9 +551,7 @@ def simulate(config: SimConfig) -> Trajectory:
             lo0, lo1 = min_reduce(new, axis=1).tolist()
             if not (float(max_reduce(new, axis=None)) <= b_max
                     and -lo0 <= b_max and -lo1 <= b_max):
-                if not np.all(np.isfinite(new)):
-                    raise BlowUpError(f"non-finite values at t={t_new:.6g}")
-                raise BlowUpError(f"solution norm exceeded bound {b_max} at t={t_new:.6g}")
+                _raise_out_of_bound(new, t_new, b_max)
             if lo0 <= 0 < lo_old0 or lo1 <= 0 < lo_old1:
                 raise PositivityLossError(f"positivity lost at t={t_new:.6g}")
             cur, nxt, lo_old0, lo_old1, t = nxt, cur, lo0, lo1, t_new
@@ -517,18 +562,20 @@ def simulate(config: SimConfig) -> Trajectory:
                     # schedule allows (dt_full or snapshot_every) is rounding noise
                     steady = rate < steady_tol and dt >= 0.25 * min(dt_full, every)
                 elif (rate < STOP_RATE and t - last_try >= STOP_RETRY
-                        and len(u_hist) >= EVENT_PERSIST):
+                        and k >= EVENT_PERSIST):
                     last_try = t
-                    settled = _certified_steady_state(cur[0], u_hist, x, h, p, m)
+                    settled = _certified_steady_state(cur[0], u_hist[k - EVENT_PERSIST:k],
+                                                      x, h, p, m)
                     if settled is not None:
                         cur, steady = (settled, *settled), True
                 times.append(t)
-                u_hist.append(cur[1].copy())
-                v_hist.append(cur[2].copy())
+                u_hist[k], v_hist[k] = cur[1], cur[2]
                 if steady:
                     break
                 k += 1
 
-    times_arr, u_arr = np.asarray(times), np.asarray(u_hist)
-    return Trajectory(times=times_arr, u_history=u_arr, v_history=np.asarray(v_hist), l=p.l,
-                      steady=steady, events=_annotate(times_arr, u_arr, x, p.l))
+    if len(times) < snapshots:  # an early stop keeps only the rows it wrote
+        u_hist, v_hist = u_hist[:len(times)].copy(), v_hist[:len(times)].copy()
+    times_arr = np.asarray(times)
+    return Trajectory(times=times_arr, u_history=u_hist, v_history=v_hist, l=p.l,
+                      steady=steady, events=_annotate(times_arr, u_hist, x, p.l))

@@ -18,10 +18,34 @@ from colonykit import (
     scan_modes,
 )
 from colonykit import asymptotics
-from colonykit.asymptotics import adjoint_projection_first_order, second_order_profiles
+from colonykit.asymptotics import second_order_profiles
+from colonykit.motility import taylor_at_one
 
 REF = LogisticDecay(steepness=8.0, center=1.0)
 P = ModelParams(D=1.0, sigma=0.3, l=20.0)
+
+
+def adjoint_projection_first_order(p, m, summary):
+    """Simpson quadrature of the first-order eigenvalue forcing against the
+    adjoint kernel: the numerator of the first eigenvalue correction, which
+    the expansion relies on vanishing identically."""
+    e = expansion_coefficients(summary.i_a, p, m, summary)
+    x = np.linspace(0.0, p.l, asymptotics.QUADRATURE_POINTS)
+    f = asymptotics._PerturbationFields(e, x)
+    _, rp1, rpp1, _ = taylor_at_one(m, 4)
+    g = (
+        -rp1 * f.v1 * f.phi0_xx
+        - rp1 * f.u1 * f.psi0_xx
+        - rpp1 * f.v1 * f.psi0_xx
+        - 2.0 * rp1 * f.v1_x * f.phi0_x
+        - 2.0 * rpp1 * f.v1_x * f.psi0_x
+        - 2.0 * rp1 * f.u1_x * f.psi0_x
+        - rpp1 * f.v1_xx * f.psi0
+        - rp1 * f.u1_xx * f.psi0
+        - rp1 * f.v1_xx * f.phi0
+        + 2.0 * e.sigma0 * f.u1 * f.phi0
+    )
+    return float(asymptotics._simpson(g * f.ubar, x))
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -182,6 +183,15 @@ class TestStep:
         with pytest.raises(ValueError):
             SimConfig(params=params(), motility=REF, init=UniformPerturbed(), dt=0.0)
 
+    @pytest.mark.parametrize("amplitude", [150.0, 1e300])
+    def test_initial_state_outside_bound(self, amplitude):
+        # the initial field is checked before the first step, so the error
+        # names t = 0, not the time of the first step (0.625 here)
+        cfg = SimConfig(params=params(), motility=REF, init=UniformPerturbed(amplitude=amplitude),
+                        n=16, t_end=1.0)
+        with pytest.raises(BlowUpError, match=r"exceeded bound 100.0 at t=0$"):
+            simulate(cfg)
+
 
 class TestSimConfig:
     @pytest.mark.parametrize("name", ["dt", "t_end", "steady_tol", "snapshot_every"])
@@ -359,6 +369,20 @@ class TestSchedule:
         traj = simulate(cfg)
         assert traj.times.tolist() == [k * 0.005 for k in range(401)]
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(1e-3, 10.0), st.integers(1, 2000),
+           st.sampled_from([-1e-9, -1e-15, 0.0, 1e-15, 1e-9, 0.5]))
+    @example(0.3, 3, 0.0)
+    @example(0.005, 400, 0.0)
+    def test_snapshot_count_matches_the_loop(self, every, multiples, offset):
+        # the histories are sized before the first step by this count of the
+        # multiples k every below t_last, which the step loop then visits
+        t_last = (1.0 - LAST_STEP_SLACK) * every * (multiples + offset)
+        k = 1
+        while k * every < t_last:
+            k += 1
+        assert pde_solver._multiples_below(every, t_last) == k - 1
+
 
 class TestWorkBounds:
     """A run is refused before its first step when its snapshots would hold
@@ -459,6 +483,10 @@ class TestCertifiedStop:
                         init=UniformPerturbed(amplitude=0.01, seed=0), n=128, t_end=1000.0)
         traj = simulate(cfg)
         assert traj.steady and traj.times[-1] < 50.0
+        # the histories are a copy of the rows written, not views into
+        # buffers sized for the 1001 snapshots up to t_end
+        for hist in (traj.u_history, traj.v_history):
+            assert hist.base is None and hist.shape == (len(traj.times), 129)
         assert np.max(np.abs(traj.final.u - 1.0)) <= 1e-10
         assert np.max(np.abs(traj.final.v - 1.0)) <= 1e-10
 
@@ -519,6 +547,66 @@ class TestModalSpectrum:
         u = 1.0 + 0.01 * np.cos(4 * np.pi * x / 20) + 0.03 * np.cos(8 * np.pi * x / 20)
         f = Field(u=u, v=np.ones_like(u), l=20.0)
         assert modal_spectrum(f).dominant == 8
+
+
+def table_projection(u_rows, x, l, j_max):
+    """The trapezoid cosine projection as a dense (modes, nodes) table product,
+    the formula the FFT projection replaced."""
+    n = x.size - 1
+    weights = np.full(x.size, l / n)
+    weights[0] *= 0.5
+    weights[-1] *= 0.5
+    table = np.cos(np.outer(np.arange(j_max + 1), np.pi * x / l))
+    mean = (u_rows @ weights) / l
+    coeffs = ((u_rows - mean[:, None]) * weights) @ table.T * (2.0 / l)
+    coeffs[:, 0] *= 0.5
+    return coeffs
+
+
+def traced_peak(func, *args):
+    """The peak of tracemalloc's traced memory while func(*args) runs."""
+    tracemalloc.start()
+    try:
+        func(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestCosineProjection:
+    """The FFT projection against the dense table, and its memory."""
+
+    @pytest.mark.parametrize("rows", [1, 401])
+    @pytest.mark.parametrize("n", [16, 17, 256, 1024])
+    def test_matches_dense_table(self, n, rows):
+        # a mode-6 wave of random amplitude over noise, so the dominant mode
+        # is 6 in some rows and a noise mode in others; 401 rows at n = 1024
+        # span 13 blocks, the last one partly filled
+        rng = np.random.default_rng(n * rows)
+        x = np.linspace(0.0, 20.0, n + 1)
+        wave = rng.uniform(0.0, 0.02, (rows, 1)) * np.cos(6 * np.pi * x / 20.0)
+        u = 1.0 + wave + 1e-3 * rng.standard_normal((rows, n + 1))
+        ours = pde_solver._cosine_coefficients(u, x, 20.0, n // 2)
+        ref = table_projection(u, x, 20.0, n // 2)
+        assert ours.shape == ref.shape
+        assert np.max(np.abs(ours - ref)) <= 1e-13 * np.max(np.abs(ref))
+        dominant = np.argmax(np.abs(ref[:, 1:]), axis=1) + 1
+        assert np.array_equal(np.argmax(np.abs(ours[:, 1:]), axis=1) + 1, dominant)
+        assert modal_spectrum(Field(u=u[-1], v=u[-1], l=20.0)).dominant == dominant[-1]
+
+    def test_modal_spectrum_memory(self):
+        # the (n/2 + 1) x (n + 1) table needed 128 MB at n = 4096
+        f = cosine_field(6, 0.01, n=4096)
+        modal_spectrum(f)  # numpy.fft loads on the first call
+        assert traced_peak(modal_spectrum, f) < 1 << 20
+
+    def test_pattern_data_memory(self):
+        # the kymograph run's 401 snapshots at n = 1024: 11.9 MB with the table
+        x = np.linspace(0.0, 20.0, 1025)
+        rng = np.random.default_rng(0)
+        u = 1.0 + 0.01 * np.cos(6 * np.pi * x / 20.0) + 1e-3 * rng.standard_normal((401, x.size))
+        pde_solver._pattern_data(u[:3], x, 20.0)  # load the peak finder first
+        assert traced_peak(pde_solver._pattern_data, u, x, 20.0) < 4 << 20
 
 
 class TestCountPeaks:
