@@ -74,27 +74,26 @@ class _Section:
         self.path = path
         self.seen = set()
 
+    def _key(self, key):
+        """The dotted path of key."""
+        return f"{self.path}.{key}" if self.path else key
+
     def _where(self, key):
         line = self.data.lines.get(key)
-        loc = f" (line {line})" if line else ""
-        prefix = f"{self.path}." if self.path else ""
-        return f"{prefix}{key}{loc}"
+        return f"{self._key(key)} (line {line})" if line else self._key(key)
 
     def take(self, key, kind, default=None, required=False, minimum=None, exclusive=False,
              choices=None):
         self.seen.add(key)
         if key not in self.data:
             if required:
-                prefix = f"{self.path}." if self.path else ""
-                raise ConfigError(f"missing required key {prefix}{key}")
+                raise ConfigError(f"missing required key {self._key(key)}")
             return default
         val = self.data[key]
         if kind is float and isinstance(val, int) and not isinstance(val, bool):
             val = float(val)
-        if kind is not None and (not isinstance(val, kind) or isinstance(val, bool) and kind is not bool):
-            raise ConfigError(
-                f"{self._where(key)}: expected {getattr(kind, '__name__', kind)}, got {val!r}"
-            )
+        if not isinstance(val, kind) or isinstance(val, bool) and kind is not bool:
+            raise ConfigError(f"{self._where(key)}: expected {kind.__name__}, got {val!r}")
         if isinstance(val, float) and not math.isfinite(val):
             raise ConfigError(f"{self._where(key)}: must be a finite number, got {val}")
         if minimum is not None:
@@ -115,11 +114,9 @@ class _Section:
         self.seen.add(key)
         if key not in self.data:
             if required:
-                prefix = f"{self.path}." if self.path else ""
-                raise ConfigError(f"missing required section {prefix}{key}")
+                raise ConfigError(f"missing required section {self._key(key)}")
             return None
-        sub_path = f"{self.path}.{key}" if self.path else key
-        return _Section(self.data[key], sub_path)
+        return _Section(self.data[key], self._key(key))
 
     def finish(self):
         unknown = set(self.data) - self.seen
@@ -186,12 +183,11 @@ def _parse_motility(sec: _Section) -> MotilityModel:
     return cls(**kwargs)
 
 
-def _parse_init(sec: _Section, default_seed: int):
+def _parse_init(sec: _Section, seed: int):
     kind = sec.take("kind", str, required=True,
                     choices={"uniform_perturbed", "asymptotic_mode"})
     if kind == "uniform_perturbed":
         kwargs = sec.take_given(("amplitude",), float, minimum=0.0, exclusive=True)
-        seed = sec.take("seed", int, default=default_seed, minimum=0)
         sec.finish()
         return UniformPerturbed(seed=seed, **kwargs)
     j = sec.take("j", int, required=True, minimum=1)
@@ -225,30 +221,24 @@ def parse_config(text: str, seed_override: int | None = None) -> ExperimentConfi
 
     analyze = AnalyzeSettings()
     if (asec := top.subsection("analyze")) is not None:
-        analyze = AnalyzeSettings(j_max=asec.take("j_max", int, default=None, minimum=1))
+        analyze = AnalyzeSettings(j_max=asec.take("j_max", int, minimum=1))
         asec.finish()
 
     expand = ExpandSettings()
     if (esec := top.subsection("expand")) is not None:
-        modes = esec.take("modes", (list, str), default="unstable")
-        if modes != "unstable" and not (isinstance(modes, list) and all(
-                isinstance(j, int) and not isinstance(j, bool) and j >= 1 for j in modes)):
-            raise ConfigError(f"{esec._where('modes')}: must be 'unstable' or a list of "
-                              "integers >= 1")
-        expand = ExpandSettings(modes=None if modes == "unstable" else tuple(modes))
+        modes = esec.take("modes", list)
+        if modes is not None:
+            if not all(isinstance(j, int) and not isinstance(j, bool) and j >= 1 for j in modes):
+                raise ConfigError(f"{esec._where('modes')}: must be a list of integers >= 1")
+            expand = ExpandSettings(modes=tuple(modes))
         esec.finish()
 
     simulate = None
     if (ssec := top.subsection("simulate")) is not None:
         init = _parse_init(ssec.subsection("init", required=True), seed)
         options = ssec.take_given(("n",), int, minimum=16)
-        options |= ssec.take_given(("t_end", "steady_tol", "snapshot_every"), float,
+        options |= ssec.take_given(("t_end", "dt", "steady_tol", "snapshot_every"), float,
                                    minimum=0.0, exclusive=True)
-        dt = ssec.take("dt", (float, int, str), default="auto")
-        if dt != "auto":
-            if isinstance(dt, str) or not dt > 0:
-                raise ConfigError(f"{ssec._where('dt')}: must be a number > 0 or 'auto', got {dt!r}")
-            options["dt"] = float(dt)
         simulate = SimulateSettings(
             init=init,
             options=options,

@@ -36,6 +36,7 @@ from colonykit import (
 )
 from colonykit.cli import main
 from colonykit.config import load_config, parse_config
+from colonykit.pde_solver import initial_field
 
 GOOD_CONFIG = """\
 params:
@@ -83,7 +84,7 @@ class TestConfigParsing:
         assert cfg.analyze.j_max == 30
         assert cfg.expand.modes == (5, 6, 7)
         assert isinstance(cfg.simulate.init, UniformPerturbed)
-        assert cfg.simulate.init.seed == 3  # inherits the global seed
+        assert cfg.simulate.init.seed == 3  # the noise seed is the global seed
         assert cfg.simulate.sim_config(cfg.params, cfg.motility).n == 64
         assert cfg.continuation.j == 6
         assert cfg.continuation.options == {"n": 64}
@@ -143,15 +144,35 @@ class TestConfigParsing:
         (GOOD_CONFIG + "  seed_offset: 0.01\n", "continuation.seed_offset (line 26)"),
         (GOOD_CONFIG + "  ds: 1.0e-3\n", "continuation.ds (line 26)"),
         (GOOD_CONFIG + "reproduce:\n  n: 128\n", "reproduce (line 26)"),
-    ], ids=["b_max", "seed_offset", "ds", "reproduce"])
+        (GOOD_CONFIG.replace("    amplitude: 0.01", "    amplitude: 0.01\n    seed: 3"),
+         "simulate.init.seed (line 22)"),
+    ], ids=["b_max", "seed_offset", "ds", "reproduce", "init_seed"])
     def test_retired_keys_are_unknown(self, text, key):
         with pytest.raises(ConfigError, match=re.escape(f"unknown key {key}")):
             parse_config(text)
 
-    @pytest.mark.parametrize("dt, expected", [("auto", None), ("0.5", 0.5), ("1", 1.0)])
+    @pytest.mark.parametrize("command, old, new, message", [
+        ("simulate", "  t_end: 3.0", "  t_end: 3.0\n  dt: auto",
+         "simulate.dt (line 17): expected float, got 'auto'"),
+        ("expand", "modes: [5, 6, 7]", "modes: unstable",
+         "expand.modes (line 13): expected list, got 'unstable'"),
+    ], ids=["dt_auto", "modes_unstable"])
+    def test_retired_spellings_exit_2(self, tmp_path, capsys, command, old, new, message):
+        # leaving the key out asks for the library default instead
+        path = tmp_path / "retired.yaml"
+        path.write_text(GOOD_CONFIG.replace(old, new))
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+    @pytest.mark.parametrize("dt, expected", [(None, None), ("0.5", 0.5), ("1", 1.0)])
     def test_simulate_dt(self, dt, expected):
-        cfg = parse_config(GOOD_CONFIG.replace("  t_end: 3.0", f"  t_end: 3.0\n  dt: {dt}"))
+        line = "" if dt is None else f"\n  dt: {dt}"
+        cfg = parse_config(GOOD_CONFIG.replace("  t_end: 3.0", "  t_end: 3.0" + line))
         assert cfg.simulate.options.get("dt") == expected
+
+    def test_expand_without_modes_takes_every_mode(self):
+        assert parse_config(MINIMAL_CONFIG).expand.modes is None
+        assert parse_config(MINIMAL_CONFIG + "expand: {}\n").expand.modes is None
 
     def test_merge_keys_are_accepted(self):
         cfg = parse_config(MINIMAL_CONFIG
@@ -163,9 +184,9 @@ class TestConfigParsing:
     def test_shipped_configs_keep_their_hashes(self):
         hashes = {path.name: load_config(path).config_hash for path in CONFIGS.glob("*.yaml")}
         assert hashes == {
-            "analyze_reference.yaml": "953556d68ac9063c",
+            "analyze_reference.yaml": "545bac8912045a09",
             "continue_mode6.yaml": "96cf8ea9bd7dbe57",
-            "simulate_mode4_transition.yaml": "7f4f68089bb32731",
+            "simulate_mode4_transition.yaml": "bc3fac06c8a164e3",
         }
 
 
@@ -343,6 +364,27 @@ class TestCommands:
         events_lines = (out1 / "events.jsonl").read_text().splitlines()
         assert "meta" in json.loads(events_lines[0])
 
+    def test_seed_flag_decides_the_noise_and_the_headers(self, tmp_path):
+        path = tmp_path / "seeded.yaml"
+        path.write_text(GOOD_CONFIG.replace("  t_end: 3.0", "  t_end: 1.0"))
+        cfg = parse_config(path.read_text())
+        initial = {}
+        for seed in (5, 6):
+            out = tmp_path / str(seed)
+            assert main(["simulate", "--config", str(path), "--out", str(out),
+                         "--seed", str(seed)]) == 0
+            lines = (out / "snapshots.csv").read_text().splitlines()
+            assert lines[2] == f"# seed={seed}"
+            assert json.loads((out / "summary.json").read_text())["meta"]["seed"] == seed
+            events = (out / "events.jsonl").read_text().splitlines()
+            assert json.loads(events[0])["meta"]["seed"] == seed
+            rows = np.array([[float(x) for x in line.split(",")] for line in lines[4:]])
+            initial[seed] = rows[rows[:, 0] == 0.0][:, 2:]
+            want = initial_field(UniformPerturbed(amplitude=0.01, seed=seed), cfg.params,
+                                 cfg.motility, 64)
+            assert np.array_equal(initial[seed], np.column_stack((want.u, want.v)))
+        assert not np.array_equal(initial[5], initial[6])
+
     def test_simulate_ends_at_t_end_off_the_snapshot_grid(self, tmp_path):
         path = tmp_path / "off_grid.yaml"
         path.write_text(GOOD_CONFIG.replace("  t_end: 3.0", "  t_end: 2.5"))
@@ -499,19 +541,21 @@ class TestCommands:
         path.write_text(GOOD_CONFIG.replace("  t_end: 3.0", f"  t_end: 3.0\n  dt: {dt}"))
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert "simulate.dt (line 17): must be a number > 0 or 'auto'" in err
-        assert "Traceback" not in err
+        message = "expected float, got 'fast'" if dt == "fast" else f"must be > 0.0, got {float(dt)}"
+        assert err == f"configuration error: simulate.dt (line 17): {message}\n"
 
-    @pytest.mark.parametrize("old, new, argv, key", [
-        ("seed: 3", "seed: -1", [], "seed (line 9)"),
-        ("    amplitude: 0.01", "    amplitude: 0.01\n    seed: -2", [], "simulate.init.seed (line 22)"),
-        ("seed: 3", "seed: 3", ["--seed", "-1"], "--seed"),
+    @pytest.mark.parametrize("old, new, argv, message", [
+        ("seed: 3", "seed: -1", [], "seed (line 9): must be >= 0, got -1"),
+        # the noise seed is seed: an init seed is a retired key
+        ("    amplitude: 0.01", "    amplitude: 0.01\n    seed: -2", [],
+         "unknown key simulate.init.seed (line 22)"),
+        ("seed: 3", "seed: 3", ["--seed", "-1"], "--seed: must be >= 0, got -1"),
     ], ids=["config", "init", "flag"])
-    def test_negative_seed_is_config_error(self, tmp_path, capsys, old, new, argv, key):
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, old, new, argv, message):
         path = tmp_path / "seed.yaml"
         path.write_text(GOOD_CONFIG.replace(old, new))
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o"), *argv]) == 2
-        assert f"{key}: must be >= 0" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
 
     def test_motility_underflowing_at_one_is_config_error(self, tmp_path, capsys):
         # r(1) = 0 in floating point: the linear analysis would divide by it
@@ -739,8 +783,8 @@ class TestSnapshotWriterProcesses:
         assert list(out.iterdir()) == []
 
 
-# every key of GOOD_CONFIG, plus an initial-condition seed
-FUZZ_BASE = yaml.safe_load(GOOD_CONFIG.replace("    amplitude: 0.01", "    amplitude: 0.01\n    seed: 5"))
+# every key of GOOD_CONFIG
+FUZZ_BASE = yaml.safe_load(GOOD_CONFIG)
 
 
 def _paths(tree, path=()):

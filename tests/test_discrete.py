@@ -20,6 +20,7 @@ from colonykit import (
     LogisticDecay,
     ModelParams,
     NewtonConvergenceError,
+    NewtonError,
     SingularJacobianError,
     trace_branch,
 )
@@ -228,6 +229,10 @@ class TestPinnedNewton:
     @given(m=st.sampled_from(MODELS), sigma=st.floats(0.0, 1.0), D=st.floats(0.1, 10.0),
            n=st.integers(16, 200), j=st.integers(1, 12), amplitude=st.floats(0.0, 0.9),
            seed=st.integers(0, 2 ** 32 - 1))
+    # at sigma = 0 this solver iterates into NewtonConvergenceError where the
+    # reference reports SingularJacobianError
+    @example(m=REF, sigma=0.0, D=4.671736891152922, n=28, j=1, amplitude=0.7957803295370736,
+             seed=1)
     def test_matches_reference_newton(self, m, sigma, D, n, j, amplitude, seed):
         x = np.linspace(0.0, 1.0, n + 1)
         noise = np.random.default_rng(seed).uniform(-0.01, 0.01, (2, n + 1))
@@ -238,7 +243,11 @@ class TestPinnedNewton:
         got = outcome(newton, u, v, h, D, sigma, m)
         ref = outcome(reference_newton, u, v, h, D, sigma, m)
         assert np.array_equal(u, u0) and np.array_equal(v, v0)
-        if isinstance(ref, type):
+        if isinstance(ref, type) and sigma == 0.0:
+            # the Jacobian is singular by mass conservation for every state:
+            # which error a solver reports depends on the rounding in its LU
+            assert isinstance(got, type) and issubclass(got, NewtonError)
+        elif isinstance(ref, type):
             assert got is ref
         else:
             assert got[2] == sigma and got[3:] == ref[2:]
