@@ -21,6 +21,7 @@ import json
 import os
 import struct
 import sys
+import tempfile
 from itertools import repeat
 from pathlib import Path
 
@@ -47,13 +48,22 @@ def _meta_lines(cfg: ExperimentConfig) -> list[str]:
     return [f"# {key}={value}" for key, value in _json_meta(cfg).items()]
 
 
+def _csv_header(cfg: ExperimentConfig, columns: list[str]) -> str:
+    """The metadata lines, then the column names."""
+    return "".join(line + "\n" for line in _meta_lines(cfg)) + ",".join(columns) + "\n"
+
+
 def _write_csv(path: Path, cfg: ExperimentConfig, header: list[str], rows) -> None:
-    with path.open("w") as fh:
-        for line in _meta_lines(cfg):
-            fh.write(line + "\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(map(str, row)) + "\n")
+    """The header, then one line per row; a failed write leaves no file."""
+    fh = path.open("w")
+    try:
+        with fh:
+            fh.write(_csv_header(cfg, header))
+            for row in rows:
+                fh.write(",".join(map(str, row)) + "\n")
+    except BaseException:
+        path.unlink()
+        raise
 
 
 def _out_dir(args) -> Path:
@@ -148,36 +158,83 @@ def _snapshot_rows(x_cols: list[str], t: float, u, v) -> str:
                     in zip(x_cols, _float_reprs(u), _float_reprs(v))])
 
 
-def _write_rows(path: Path, cfg: ExperimentConfig, rows) -> None:
-    """The header, then the snapshot rows as rows yields them."""
-    with path.open("w") as fh:
-        fh.writelines(line + "\n" for line in _meta_lines(cfg))
-        fh.write("t,x,u,v\n")
-        fh.writelines(rows)
+# what the pool's initializer hands a writer worker at fork: the x column
+# reprs, the times and the u/v histories, none of them pickled
+_snapshots = None
+
+
+def _hand_over(*snapshots) -> None:
+    global _snapshots
+    _snapshots = snapshots
+
+
+def _write_part(start: int, part: str) -> int:
+    """In a writer worker: the rows of SNAPSHOTS_PER_TASK snapshots from
+    start into part, a file the parent made; returns its size in bytes."""
+    x_cols, times, u_history, v_history = _snapshots
+    stop = start + SNAPSHOTS_PER_TASK
+    # r+, not w: a part the parent has removed is not made again
+    with open(part, "r+b") as fh:
+        fh.writelines(_snapshot_rows(x_cols, t, u, v).encode() for t, u, v
+                      in zip(times[start:stop], u_history[start:stop], v_history[start:stop]))
+        return fh.tell()
+
+
+def _append_part(out_fd: int, part: str, size: int) -> None:
+    """Copy the size bytes of part to out_fd in the kernel, then remove part."""
+    with open(part, "rb") as src:
+        offset = 0
+        while offset < size:
+            sent = os.sendfile(out_fd, src.fileno(), offset, size - offset)
+            if sent == 0:
+                raise OSError(f"snapshot part {part} ended after {offset} of {size} bytes")
+            offset += sent
+    os.unlink(part)
 
 
 def _write_snapshots_csv(path: Path, cfg: ExperimentConfig, traj) -> None:
     """The snapshots as CSV rows (see _snapshot_rows), in order after the
-    header, formatted in tasks of SNAPSHOTS_PER_TASK snapshots by one worker
-    process per usable CPU, or in-process with one: the bytes do not depend
-    on the number of processes.  A worker that dies is an OSError."""
-    args = (repeat([s + "," for s in _float_reprs(traj.final.x)]), traj.times.tolist(),
-            traj.u_history, traj.v_history)
-    workers = min(_cpus(), len(traj.times))
+    header.  Tasks of SNAPSHOTS_PER_TASK snapshots are formatted by one
+    worker process per usable CPU, at most one per task, each into a part
+    file beside path that the parent appends and removes; with one worker
+    the rows are formatted in-process.  The bytes do not depend on the
+    number of processes, and no text passes through the parent's memory.
+    A worker that dies is an OSError; after any failure no part is left."""
+    x_cols = [s + "," for s in _float_reprs(traj.final.x)]
+    times = traj.times.tolist()
+    starts = range(0, len(times), SNAPSHOTS_PER_TASK)
+    workers = min(_cpus(), len(starts))
     if workers == 1:
-        return _write_rows(path, cfg, map(_snapshot_rows, *args))
+        with path.open("w") as fh:
+            fh.write(_csv_header(cfg, ["t", "x", "u", "v"]))
+            fh.writelines(map(_snapshot_rows, repeat(x_cols), times,
+                              traj.u_history, traj.v_history))
+        return
     # imported here: they are about a tenth of the CLI's set-up time
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
     from multiprocessing import get_context
-    # fork, not spawn: the workers start with colonykit loaded instead of
-    # importing it again, and they are all started before the pool's thread
-    pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"))
+    # fork, not spawn: the workers start with colonykit and the snapshots
+    # loaded, and they are all started before the pool's thread
+    pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"), initializer=_hand_over,
+                               initargs=(x_cols, times, traj.u_history, traj.v_history))
+    parts = []
     try:
-        _write_rows(path, cfg, pool.map(_snapshot_rows, *args, chunksize=SNAPSHOTS_PER_TASK))
+        for _ in starts:
+            fd, part = tempfile.mkstemp(".part", path.name + ".", path.parent)
+            os.close(fd)
+            parts.append(part)
+        sizes = pool.map(_write_part, starts, parts)
+        with path.open("wb") as fh:
+            fh.write(_csv_header(cfg, ["t", "x", "u", "v"]).encode())
+            fh.flush()
+            for part, size in zip(parts, sizes):
+                _append_part(fh.fileno(), part, size)
     except BrokenProcessPool as exc:
         raise OSError(f"a snapshot writer process died: {exc}") from exc
     finally:
         pool.shutdown(cancel_futures=True)
+        for part in parts:  # those not appended, after a failure
+            Path(part).unlink(missing_ok=True)
 
 
 def _write_snapshots_binary(path: Path, cfg: ExperimentConfig, traj) -> None:

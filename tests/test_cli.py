@@ -676,6 +676,19 @@ class TestCommands:
         assert capsys.readouterr().err.startswith("error: ")
         assert [f.name for f in out.iterdir()] == ["snapshots.csv"]
 
+    @pytest.mark.parametrize("command", ["analyze", "expand", "continue"])
+    def test_failed_table_write_leaves_no_file(self, config_file, tmp_path, monkeypatch, capsys,
+                                               command):
+        # modes.csv, expansion.csv or branch_j6.csv is opened, then its header fails
+        def failing_header(cfg):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cli, "_meta_lines", failing_header)
+        out = tmp_path / "results"
+        assert main([command, "--config", str(config_file), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+        assert list(out.iterdir()) == []
+
 
 def random_trajectory(snapshots, n=16, seed=0):
     """Snapshots of values over many decades, both signs and both zeros."""
@@ -715,7 +728,15 @@ class TestSnapshotWriterProcesses:
         monkeypatch.setattr(BaseProcess, "start", counting_start)
         return processes
 
-    @pytest.mark.parametrize("snapshots", [1, 2, 7])
+    @pytest.fixture()
+    def writer_config(self, tmp_path):
+        """GOOD_CONFIG with 49 snapshots: 4 tasks, so 3 CPUs give 3 workers."""
+        path = tmp_path / "many_snapshots.yaml"
+        path.write_text(GOOD_CONFIG.replace("  snapshot_every: 1.0", "  snapshot_every: 0.0625"))
+        return path
+
+    # 1, 2 and 3 tasks of cli.SNAPSHOTS_PER_TASK = 16 snapshots
+    @pytest.mark.parametrize("snapshots", [1, 17, 40])
     def test_bytes_do_not_depend_on_process_count(self, tmp_path, monkeypatch, started,
                                                   snapshots):
         traj = random_trajectory(snapshots)
@@ -727,12 +748,57 @@ class TestSnapshotWriterProcesses:
             path = tmp_path / f"cpus{cpus}.csv"
             cli._write_snapshots_csv(path, cfg, traj)
             assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes(), cpus
-            workers = min(cpus, snapshots)
+            workers = min(cpus, math.ceil(snapshots / cli.SNAPSHOTS_PER_TASK))
             assert len(started) == (workers if workers > 1 else 0), cpus
             assert not any(process.is_alive() for process in started)
+            assert [f.name for f in tmp_path.iterdir() if f.suffix == ".part"] == []
+
+    def test_short_part_is_an_error(self, tmp_path):
+        # a part shorter than the size its worker reported
+        part = tmp_path / "snapshots.csv.x.part"
+        part.write_bytes(b"0.0,1.0,2.0,3.0\n")
+        with (tmp_path / "snapshots.csv").open("wb") as out:
+            with pytest.raises(OSError, match=r"ended after 16 of 20 bytes$"):
+                cli._append_part(out.fileno(), str(part), 20)
+
+    def test_parent_memory_does_not_grow_with_the_csv(self, tmp_path):
+        # 101 snapshots at n = 4096, over 20 MB of CSV, on two workers in a
+        # fresh interpreter; the rows are drawn one at a time, so the peak
+        # before the writer is close to what is resident.  The peak is
+        # VmHWM, not ru_maxrss: a spawned process's ru_maxrss starts from
+        # the peak of the process that spawned it, here pytest's
+        code = f"""if True:
+            from pathlib import Path
+            import numpy as np
+            from colonykit import Trajectory, cli
+            from colonykit.config import parse_config
+
+            def peak_kb():
+                with open("/proc/self/status") as fh:
+                    return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+            rng = np.random.default_rng(0)
+            u, v = np.empty((2, 101, 4097))
+            for row in (*u, *v):
+                row[:] = rng.uniform(-1, 1, row.size) * 10.0 ** rng.integers(-30, 30, row.size)
+            traj = Trajectory(times=np.arange(101.0), u_history=u, v_history=v, l=7.0,
+                              steady=False)
+            cfg = parse_config({GOOD_CONFIG!r})
+            cli._cpus = lambda: 2
+            out = Path({str(tmp_path)!r})
+            before = peak_kb()
+            cli._write_snapshots_csv(out / "snapshots.csv", cfg, traj)
+            grown = peak_kb() - before
+            names = sorted(p.name for p in out.iterdir())
+            print(grown, (out / "snapshots.csv").stat().st_size, names)
+        """
+        grown_kb, size, names = fresh_interpreter(code).split(" ", 2)
+        assert int(size) > 20e6
+        assert names == "['snapshots.csv']"
+        assert int(grown_kb) < 6 * 1024, f"the peak RSS grew by {int(grown_kb) / 1024:.1f} MB"
 
     @pytest.mark.parametrize("failure", ["raises", "killed"])
-    def test_failed_child_leaves_no_output(self, config_file, tmp_path, monkeypatch, capfd,
+    def test_failed_child_leaves_no_output(self, writer_config, tmp_path, monkeypatch, capfd,
                                            started, failure):
         parent = os.getpid()
         float_reprs = cli._float_reprs
@@ -747,7 +813,7 @@ class TestSnapshotWriterProcesses:
         monkeypatch.setattr(cli, "_cpus", lambda: 3)
         monkeypatch.setattr(cli, "_float_reprs", failing_in_worker)
         out = tmp_path / "results"
-        assert main(["simulate", "--config", str(config_file), "--out", str(out)]) == 1
+        assert main(["simulate", "--config", str(writer_config), "--out", str(out)]) == 1
         err = capfd.readouterr().err
         if failure == "raises":
             assert err == "error: [Errno 28] No space left on device\n"
@@ -757,8 +823,8 @@ class TestSnapshotWriterProcesses:
         assert list(out.iterdir()) == []
         assert len(started) == 3 and not any(process.is_alive() for process in started)
 
-    def test_failure_in_parent_stops_the_children(self, config_file, tmp_path, monkeypatch, capsys,
-                                                  started):
+    def test_failure_in_parent_stops_the_children(self, writer_config, tmp_path, monkeypatch,
+                                                  capsys, started):
         # the header is written once the workers are formatting
         def failing_header(cfg):
             raise OSError(errno.ENOSPC, "No space left on device")
@@ -766,7 +832,7 @@ class TestSnapshotWriterProcesses:
         monkeypatch.setattr(cli, "_cpus", lambda: 3)
         monkeypatch.setattr(cli, "_meta_lines", failing_header)
         out = tmp_path / "results"
-        assert main(["simulate", "--config", str(config_file), "--out", str(out)]) == 1
+        assert main(["simulate", "--config", str(writer_config), "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
         assert list(out.iterdir()) == []
         assert len(started) == 3 and not any(process.is_alive() for process in started)
