@@ -10,8 +10,10 @@ experiments:
     reproduce-paper  one-shot benchmark reproduction report
 
 Exit codes: 0 success, 1 runtime failure, 2 configuration error,
-3 reproduction mismatch.  Every output file embeds a metadata header
-(toolkit version, config hash, seed) so results are traceable.
+3 reproduction mismatch.  A command that fails leaves none of the files it
+named.  Every CSV and JSON output of a config command embeds a metadata
+header (toolkit version, config hash, seed) so results are traceable;
+the binary snapshot stream and the reproduction report carry none.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import os
 import struct
 import sys
 import tempfile
+from contextlib import suppress
 from itertools import repeat
 from pathlib import Path
 
@@ -54,27 +57,14 @@ def _csv_header(cfg: ExperimentConfig, columns: list[str]) -> str:
 
 
 def _write_csv(path: Path, cfg: ExperimentConfig, header: list[str], rows) -> None:
-    """The header, then one line per row; a failed write leaves no file."""
-    fh = path.open("w")
-    try:
-        with fh:
-            fh.write(_csv_header(cfg, header))
-            for row in rows:
-                fh.write(",".join(map(str, row)) + "\n")
-    except BaseException:
-        path.unlink()
-        raise
+    """The header, then one line per row."""
+    with path.open("w") as fh:
+        fh.write(_csv_header(cfg, header))
+        for row in rows:
+            fh.write(",".join(map(str, row)) + "\n")
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def cmd_analyze(args) -> int:
-    cfg = load_config(args.config, seed_override=args.seed)
-    out = _out_dir(args)
+def cmd_analyze(cfg: ExperimentConfig, out) -> int:
     classification = classify_uniform_state(cfg.params, cfg.motility, cfg.analyze.j_max)
     summary_json = {
         "meta": _json_meta(cfg),
@@ -100,21 +90,18 @@ def cmd_analyze(args) -> int:
     except ColonyKitError as exc:
         # no instability window: the classification stands alone
         summary_json["scan_note"] = str(exc)
-    _write_csv(out / "modes.csv", cfg, ["j", "lambda_j", "sigma_j", "a_j", "rho_max_real"], rows)
-    (out / "analysis.json").write_text(json.dumps(summary_json, indent=2) + "\n")
     print(f"classification: {summary_json['classification']}")
     if "i_c" in summary_json:
         print(
             f"i_c={summary_json['i_c']} i_a={summary_json['i_a']} "
             f"sigma_a={summary_json['sigma_a']:.6g} sigma_c={summary_json['sigma_c']:.6g}"
         )
-    print(f"wrote {out / 'modes.csv'} and {out / 'analysis.json'}")
+    _write_csv(out("modes.csv"), cfg, ["j", "lambda_j", "sigma_j", "a_j", "rho_max_real"], rows)
+    out("analysis.json").write_text(json.dumps(summary_json, indent=2) + "\n")
     return 0
 
 
-def cmd_expand(args) -> int:
-    cfg = load_config(args.config, seed_override=args.seed)
-    out = _out_dir(args)
+def cmd_expand(cfg: ExperimentConfig, out) -> int:
     summary = scan_modes(cfg.params, cfg.motility)
     modes = cfg.expand.modes
     if modes is None:
@@ -126,14 +113,13 @@ def cmd_expand(args) -> int:
             (e.j, e.sigma0, e.sigma2, e.a, e.c, e.d1, e.d2, e.d3, e.d4,
              "" if e.eta is None else e.eta, e.verdict.value)
         )
+    for e in expansions:
+        print(f"j={e.j}: sigma0={e.sigma0:.6g} sigma2={e.sigma2:.6g} {e.verdict.value}")
     _write_csv(
-        out / "expansion.csv", cfg,
+        out("expansion.csv"), cfg,
         ["j", "sigma0", "sigma2", "a", "c", "d1", "d2", "d3", "d4", "eta_if_admissible", "verdict"],
         rows,
     )
-    for e in expansions:
-        print(f"j={e.j}: sigma0={e.sigma0:.6g} sigma2={e.sigma2:.6g} {e.verdict.value}")
-    print(f"wrote {out / 'expansion.csv'}")
     return 0
 
 
@@ -247,11 +233,7 @@ def _write_snapshots_binary(path: Path, cfg: ExperimentConfig, traj) -> None:
             fh.write(struct.pack("<d", t) + u.astype("<f8").tobytes() + v.astype("<f8").tobytes())
 
 
-def cmd_simulate(args) -> int:
-    cfg = load_config(args.config, seed_override=args.seed)
-    if cfg.simulate is None:
-        raise ConfigError("config has no 'simulate' section")
-    out = _out_dir(args)
+def cmd_simulate(cfg: ExperimentConfig, out) -> int:
     traj = simulate(cfg.simulate.sim_config(cfg.params, cfg.motility))
     spec = modal_spectrum(traj.final)
     summary = {
@@ -263,47 +245,36 @@ def cmd_simulate(args) -> int:
         "peak_count": count_peaks(traj.final),
         "settle_time": traj.settle_time,
     }
-    binary = cfg.simulate.snapshot_format == "binary"
-    snap_path = out / ("snapshots.bin" if binary else "snapshots.csv")
-    try:
-        (_write_snapshots_binary if binary else _write_snapshots_csv)(snap_path, cfg, traj)
-    except BaseException:  # leave no partial file
-        if snap_path.is_file():
-            snap_path.unlink()
-        raise
-    with (out / "events.jsonl").open("w") as fh:
-        fh.write(json.dumps({"meta": _json_meta(cfg)}) + "\n")
-        for ev in traj.events:
-            fh.write(json.dumps({"kind": ev.kind, "time": ev.time, "old": ev.old, "new": ev.new}) + "\n")
-    (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     print(
         f"t_final={summary['t_final']:.6g} steady={traj.steady} "
         f"dominant_mode={spec.dominant} peaks={summary['peak_count']}"
     )
-    print(f"wrote {snap_path}, {out / 'events.jsonl'}, {out / 'summary.json'}")
+    if cfg.simulate.snapshot_format == "binary":
+        _write_snapshots_binary(out("snapshots.bin"), cfg, traj)
+    else:
+        _write_snapshots_csv(out("snapshots.csv"), cfg, traj)
+    with out("events.jsonl").open("w") as fh:
+        fh.write(json.dumps({"meta": _json_meta(cfg)}) + "\n")
+        for ev in traj.events:
+            fh.write(json.dumps({"kind": ev.kind, "time": ev.time, "old": ev.old, "new": ev.new}) + "\n")
+    out("summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     return 0
 
 
-def cmd_continue(args) -> int:
-    cfg = load_config(args.config, seed_override=args.seed)
-    if cfg.continuation is None:
-        raise ConfigError("config has no 'continuation' section")
-    out = _out_dir(args)
+def cmd_continue(cfg: ExperimentConfig, out) -> int:
     cs = cfg.continuation
     curve = trace_branch(cs.j, cfg.params, cfg.motility, cs.sigma_min, **cs.options)
     rows = [
         (curve.j, bp.sigma, bp.amplitude, bp.newton_iters, bp.residual)
         for bp in curve.points
     ]
-    path = out / f"branch_j{curve.j}.csv"
-    _write_csv(path, cfg, ["j", "sigma", "amplitude", "newton_iters", "residual"], rows)
     print(f"{len(curve.points)} points, termination {curve.termination.value}")
-    print(f"wrote {path}")
+    _write_csv(out(f"branch_j{curve.j}.csv"), cfg,
+               ["j", "sigma", "amplitude", "newton_iters", "residual"], rows)
     return 0
 
 
-def cmd_reproduce(args) -> int:
-    out = _out_dir(args)
+def cmd_reproduce(cfg: None, out) -> int:
     results = run_reproduction(progress=print)
     print(format_report(results))
     payload = {
@@ -312,8 +283,7 @@ def cmd_reproduce(args) -> int:
             for r in results
         ],
     }
-    (out / "reproduction_report.json").write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {out / 'reproduction_report.json'}")
+    out("reproduction_report.json").write_text(json.dumps(payload, indent=2) + "\n")
     return 0 if all(r.passed for r in results) else 3
 
 
@@ -328,16 +298,17 @@ def build_parser() -> argparse.ArgumentParser:
     out_option = argparse.ArgumentParser(add_help=False)
     out_option.add_argument("--out", default="out", help="output directory (default: ./out)")
 
-    for name, func, help_text in (
-        ("analyze", cmd_analyze, "mode scan and uniform-state classification"),
-        ("expand", cmd_expand, "expansion coefficient table"),
-        ("simulate", cmd_simulate, "integrate the time-dependent model"),
-        ("continue", cmd_continue, "trace a steady-state branch"),
+    # section: the config section the command needs, if any
+    for name, func, section, help_text in (
+        ("analyze", cmd_analyze, None, "mode scan and uniform-state classification"),
+        ("expand", cmd_expand, None, "expansion coefficient table"),
+        ("simulate", cmd_simulate, "simulate", "integrate the time-dependent model"),
+        ("continue", cmd_continue, "continuation", "trace a steady-state branch"),
     ):
         sp = sub.add_parser(name, help=help_text, parents=[out_option])
         sp.add_argument("--config", required=True, help="experiment configuration file (YAML)")
         sp.add_argument("--seed", type=int, default=None, help="override the config seed")
-        sp.set_defaults(func=func)
+        sp.set_defaults(func=func, section=section)
 
     # the reference setup only: no config, no seed
     sp = sub.add_parser("reproduce-paper", help="run the benchmark reproduction table",
@@ -348,9 +319,33 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Load the config, make --out, run the command, then name its files.
+    A command prints its results, then writes each file to out(name)."""
     args = build_parser().parse_args(argv)
+    written = []
+
+    def out(name: str) -> Path:
+        written.append(Path(args.out) / name)
+        return written[-1]
+
     try:
-        return args.func(args)
+        cfg = None
+        if "config" in args:
+            cfg = load_config(args.config, seed_override=args.seed)
+            if args.section and getattr(cfg, args.section) is None:
+                raise ConfigError(f"config has no '{args.section}' section")
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+        try:
+            code = args.func(cfg, out)
+        except BaseException:
+            # a failed command leaves none of its files; what is in the way stays
+            for path in written:
+                with suppress(OSError):
+                    if path.is_file():
+                        path.unlink()
+            raise
+        print("wrote " + ", ".join(map(str, written)))
+        return code
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

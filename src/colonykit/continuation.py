@@ -13,10 +13,11 @@ Fixed settings: the corrector converges at its residual max-norm
 NEWTON_TOL (1e-10) and gives up after MAX_CORRECTOR_STEPS (7) Newton steps.
 The first arclength step is DS_START (1e-3).  Step control doubles the step
 after a corrector that needed at most 3 steps, up to DS_MAX (5e-2), and
-halves it on failure down to DS_MIN (1e-5).  A trace stops when a state
-leaves the box [1 / B_MAX, B_MAX] (``pde_solver.B_MAX``, 100, the
-simulator's blow-up bound), after MAX_FOLDS (4) folds, or at MAX_POINTS
-(2000) points.
+halves it on failure down to DS_MIN (1e-5).  A seed or corrector with
+max|u - 1| below COLLAPSE_FLOOR (1e-9) has collapsed onto the uniform
+state.  A trace stops when a state leaves the box [1 / B_MAX, B_MAX]
+(``pde_solver.B_MAX``, 100, the simulator's blow-up bound), after
+MAX_FOLDS (4) folds, or at MAX_POINTS (2000) points.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ DS_MAX = 5e-2
 SEED_OFFSET = 1e-3
 MAX_POINTS = 2000
 MAX_FOLDS = 4
+COLLAPSE_FLOOR = 1e-9
 
 
 @dataclass(frozen=True)
@@ -95,14 +97,12 @@ def newton_steady(init: Field, p: ModelParams, m: MotilityModel) -> BranchPoint:
     """
     if abs(init.l - p.l) > 1e-9 * max(1.0, p.l):
         raise ValueError(f"field length {init.l} does not match params length {p.l}")
-    u, v, _, iters, res = newton(init.u, init.v, init.h, p.D, p.sigma, m)
-    return BranchPoint(
-        sigma=p.sigma,
-        field=Field(u=u, v=v, l=p.l),
-        amplitude=float(np.max(np.abs(u - 1.0))),
-        newton_iters=iters,
-        residual=res,
-    )
+    return _branch_point(p.l, *newton(init.u, init.v, init.h, p.D, p.sigma, m))
+
+
+def _branch_point(l, u, v, sigma, iters, res) -> BranchPoint:
+    """The point of a converged ``discrete.newton`` result on length l."""
+    return BranchPoint(sigma, Field(u=u, v=v, l=l), float(np.max(np.abs(u - 1.0))), iters, res)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +167,7 @@ def trace_branch(
             bp0 = newton_steady(seed_field, replace(p, sigma=sigma_seed), m)
         except ColonyKitError as exc:
             raise SeedFailureError(f"seed Newton solve failed for mode {j}: {exc}") from exc
-        if bp0.amplitude >= 1e-9:
+        if bp0.amplitude >= COLLAPSE_FLOOR:
             break
     else:
         raise SeedFailureError(f"mode {j} seed collapsed onto the uniform state")
@@ -204,12 +204,11 @@ def trace_branch(
         v_pred = X_cur[1::2] + step_size * tan_x[1::2]
         s_pred = s_cur + step_size * tan_s
         try:
-            u_new, v_new, s_new, iters, res = newton(
+            bp = _branch_point(p.l, *newton(
                 u_pred, v_pred, h, p.D, s_pred, m,
                 (tan_x, tan_s, X_cur, s_cur, step_size, w), MAX_CORRECTOR_STEPS,
-            )
-            amplitude = float(np.max(np.abs(u_new - 1.0)))
-            if amplitude < 1e-9:
+            ))
+            if bp.amplitude < COLLAPSE_FLOOR:
                 raise NewtonConvergenceError("corrector collapsed onto the uniform state")
         except (NewtonConvergenceError, SingularJacobianError):
             if step_size <= DS_MIN * (1 + 1e-12):
@@ -218,17 +217,18 @@ def trace_branch(
             step_size = max(DS_MIN, 0.5 * step_size)
             continue
 
+        u_new, v_new = bp.field.u, bp.field.v
         lo = min(float(np.min(u_new)), float(np.min(v_new)))
         hi = max(float(np.max(u_new)), float(np.max(v_new)))
         if lo < 1.0 / B_MAX or hi > B_MAX:
             termination = Termination.AMPLITUDE_BOUND
             break
 
-        points.append(BranchPoint(s_new, Field(u=u_new, v=v_new, l=p.l), amplitude, iters, res))
+        points.append(bp)
 
         X_new = interleave(u_new, v_new)
-        secant = _secant(X_new, s_new, X_cur, s_cur, w)
-        X_cur, s_cur = X_new, s_new
+        secant = _secant(X_new, bp.sigma, X_cur, s_cur, w)
+        X_cur, s_cur = X_new, bp.sigma
         if secant is None:
             termination = Termination.NEWTON_FAILURE
             break
@@ -238,7 +238,7 @@ def trace_branch(
         if folds > MAX_FOLDS:
             termination = Termination.FOLD_LIMIT
             break
-        if iters <= 3:
+        if bp.newton_iters <= 3:
             step_size = min(2.0 * step_size, DS_MAX)
 
     return BranchCurve(j=j, points=tuple(points), termination=termination)

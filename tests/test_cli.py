@@ -1,3 +1,4 @@
+import builtins
 import copy
 import errno
 import importlib
@@ -37,6 +38,7 @@ from colonykit import (
 from colonykit.cli import main
 from colonykit.config import load_config, parse_config
 from colonykit.pde_solver import initial_field
+from colonykit.reproduce import CriterionResult, format_report
 
 GOOD_CONFIG = """\
 params:
@@ -564,11 +566,15 @@ class TestCommands:
         assert main(["analyze", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "r(1) underflows to 0" in capsys.readouterr().err
 
-    def test_missing_section_is_config_error(self, tmp_path):
+    def test_missing_section_is_config_error(self, tmp_path, capsys):
         cfg = "params: {sigma: 0.3}\nmotility: {family: logistic_decay}\n"
         path = tmp_path / "nosim.yaml"
         path.write_text(cfg)
-        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        for command, section in (("simulate", "simulate"), ("continue", "continuation")):
+            assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+            err = capsys.readouterr().err
+            assert err == f"configuration error: config has no '{section}' section\n"
+            assert not (tmp_path / "o").exists()  # found before --out is made
 
     def test_analyze_monotone_motility_empty_table(self, tmp_path):
         cfg = (
@@ -669,6 +675,35 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(blocker) in err
 
+    @pytest.mark.parametrize("command, computation", [
+        ("simulate", "simulate"), ("continue", "trace_branch"),
+        ("reproduce-paper", "run_reproduction"),
+    ])
+    def test_unusable_out_fails_before_the_computation(self, config_file, tmp_path, monkeypatch,
+                                                        capsys, command, computation):
+        calls = []
+        monkeypatch.setattr(cli, computation, lambda *args, **kwargs: calls.append(args))
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        config = [] if command == "reproduce-paper" else ["--config", str(config_file)]
+        assert main([command, *config, "--out", str(blocker)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert calls == []
+
+    def test_failure_after_the_files_keeps_them(self, config_file, tmp_path, monkeypatch,
+                                                capsys):
+        # the files are complete when the wrote line fails to print
+        def print_failing(*args, **kwargs):
+            if args and str(args[0]).startswith("wrote "):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+            builtins.print(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "print", print_failing, raising=False)
+        out = tmp_path / "results"
+        assert main(["analyze", "--config", str(config_file), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+        assert sorted(f.name for f in out.iterdir()) == ["analysis.json", "modes.csv"]
+
     def test_unwritable_output_is_runtime_error(self, config_file, tmp_path, capsys):
         out = tmp_path / "results"
         (out / "snapshots.csv").mkdir(parents=True)
@@ -676,18 +711,83 @@ class TestCommands:
         assert capsys.readouterr().err.startswith("error: ")
         assert [f.name for f in out.iterdir()] == ["snapshots.csv"]
 
-    @pytest.mark.parametrize("command", ["analyze", "expand", "continue"])
+    # each file a command writes, with the files written before it; a bare
+    # command id fails at the command's first file
+    @pytest.mark.parametrize("command, name, earlier", [
+        ("analyze", "modes.csv", []),
+        ("analyze", "analysis.json", ["modes.csv"]),
+        ("expand", "expansion.csv", []),
+        ("simulate", "snapshots.csv", []),
+        ("simulate", "snapshots.bin", []),
+        ("simulate", "events.jsonl", ["snapshots.csv"]),
+        ("simulate", "summary.json", ["events.jsonl", "snapshots.csv"]),
+        ("continue", "branch_j6.csv", []),
+        ("reproduce-paper", "reproduction_report.json", []),
+    ], ids=["analyze", "analyze-analysis.json", "expand", "simulate", "simulate-snapshots.bin",
+            "simulate-events.jsonl", "simulate-summary.json", "continue", "reproduce-paper"])
     def test_failed_table_write_leaves_no_file(self, config_file, tmp_path, monkeypatch, capsys,
-                                               command):
-        # modes.csv, expansion.csv or branch_j6.csv is opened, then its header fails
-        def failing_header(cfg):
-            raise OSError(errno.ENOSPC, "No space left on device")
+                                               command, name, earlier):
+        # the file is made, then its first write fails: a full disk
+        real_open, listings = Path.open, []
 
-        monkeypatch.setattr(cli, "_meta_lines", failing_header)
+        class FullDisk:
+            def __init__(self, fh):
+                self.fh = fh
+                listings.append(sorted(f.name for f in out.iterdir()))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            writelines = write
+
+        def open_failing(path, *args, **kwargs):
+            fh = real_open(path, *args, **kwargs)
+            return FullDisk(fh) if path.name == name else fh
+
+        if name == "snapshots.bin":
+            config_file.write_text(GOOD_CONFIG.replace(
+                "  t_end: 3.0", "  t_end: 3.0\n  snapshot_format: binary"))
+        monkeypatch.setattr(cli, "_cpus", lambda: 1)
+        monkeypatch.setattr(cli, "run_reproduction", lambda progress: [
+            CriterionResult(1, "critical values", "pass", "as published")])
+        monkeypatch.setattr(Path, "open", open_failing)
         out = tmp_path / "results"
-        assert main([command, "--config", str(config_file), "--out", str(out)]) == 1
+        config = [] if command == "reproduce-paper" else ["--config", str(config_file)]
+        assert main([command, *config, "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+        assert listings == [sorted([*earlier, name])]  # the earlier files were complete
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("failed", [False, True], ids=["all_pass", "one_fails"])
+    def test_reproduce_paper_writes_the_report(self, tmp_path, monkeypatch, capsys, failed):
+        results = [CriterionResult(1, "critical values", "pass", "i_c=11 i_a=6"),
+                   CriterionResult(2, "mode selection", "fail" if failed else "pass",
+                                   "dominant mode 6", {"t": 1.0})]
+        calls = []
+
+        def run_reproduction(progress=None):
+            calls.append(progress)
+            return results
+
+        monkeypatch.setattr(cli, "run_reproduction", run_reproduction)
+        out = tmp_path / "repro"
+        report = out / "reproduction_report.json"
+        assert main(["reproduce-paper", "--out", str(out)]) == (3 if failed else 0)
+        assert calls == [print]  # the progress lines go to stdout
+        assert list(out.iterdir()) == [report]
+        payload = {"results": [
+            {"id": 1, "name": "critical values", "status": "pass", "detail": "i_c=11 i_a=6"},
+            {"id": 2, "name": "mode selection", "status": "fail" if failed else "pass",
+             "detail": "dominant mode 6"},
+        ]}
+        assert report.read_text() == json.dumps(payload, indent=2) + "\n"
+        assert capsys.readouterr().out == f"{format_report(results)}\nwrote {report}\n"
 
 
 def random_trajectory(snapshots, n=16, seed=0):
