@@ -2,16 +2,17 @@
 
 The discrete stationary system of ``discrete`` (the one the time stepper's
 steady states solve) is solved by ``discrete.newton``: at fixed sigma by
-``newton_steady`` and for a trace's first two points, and bordered by the
-arclength condition as the corrector.  Branches in the growth rate are
-traced by pseudo-arclength continuation: secant predictor, Newton corrector
-on the bordered system, adaptive step.
+``newton_steady`` and for a trace's seed, and bordered by the arclength
+condition as the corrector.  Branches in the growth rate are traced by
+pseudo-arclength continuation: secant predictor, Newton corrector on the
+bordered system, adaptive step.
 The state part of the arclength metric is mean-squared so domain resolution
 does not change the parameterization.
 
 Fixed settings: the corrector converges at its residual max-norm
 NEWTON_TOL (1e-10) and gives up after MAX_CORRECTOR_STEPS (7) Newton steps.
-The first arclength step is DS_START (1e-3).  Step control doubles the step
+The seed lies SEED_OFFSET (1e-3) below the grid's own onset, and the first
+arclength step is DS_START (1e-3).  Step control doubles the step
 after a corrector that needed at most 3 steps, up to DS_MAX (5e-2), and
 halves it on failure down to DS_MIN (1e-5).  A seed or corrector with
 max|u - 1| below COLLAPSE_FLOOR (1e-9) has collapsed onto the uniform
@@ -38,7 +39,7 @@ from .errors import (
 )
 from .linear_analysis import BifurcationSummary, ModelParams, _bifurcation_sigma, scan_modes
 from .motility import MotilityModel, taylor_at_one
-from .pde_solver import B_MAX, Field
+from .pde_solver import B_MAX, Field, modal_spectrum
 
 __all__ = [
     "BranchPoint",
@@ -110,17 +111,6 @@ def _branch_point(l, u, v, sigma, iters, res) -> BranchPoint:
 # ---------------------------------------------------------------------------
 
 
-def _secant(X_new, s_new, X_old, s_old, w):
-    """The secant from (X_old, s_old) to (X_new, s_new), scaled to unit length
-    in the arclength metric w |X|^2 + s^2, or None when the points coincide."""
-    tan_x = X_new - X_old
-    tan_s = s_new - s_old
-    scale = math.sqrt(float(tan_x @ tan_x) * w + tan_s * tan_s)
-    if scale == 0.0:
-        return None
-    return tan_x / scale, tan_s / scale
-
-
 def trace_branch(
     j: int,
     p: ModelParams,
@@ -133,9 +123,15 @@ def trace_branch(
     """Trace the mode-j steady-state branch from just below its bifurcation
     value down to sigma_min.
 
-    Seeds with the second-order approximate state at sigma0_j - SEED_OFFSET,
-    then follows the branch by pseudo-arclength steps (doubling after fast
-    corrector convergence, halving on failure).  Terminates on sigma_min,
+    The seed lies SEED_OFFSET below the grid's own onset sigma_h, the
+    bifurcation value of the discrete eigenvalue of mode j.  One
+    ``newton_steady`` at sigma_h - SEED_OFFSET solves it from the
+    second-order approximate state at sigma0_j - SEED_OFFSET.  A seed that
+    fails, collapses onto the uniform state or lands on another dominant
+    mode raises SeedFailureError.  The trace then follows the branch by
+    pseudo-arclength steps (doubling after fast corrector convergence,
+    halving on failure); the first starts along -sigma, so its corrector is
+    a natural step of DS_START.  Terminates on sigma_min,
     a box-bound violation, corrector failure at the minimum step, the fold
     budget, or the cap on the point count.  Raises ValueError unless
     sigma_min is finite and >= 0 and n >= 16.
@@ -151,45 +147,31 @@ def trace_branch(
     except ColonyKitError as exc:
         raise SeedFailureError(f"mode {j} has no branch to seed: {exc}") from exc
 
-    sigma_seed = expansion.sigma0 - SEED_OFFSET
+    h = p.l / n
+    # the grid's own onset, at its eigenvalue (4 / h^2) sin^2(pi j h / 2 l), lies
+    # above or below sigma0 by up to a few 1e-3 on a coarse grid
+    lam_h = (2.0 / h * math.sin(0.5 * math.pi * j * h / p.l)) ** 2
+    sigma_seed = _bifurcation_sigma(lam_h, p, *taylor_at_one(m, 2)) - SEED_OFFSET
     if sigma_seed <= sigma_min:
         return BranchCurve(j=j, points=(), termination=Termination.REACHED_SIGMA_MIN)
 
-    grid = np.linspace(0.0, p.l, n + 1)
-    h = p.l / n
-    # a coarse grid's onset, at the eigenvalue (4 / h^2) sin^2(pi j h / 2 l), can lie well
-    # above sigma0; if the seed collapses, a second one takes eps from that onset
-    lam_h = (2.0 / h * math.sin(0.5 * math.pi * j * h / p.l)) ** 2
-    ratio_h = (sigma_seed - _bifurcation_sigma(lam_h, p, *taylor_at_one(m, 2))) / expansion.sigma2
-    for eps in (epsilon_for_sigma(expansion, sigma_seed), math.sqrt(max(ratio_h, 0.0))):
-        seed_field = Field(*second_order_profiles(expansion, eps, grid), l=p.l)
-        try:
-            bp0 = newton_steady(seed_field, replace(p, sigma=sigma_seed), m)
-        except ColonyKitError as exc:
-            raise SeedFailureError(f"seed Newton solve failed for mode {j}: {exc}") from exc
-        if bp0.amplitude >= COLLAPSE_FLOOR:
-            break
-    else:
+    eps = epsilon_for_sigma(expansion, expansion.sigma0 - SEED_OFFSET)
+    seed_field = Field(*second_order_profiles(expansion, eps, np.linspace(0.0, p.l, n + 1)), l=p.l)
+    try:
+        bp0 = newton_steady(seed_field, replace(p, sigma=sigma_seed), m)
+    except ColonyKitError as exc:
+        raise SeedFailureError(f"seed Newton solve failed for mode {j}: {exc}") from exc
+    if bp0.amplitude < COLLAPSE_FLOOR:
         raise SeedFailureError(f"mode {j} seed collapsed onto the uniform state")
+    dominant = modal_spectrum(bp0.field).dominant
+    if dominant != j:
+        raise SeedFailureError(f"mode {j} seed converged onto mode {dominant}")
 
     points = [bp0]
     w = 1.0 / (2 * (n + 1))
-
-    # second point by a natural step in sigma to start the secant tangent
-    sigma_next = sigma_seed - min(DS_START, SEED_OFFSET)
-    try:
-        bp1 = newton_steady(bp0.field, replace(p, sigma=sigma_next), m)
-    except ColonyKitError as exc:
-        raise SeedFailureError(f"could not take the first continuation step: {exc}") from exc
-    points.append(bp1)
-
-    X_cur, s_cur = interleave(bp1.field.u, bp1.field.v), bp1.sigma
-    secant = _secant(X_cur, s_cur, interleave(bp0.field.u, bp0.field.v), bp0.sigma, w)
-    if secant is None:
-        raise SeedFailureError(
-            f"the first continuation step (ds={DS_START:g}) left the seed unchanged")
-    tan_x, tan_s = secant
-
+    X_cur, s_cur = interleave(bp0.field.u, bp0.field.v), sigma_seed
+    # the first tangent is straight down in sigma: the first corrector is a natural step
+    tan_x, tan_s = np.zeros_like(X_cur), -1.0
     step_size = DS_START
     folds = 0
     termination = None
@@ -227,14 +209,16 @@ def trace_branch(
         points.append(bp)
 
         X_new = interleave(u_new, v_new)
-        secant = _secant(X_new, bp.sigma, X_cur, s_cur, w)
+        d_x, d_s = X_new - X_cur, bp.sigma - s_cur
+        scale = math.sqrt(float(d_x @ d_x) * w + d_s * d_s)
         X_cur, s_cur = X_new, bp.sigma
-        if secant is None:
+        if scale == 0.0:  # the corrector returned the previous point
             termination = Termination.NEWTON_FAILURE
             break
-        if secant[1] * tan_s < 0:
+        if d_s * tan_s < 0:
             folds += 1
-        tan_x, tan_s = secant
+        # the secant, unit length in the arclength metric w |X|^2 + sigma^2
+        tan_x, tan_s = d_x / scale, d_s / scale
         if folds > MAX_FOLDS:
             termination = Termination.FOLD_LIMIT
             break

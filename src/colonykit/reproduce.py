@@ -374,6 +374,8 @@ def _crit_growth_fidelity(ctx):
 
 
 def _branch_slope(curve, e):
+    """Slope of |c_j|^2 against sigma0 - sigma, fitted through the origin
+    over the points within 5e-3 below sigma0, and their count."""
     window = (e.sigma0 - curve.sigmas <= 5e-3) & (e.sigma0 - curve.sigmas > 0)
     xs, ys = [], []
     for bp, keep in zip(curve.points, window):
@@ -382,7 +384,7 @@ def _branch_slope(curve, e):
             ys.append(modal_spectrum(bp.field).amplitude(e.j) ** 2)
     xs = np.asarray(xs)
     ys = np.asarray(ys)
-    slope = float(xs @ ys / (xs @ xs))
+    slope = float(xs @ ys / (xs @ xs)) if xs.size else math.nan
     return slope, int(xs.size)
 
 
@@ -391,6 +393,9 @@ def _crit_continuation(ctx):
     e = ctx.expansion(6)
     curve = ctx.branch(6, 0.05)
     slope, n_pts = _branch_slope(curve, e)
+    if n_pts == 0:
+        return False, (f"{len(curve.points)} points ({curve.termination.value}), "
+                       "none within 5e-3 below sigma0"), {}
     predicted = e.a ** 2 / abs(e.sigma2)
     rel = abs(slope - predicted) / predicted
     ok = curve.termination == Termination.REACHED_SIGMA_MIN and rel <= 0.10
@@ -407,7 +412,7 @@ def _departure_config(ctx) -> SimConfig:
     seeded noise, which should decay toward mode 6.  The state is the point
     of the trace to sigma_min = 0.315 nearest sigma = 0.32.  The trace's step
     grows on the way down, and at n = 256 its last two points are at
-    sigma = 0.3391 and 0.3059, so the run starts at sigma = 0.3059, past
+    sigma = 0.3390 and 0.3057, so the run starts at sigma = 0.3057, past
     sigma_min.  That far down the branch the state's largest cosine is
     mode 8, not mode 4 (|c8| = 0.132 against |c4| = 0.106)."""
     curve = ctx.branch(4, 0.315)

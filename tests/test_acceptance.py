@@ -6,10 +6,11 @@ Run `pytest tests/test_acceptance.py -v -s` for the full table; the
 simulation-backed rows take a few minutes at the default resolution.
 """
 
+import numpy as np
 import pytest
 
 import colonykit.reproduce as rp
-from colonykit import ColonyKitError
+from colonykit import BranchCurve, BranchPoint, ColonyKitError, Field, Termination
 
 
 @pytest.fixture(scope="session")
@@ -98,6 +99,21 @@ def test_criterion_11_linear_growth_fidelity(ctx):
 def test_criterion_12_continuation_consistency(ctx):
     result = _run(rp._crit_continuation, ctx)
     assert result.passed, result.detail
+
+
+@pytest.mark.parametrize("termination, sigmas, count", [
+    (Termination.REACHED_SIGMA_MIN, [], "0 points (reached_sigma_min)"),
+    (Termination.NEWTON_FAILURE, [0.3, 0.2], "2 points (newton_failure)"),
+], ids=["empty", "far_from_onset"])
+def test_criterion_12_fails_cleanly_on_a_degenerate_trace(monkeypatch, termination, sigmas, count):
+    # no point lies within 5e-3 below sigma0, so there is no slope to fit
+    uniform = Field(u=np.ones(65), v=np.ones(65), l=20.0)
+    points = tuple(BranchPoint(s, uniform, 0.0, 0, 0.0) for s in sigmas)
+    ctx = rp.ReproductionContext(n=64)
+    monkeypatch.setattr(ctx, "branch", lambda j, sigma_min: BranchCurve(j, points, termination))
+    result = rp._crit_continuation(ctx)
+    assert (result.cid, result.status) == (12, "fail")
+    assert result.detail == f"{count}, none within 5e-3 below sigma0"
 
 
 @pytest.mark.slow

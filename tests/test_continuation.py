@@ -23,6 +23,8 @@ from colonykit import (
 from colonykit import continuation, discrete
 from colonykit.asymptotics import BranchVerdict, second_order_profiles
 from colonykit.discrete import band_array, linearize, residual, rightmost_eigenvalues
+from colonykit.linear_analysis import _bifurcation_sigma
+from colonykit.motility import taylor_at_one
 
 REF = LogisticDecay(steepness=8.0, center=1.0)
 
@@ -252,18 +254,41 @@ class TestTraceBranch:
             tol = 0.03 if eps <= 0.02 else 0.10
             assert measured == pytest.approx(predicted, rel=tol)
 
+    @pytest.mark.parametrize("n", [32, 128, 1024])
+    @pytest.mark.parametrize("j", range(1, 12))
+    def test_seeds_below_the_grids_own_onset(self, j, n):
+        # the grid's onset, at its eigenvalue (4 / h^2) sin^2(pi j h / 2 l),
+        # lies up to a few 1e-3 off sigma0 on a coarse grid, on either side
+        h = 20.0 / n
+        lam_h = (2.0 / h * np.sin(0.5 * np.pi * j * h / 20.0)) ** 2
+        sigma_h = _bifurcation_sigma(lam_h, params(0.3), *taylor_at_one(REF, 2))
+        offset = continuation.SEED_OFFSET
+        curve = trace_branch(j, params(0.3), REF, sigma_min=sigma_h - offset - 1e-4, n=n)
+        bp = curve.points[0]
+        assert bp.sigma == sigma_h - offset
+        assert modal_spectrum(bp.field).dominant == j
+        assert bp.residual < 1e-10
+
     @pytest.mark.parametrize("j", [10, 11])
     def test_seeds_below_discrete_onset_on_coarse_grid(self, j):
         # at n = 128 the discrete onset lies above sigma0 (0.19362 vs 0.18950
-        # for j = 10, 0.01217 vs 0.00541 for j = 11), so the first seed collapses
+        # for j = 10, 0.01217 vs 0.00541 for j = 11), so the seed, SEED_OFFSET
+        # below it, lies above sigma0 too
         e = expansion_coefficients(j, params(0.3), REF)
         curve = trace_branch(j, params(0.3), REF, sigma_min=e.sigma0 - 2e-3, n=128)
         assert curve.termination is Termination.REACHED_SIGMA_MIN
-        assert len(curve.points) == 2
+        assert curve.points[0].sigma > e.sigma0 + 2e-3
+        assert len(curve.points) >= 4
+        amp = np.array([bp.amplitude for bp in curve.points])
+        assert amp[0] > 0.01 and np.all(np.diff(amp) > 0)
         for bp in curve.points:
-            assert bp.amplitude > 0.04
             assert modal_spectrum(bp.field).dominant == j
             assert bp.residual < 1e-10
+
+    def test_seed_off_its_mode_is_seed_failure(self):
+        # at n = 16 Newton carries the mode-10 seed onto another mode
+        with pytest.raises(SeedFailureError, match="mode 10 seed converged onto mode"):
+            trace_branch(10, params(0.3), REF, sigma_min=0.05, n=16)
 
     def test_no_branch_beyond_cutoff(self):
         with pytest.raises(SeedFailureError):
@@ -282,17 +307,23 @@ class TestTraceBranch:
 
     def test_overflowing_corrector_fails_without_warning(self, monkeypatch):
         # the first corrector iterates at this step overflow; under the suite's
-        # error::RuntimeWarning filter numpy's overflow warning would be raised
+        # error::RuntimeWarning filter numpy's overflow warning would be raised.
+        # The loop halves the step until a natural step converges
         monkeypatch.setattr(continuation, "DS_START", 1e300)
         curve = trace_branch(6, params(0.3), REF, sigma_min=0.05, n=64)
-        assert curve.termination is Termination.AMPLITUDE_BOUND
-        assert len(curve.points) == 2
+        assert curve.termination is Termination.REACHED_SIGMA_MIN
+        first, second = curve.points[:2]
+        assert 0 < first.sigma - second.sigma <= continuation.DS_MAX
 
-    def test_first_step_below_rounding_is_seed_failure(self, monkeypatch):
-        # sigma_seed - 1e-300 == sigma_seed: the secant tangent has length 0
+    def test_first_step_below_rounding_is_newton_failure(self, monkeypatch):
+        # sigma_seed - 1e-300 == sigma_seed: the corrector returns the seed
+        # unchanged, the secant has length 0, and the repeated point is kept
         monkeypatch.setattr(continuation, "DS_START", 1e-300)
-        with pytest.raises(SeedFailureError, match="left the seed unchanged"):
-            trace_branch(6, params(0.3), REF, sigma_min=0.05, n=64)
+        curve = trace_branch(6, params(0.3), REF, sigma_min=0.05, n=64)
+        assert curve.termination is Termination.NEWTON_FAILURE
+        seed, repeated = curve.points
+        assert repeated.sigma == seed.sigma and repeated.newton_iters == 0
+        assert np.array_equal(repeated.field.u, seed.field.u)
 
     @pytest.mark.parametrize("kwargs, match", [
         (dict(sigma_min=float("inf")), "sigma_min"),
