@@ -16,9 +16,10 @@ arclength step is DS_START (1e-3).  Step control doubles the step
 after a corrector that needed at most 3 steps, up to DS_MAX (5e-2), and
 halves it on failure down to DS_MIN (1e-5).  A seed or corrector with
 max|u - 1| below COLLAPSE_FLOOR (1e-9) has collapsed onto the uniform
-state.  A trace stops when a state leaves the box [1 / B_MAX, B_MAX]
-(``pde_solver.B_MAX``, 100, the simulator's blow-up bound), after
-MAX_FOLDS (4) folds, or at MAX_POINTS (2000) points.
+state.  A trace stops, tested in this order, at sigma_min, at MAX_POINTS
+(2000) points, on corrector failure at DS_MIN, outside the box [1 / B_MAX,
+B_MAX] (``pde_solver.B_MAX``, 100, the simulator's blow-up bound), on a
+repeated point, or after MAX_FOLDS (4) folds.
 """
 
 from __future__ import annotations
@@ -31,12 +32,7 @@ import numpy as np
 
 from .asymptotics import epsilon_for_sigma, expansion_coefficients, second_order_profiles
 from .discrete import interleave, newton
-from .errors import (
-    ColonyKitError,
-    NewtonConvergenceError,
-    SeedFailureError,
-    SingularJacobianError,
-)
+from .errors import ColonyKitError, NewtonConvergenceError, NewtonError, SeedFailureError
 from .linear_analysis import BifurcationSummary, ModelParams, _bifurcation_sigma, scan_modes
 from .motility import MotilityModel, taylor_at_one
 from .pde_solver import B_MAX, Field, modal_spectrum
@@ -131,10 +127,11 @@ def trace_branch(
     mode raises SeedFailureError.  The trace then follows the branch by
     pseudo-arclength steps (doubling after fast corrector convergence,
     halving on failure); the first starts along -sigma, so its corrector is
-    a natural step of DS_START.  Terminates on sigma_min,
-    a box-bound violation, corrector failure at the minimum step, the fold
-    budget, or the cap on the point count.  Raises ValueError unless
-    sigma_min is finite and >= 0 and n >= 16.
+    a natural step of DS_START.  It returns at the first exit met, in loop
+    order: sigma_min, the point cap, corrector failure at the minimum step,
+    a state outside the box (not kept), a repeated point (kept; also
+    NEWTON_FAILURE) or the fold budget.  Raises ValueError unless sigma_min
+    is finite and >= 0 and n >= 16.
     """
     if not (math.isfinite(sigma_min) and sigma_min >= 0):
         raise ValueError(f"sigma_min must be finite and >= 0, got {sigma_min}")
@@ -153,7 +150,7 @@ def trace_branch(
     lam_h = (2.0 / h * math.sin(0.5 * math.pi * j * h / p.l)) ** 2
     sigma_seed = _bifurcation_sigma(lam_h, p, *taylor_at_one(m, 2)) - SEED_OFFSET
     if sigma_seed <= sigma_min:
-        return BranchCurve(j=j, points=(), termination=Termination.REACHED_SIGMA_MIN)
+        return BranchCurve(j, (), Termination.REACHED_SIGMA_MIN)
 
     eps = epsilon_for_sigma(expansion, expansion.sigma0 - SEED_OFFSET)
     seed_field = Field(*second_order_profiles(expansion, eps, np.linspace(0.0, p.l, n + 1)), l=p.l)
@@ -174,14 +171,11 @@ def trace_branch(
     tan_x, tan_s = np.zeros_like(X_cur), -1.0
     step_size = DS_START
     folds = 0
-    termination = None
-    while termination is None:
+    while True:
         if points[-1].sigma <= sigma_min:
-            termination = Termination.REACHED_SIGMA_MIN
-            break
+            return BranchCurve(j, tuple(points), Termination.REACHED_SIGMA_MIN)
         if len(points) >= MAX_POINTS:
-            termination = Termination.MAX_POINTS
-            break
+            return BranchCurve(j, tuple(points), Termination.MAX_POINTS)
         u_pred = X_cur[0::2] + step_size * tan_x[0::2]
         v_pred = X_cur[1::2] + step_size * tan_x[1::2]
         s_pred = s_cur + step_size * tan_s
@@ -192,10 +186,9 @@ def trace_branch(
             ))
             if bp.amplitude < COLLAPSE_FLOOR:
                 raise NewtonConvergenceError("corrector collapsed onto the uniform state")
-        except (NewtonConvergenceError, SingularJacobianError):
+        except NewtonError:
             if step_size <= DS_MIN * (1 + 1e-12):
-                termination = Termination.NEWTON_FAILURE
-                break
+                return BranchCurve(j, tuple(points), Termination.NEWTON_FAILURE)
             step_size = max(DS_MIN, 0.5 * step_size)
             continue
 
@@ -203,26 +196,20 @@ def trace_branch(
         lo = min(float(np.min(u_new)), float(np.min(v_new)))
         hi = max(float(np.max(u_new)), float(np.max(v_new)))
         if lo < 1.0 / B_MAX or hi > B_MAX:
-            termination = Termination.AMPLITUDE_BOUND
-            break
+            return BranchCurve(j, tuple(points), Termination.AMPLITUDE_BOUND)
 
         points.append(bp)
-
         X_new = interleave(u_new, v_new)
         d_x, d_s = X_new - X_cur, bp.sigma - s_cur
         scale = math.sqrt(float(d_x @ d_x) * w + d_s * d_s)
-        X_cur, s_cur = X_new, bp.sigma
         if scale == 0.0:  # the corrector returned the previous point
-            termination = Termination.NEWTON_FAILURE
-            break
+            return BranchCurve(j, tuple(points), Termination.NEWTON_FAILURE)
         if d_s * tan_s < 0:
             folds += 1
+        if folds > MAX_FOLDS:
+            return BranchCurve(j, tuple(points), Termination.FOLD_LIMIT)
+        X_cur, s_cur = X_new, bp.sigma
         # the secant, unit length in the arclength metric w |X|^2 + sigma^2
         tan_x, tan_s = d_x / scale, d_s / scale
-        if folds > MAX_FOLDS:
-            termination = Termination.FOLD_LIMIT
-            break
         if bp.newton_iters <= 3:
             step_size = min(2.0 * step_size, DS_MAX)
-
-    return BranchCurve(j=j, points=tuple(points), termination=termination)

@@ -105,7 +105,7 @@ from .discrete import (
     rightmost_eigenvalues,
     signal_band,
 )
-from .errors import (BlowUpError, ColonyKitError, NewtonConvergenceError, PositivityLossError,
+from .errors import (BlowUpError, ColonyKitError, NewtonError, PositivityLossError,
                      SingularJacobianError)
 from .linear_analysis import ModelParams
 from .motility import MotilityModel
@@ -432,7 +432,7 @@ def _certified_steady_state(cur, recent, x, h, p: ModelParams, m: MotilityModel)
     """
     try:
         u, v, _, _, _ = newton(cur[0], cur[1], h, p.D, p.sigma, m)
-    except (NewtonConvergenceError, SingularJacobianError):
+    except NewtonError:
         return None
     state = np.stack([u, v])
     if not np.abs(state - cur).max() <= STOP_DIST:

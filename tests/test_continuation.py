@@ -305,6 +305,59 @@ class TestTraceBranch:
         assert curve.termination is Termination.MAX_POINTS
         assert len(curve.points) == 5
 
+    def test_corrector_failure_at_minimum_step_reported(self, monkeypatch):
+        # with no Newton step allowed every corrector fails: the loop halves
+        # the step down to DS_MIN, tries it once and stops with the seed alone
+        steps = []
+
+        def newton(*args):
+            if len(args) > 6:
+                steps.append(args[6][4])
+                assert len(steps) < 100, "no exit at DS_MIN"
+            return discrete.newton(*args)
+
+        monkeypatch.setattr(continuation, "MAX_CORRECTOR_STEPS", 0)
+        monkeypatch.setattr(continuation, "newton", newton)
+        curve = trace_branch(6, params(0.3), REF, sigma_min=0.05, n=64)
+        assert curve.termination is Termination.NEWTON_FAILURE
+        assert len(curve.points) == 1
+        assert steps[0] == continuation.DS_START and steps[-1] == continuation.DS_MIN
+        assert np.all(np.diff(steps) < 0)
+
+    def test_fold_budget_reported(self):
+        # at n = 128 the mode-4 trace turns back in sigma again and again;
+        # the fold past MAX_FOLDS ends it, the point that made it kept
+        curve = trace_branch(4, params(0.3), REF, sigma_min=0.05, n=128)
+        assert curve.termination is Termination.FOLD_LIMIT
+        turns = np.count_nonzero(np.diff(np.sign(np.diff(curve.sigmas))))
+        assert turns == continuation.MAX_FOLDS + 1
+        assert curve.sigmas[-1] > 0.05
+
+    def test_box_bound_reported(self, monkeypatch):
+        # in a box of [1 / 1.2, 1.2] the growing mode-6 pattern soon leaves
+        # it; the corrector outside the box is not kept
+        monkeypatch.setattr(continuation, "B_MAX", 1.2)
+        curve = trace_branch(6, params(0.3), REF, sigma_min=0.05, n=64)
+        assert curve.termination is Termination.AMPLITUDE_BOUND
+        assert len(curve.points) >= 2
+        for bp in curve.points:
+            for w in (bp.field.u, bp.field.v):
+                assert 1 / 1.2 <= np.min(w) and np.max(w) <= 1.2
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 3: a trace keeps the first point at or below sigma_min "
+        "even where its sigma is negative; this one ends at sigma = -0.00669, "
+        "a state ModelParams rejects",
+    )
+    def test_no_point_below_zero_sigma(self):
+        # mode 11 at n = 128: sigma_min = sigma0 - 2e-3 = 0.0034, and the last
+        # arclength step overshoots it past 0
+        e = expansion_coefficients(11, params(0.3), REF)
+        curve = trace_branch(11, params(0.3), REF, sigma_min=e.sigma0 - 2e-3, n=128)
+        assert all(bp.sigma >= 0 for bp in curve.points)
+
     def test_overflowing_corrector_fails_without_warning(self, monkeypatch):
         # the first corrector iterates at this step overflow; under the suite's
         # error::RuntimeWarning filter numpy's overflow warning would be raised.
