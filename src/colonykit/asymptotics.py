@@ -17,10 +17,11 @@ regardless.
 Two independent routes to eta are provided: the closed form, and a
 quadrature of the adjoint projection of the second-order eigenvalue
 forcing assembled term by term (``eta_by_quadrature``).  They must agree
-to rounding; the quadrature is the oracle for the closed form.  Its
-composite Simpson rule (``_simpson``) is scipy.integrate.simpson's, written
-out with the same order of operations so that the package need not import
-scipy.integrate; the test suite checks that both give the same value.
+to rounding; the quadrature is the oracle for the closed form.  It is the
+trapezoid rule on QUADRATURE_POINTS nodes: every term of the forcing
+carries an even number of first x-derivatives, so the integrand is a
+cosine polynomial of low degree in pi x / l, which the rule integrates
+exactly up to rounding.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ __all__ = [
     "epsilon_for_sigma",
 ]
 
-# composite Simpson nodes on [0, l] for the quadrature oracle
+# trapezoid nodes on [0, l] for the quadrature oracle
 QUADRATURE_POINTS = 4097
 
 
@@ -273,35 +274,16 @@ def _second_order_eigen_forcing(e: Expansion, m: MotilityModel, f: _Perturbation
     )
 
 
-def _simpson(y: np.ndarray, x: np.ndarray) -> float:
-    """Composite Simpson's rule for samples y on an odd number of nodes x.
-
-    This is the x-given branch of scipy.integrate.simpson for an odd node
-    count, with scipy's order of operations, so the two agree bit for bit
-    (the test suite checks it against scipy).
-    """
-    h = np.diff(x)
-    h0, h1 = h[0::2], h[1::2]
-    hsum = h0 + h1
-    hprod = h0 * h1
-    h0divh1 = h0 / h1
-    return np.sum(hsum / 6.0 * (y[:-2:2] * (2.0 - 1.0 / h0divh1)
-                                + y[1:-1:2] * (hsum * (hsum / hprod))
-                                + y[2::2] * (2.0 - h0divh1)))
-
-
 def eta_by_quadrature(p: ModelParams, m: MotilityModel, summary: BifurcationSummary) -> float:
-    """Independent route to eta: Simpson quadrature of the adjoint projection
-    of the second-order eigenvalue forcing, divided by c * l.
-
-    The integrand is a trigonometric polynomial of low degree, so composite
-    Simpson on thousands of points is exact to rounding.
-    """
+    """Independent route to eta: the trapezoid rule (module docstring) on the
+    adjoint projection of the second-order eigenvalue forcing, divided by
+    c * l."""
     e = expansion_coefficients(summary.i_a, p, m, summary)
     x = np.linspace(0.0, p.l, QUADRATURE_POINTS)
     f = _PerturbationFields(e, x)
-    g = _second_order_eigen_forcing(e, m, f)
-    return float(_simpson(g * f.ubar, x) / (e.c * p.l))
+    y = _second_order_eigen_forcing(e, m, f) * f.ubar
+    integral = (y.sum() - 0.5 * (y[0] + y[-1])) * (x[1] - x[0])
+    return float(integral / (e.c * p.l))
 
 
 # ---------------------------------------------------------------------------

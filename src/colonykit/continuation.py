@@ -14,12 +14,12 @@ NEWTON_TOL (1e-10) and gives up after MAX_CORRECTOR_STEPS (7) Newton steps.
 The seed lies SEED_OFFSET (1e-3) below the grid's own onset, and the first
 arclength step is DS_START (1e-3).  Step control doubles the step
 after a corrector that needed at most 3 steps, up to DS_MAX (5e-2), and
-halves it on failure down to DS_MIN (1e-5).  A seed or corrector with
-max|u - 1| below COLLAPSE_FLOOR (1e-9) has collapsed onto the uniform
-state.  A trace stops, tested in this order, at sigma_min, at MAX_POINTS
-(2000) points, on corrector failure at DS_MIN, outside the box [1 / B_MAX,
-B_MAX] (``pde_solver.B_MAX``, 100, the simulator's blow-up bound), on a
-repeated point, or after MAX_FOLDS (4) folds.
+halves it on failure down to DS_MIN (1e-5).  A corrector with max|u - 1|
+below COLLAPSE_FLOOR (1e-9) has collapsed onto the uniform state.  A trace
+stops, tested in this order, at sigma_min, at MAX_POINTS (2000) points, on
+corrector failure at DS_MIN, outside the box [1 / B_MAX, B_MAX]
+(``pde_solver.B_MAX``, 100, the simulator's blow-up bound), on a repeated
+point, or after MAX_FOLDS (4) folds.
 """
 
 from __future__ import annotations
@@ -123,15 +123,15 @@ def trace_branch(
     bifurcation value of the discrete eigenvalue of mode j.  One
     ``newton_steady`` at sigma_h - SEED_OFFSET solves it from the
     second-order approximate state at sigma0_j - SEED_OFFSET.  A seed that
-    fails, collapses onto the uniform state or lands on another dominant
-    mode raises SeedFailureError.  The trace then follows the branch by
-    pseudo-arclength steps (doubling after fast corrector convergence,
-    halving on failure); the first starts along -sigma, so its corrector is
-    a natural step of DS_START.  It returns at the first exit met, in loop
-    order: sigma_min, the point cap, corrector failure at the minimum step,
-    a state outside the box (not kept), a repeated point (kept; also
-    NEWTON_FAILURE) or the fold budget.  Raises ValueError unless sigma_min
-    is finite and >= 0 and n >= 16.
+    fails or whose dominant mode (``modal_spectrum``; 0 for a collapsed
+    seed) is not j raises SeedFailureError.  The trace then follows the
+    branch by pseudo-arclength steps (doubling after fast corrector
+    convergence, halving on failure); the first starts along -sigma, so its
+    corrector is a natural step of DS_START.  It returns at the first exit
+    met, in loop order: sigma_min, the point cap, corrector failure at the
+    minimum step, a state outside the box (not kept), a repeated point
+    (kept; also NEWTON_FAILURE) or the fold budget.  Raises ValueError
+    unless sigma_min is finite and >= 0 and n >= 16.
     """
     if not (math.isfinite(sigma_min) and sigma_min >= 0):
         raise ValueError(f"sigma_min must be finite and >= 0, got {sigma_min}")
@@ -158,8 +158,6 @@ def trace_branch(
         bp0 = newton_steady(seed_field, replace(p, sigma=sigma_seed), m)
     except ColonyKitError as exc:
         raise SeedFailureError(f"seed Newton solve failed for mode {j}: {exc}") from exc
-    if bp0.amplitude < COLLAPSE_FLOOR:
-        raise SeedFailureError(f"mode {j} seed collapsed onto the uniform state")
     dominant = modal_spectrum(bp0.field).dominant
     if dominant != j:
         raise SeedFailureError(f"mode {j} seed converged onto mode {dominant}")

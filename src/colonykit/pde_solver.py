@@ -68,10 +68,12 @@ does not grow with the number of modes.  The last bits of the amplitudes
 depend on numpy's FFT; the tests hold them within 1e-13 of the largest
 amplitude of the direct trapezoid sums.
 
-Pattern-change events are read from the snapshots with fixed hysteresis: a
-pattern is established once its largest cosine amplitude reaches
-EVENT_FLOOR, a new dominant mode must exceed EVENT_MARGIN times the current
-one, and a change counts once it lasts EVENT_PERSIST snapshots.
+A state has a pattern when its largest cosine amplitude over modes 1 .. N/2
+(higher modes are not resolved) reaches PATTERN_FLOOR; that amplitude's
+mode is its dominant mode.  Pattern-change events are read from the
+snapshots with fixed hysteresis: a new dominant mode must exceed
+EVENT_MARGIN times the current one, and a change counts once it lasts
+EVENT_PERSIST snapshots.
 
 The step loop is written for per-call overhead, which dominates at a few
 hundred nodes: the state lives in two preallocated (2, N+1) arrays (row 0
@@ -126,7 +128,7 @@ __all__ = [
 ]
 
 DT_SAFETY = 0.4
-EVENT_FLOOR = 1e-4
+PATTERN_FLOOR = 1e-4
 EVENT_PERSIST = 3
 EVENT_MARGIN = 2.0
 STOP_RATE = 1e-3
@@ -313,21 +315,27 @@ def _cosine_coefficients(u_rows: np.ndarray, x: np.ndarray, l: float, j_max: int
     return coeffs
 
 
+def _dominant_modes(mags: np.ndarray) -> list:
+    """Per row of magnitudes of modes 1..n//2: its dominant mode, or None
+    (no pattern) when the largest is below PATTERN_FLOOR."""
+    established = mags.max(axis=1, initial=0.0) >= PATTERN_FLOOR
+    return [int(np.argmax(row)) + 1 if ok else None for row, ok in zip(mags, established)]
+
+
 @dataclass(frozen=True)
 class ModalSpectrum:
     coefficients: np.ndarray  # index j = 0 .. n//2
-    dominant: int             # argmax of |coefficient| over j >= 1; 0 if all vanish
+    dominant: int             # the dominant mode; 0 without a pattern
 
     def amplitude(self, j: int) -> float:
         return float(self.coefficients[j])
 
 
 def modal_spectrum(f: Field) -> ModalSpectrum:
-    """Cosine-mode content of u and the dominant wave mode."""
-    coeffs = _cosine_coefficients(f.u[None, :], f.x, f.l, f.n // 2)[0]
-    mags = np.abs(coeffs[1:])
-    dominant = int(np.argmax(mags)) + 1 if mags.size and mags.max() > 0 else 0
-    return ModalSpectrum(coefficients=coeffs, dominant=dominant)
+    """Cosine amplitudes of u, modes 0..n//2, and its dominant mode."""
+    coeffs = _cosine_coefficients(f.u[None, :], f.x, f.l, f.n // 2)
+    dominant = _dominant_modes(np.abs(coeffs[:, 1:]))[0]
+    return ModalSpectrum(coefficients=coeffs[0], dominant=dominant or 0)
 
 
 def _find_peaks(x: np.ndarray, prominence: float) -> np.ndarray:
@@ -340,10 +348,7 @@ def _find_peaks(x: np.ndarray, prominence: float) -> np.ndarray:
 
 
 def _count_peaks(u: np.ndarray) -> float:
-    rng = float(np.max(u) - np.min(u))
-    if rng < 1e-9:
-        return 0.0
-    prominence = 0.1 * rng
+    prominence = 0.1 * float(np.max(u) - np.min(u))
     # reflect across both boundaries so boundary maxima get true prominences
     ext = np.concatenate([u[1:][::-1], u, u[:-1][::-1]])
     n = u.size - 1
@@ -356,13 +361,13 @@ def _count_peaks(u: np.ndarray) -> float:
 
 
 def count_peaks(f: Field) -> float:
-    """Peak count of u with boundary maxima counting one half each.
+    """Peak count of u with boundary maxima counting one half each; 0.0
+    when u has no pattern (module docstring).
 
     Peaks need a prominence of 10% of the field range, which ignores the
-    small secondary ripples of the second-harmonic correction.  A field
-    with range below 1e-9 counts as flat.
+    small secondary ripples of the second-harmonic correction.
     """
-    return _count_peaks(f.u)
+    return _pattern_data(f.u[None, :], f.x, f.l)[2][0] or 0.0
 
 
 def stationary_residual(f: Field, p: ModelParams, m: MotilityModel) -> tuple[float, float]:
@@ -386,36 +391,32 @@ def _debounced_changes(times, series, persist, kind):
     return events
 
 
-def _hysteresis_series(mags, established, margin):
+def _hysteresis_series(mags, modes, margin):
     """Dominant-mode series where a contender replaces the holder only after
     exceeding margin times its amplitude (prevents chatter while two modes'
     coefficients track each other through a crossover)."""
     out = []
     current = None
-    for row, ok in zip(mags, established):
-        if not ok:
-            current = None
-        else:
-            best = int(np.argmax(row)) + 1
-            if current is None or row[best - 1] > margin * row[current - 1]:
-                current = best
+    for row, best in zip(mags, modes):
+        if best is None or current is None or row[best - 1] > margin * row[current - 1]:
+            current = best
         out.append(current)
     return tuple(out)
 
 
 def _pattern_data(u_rows, x, l):
-    """Per row: cosine magnitudes of modes 1..n//2, whether a pattern is
-    established, and its peak count (None when not established)."""
+    """Per row: cosine magnitudes of modes 1..n//2, the dominant mode and the
+    peak count, both None without a pattern."""
     mags = _cosine_coefficients(u_rows, x, l, (x.size - 1) // 2)[:, 1:]
     np.abs(mags, out=mags)
-    established = mags.max(axis=1) >= EVENT_FLOOR
-    peaks = tuple(_count_peaks(row) if ok else None for row, ok in zip(u_rows, established))
-    return mags, established, peaks
+    modes = _dominant_modes(mags)
+    peaks = tuple(None if j is None else _count_peaks(row) for row, j in zip(u_rows, modes))
+    return mags, modes, peaks
 
 
 def _annotate(times, u_hist, x, l):
-    mags, established, peaks = _pattern_data(u_hist, x, l)
-    event_series = _hysteresis_series(mags, established, EVENT_MARGIN)
+    mags, modes, peaks = _pattern_data(u_hist, x, l)
+    event_series = _hysteresis_series(mags, modes, EVENT_MARGIN)
     events = _debounced_changes(times, event_series, EVENT_PERSIST, "dominant_mode")
     events += _debounced_changes(times, peaks, EVENT_PERSIST, "peak_count")
     events.sort(key=lambda ev: ev.time)
@@ -437,8 +438,7 @@ def _certified_steady_state(cur, recent, x, h, p: ModelParams, m: MotilityModel)
     state = np.stack([u, v])
     if not np.abs(state - cur).max() <= STOP_DIST:
         return None
-    mags, established, peaks = _pattern_data(np.vstack([recent, u]), x, p.l)
-    modes = [int(np.argmax(row)) + 1 if ok else None for row, ok in zip(mags, established)]
+    _, modes, peaks = _pattern_data(np.vstack([recent, u]), x, p.l)
     if len(set(zip(modes, peaks))) != 1:
         return None
     try:

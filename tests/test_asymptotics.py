@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import simpson
 
 from colonykit import (
     BranchSideError,
@@ -26,9 +25,10 @@ P = ModelParams(D=1.0, sigma=0.3, l=20.0)
 
 
 def adjoint_projection_first_order(p, m, summary):
-    """Simpson quadrature of the first-order eigenvalue forcing against the
-    adjoint kernel: the numerator of the first eigenvalue correction, which
-    the expansion relies on vanishing identically."""
+    """Trapezoid quadrature, as in ``eta_by_quadrature``, of the first-order
+    eigenvalue forcing against the adjoint kernel: the numerator of the
+    first eigenvalue correction, which the expansion relies on vanishing
+    identically."""
     e = expansion_coefficients(summary.i_a, p, m, summary)
     x = np.linspace(0.0, p.l, asymptotics.QUADRATURE_POINTS)
     f = asymptotics._PerturbationFields(e, x)
@@ -45,7 +45,8 @@ def adjoint_projection_first_order(p, m, summary):
         - rp1 * f.v1_xx * f.phi0
         + 2.0 * e.sigma0 * f.u1 * f.phi0
     )
-    return float(asymptotics._simpson(g * f.ubar, x))
+    y = g * f.ubar
+    return float((y.sum() - 0.5 * (y[0] + y[-1])) * (x[1] - x[0]))
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +125,23 @@ class TestEta:
             closed = expansion_coefficients(s.i_a, p, m, s).eta
             assert eta_by_quadrature(p, m, s) == pytest.approx(closed, rel=1e-6)
 
+    @pytest.mark.parametrize("m, sigma", [
+        (LogisticDecay(steepness=6.0), 0.3),
+        (LogisticDecay(steepness=8.0), 0.3),
+        (LogisticDecay(steepness=10.0), 0.3),
+        (ExponentialDecay(rate=3.0), 0.3),
+        (LogisticDecay(steepness=6.0, center=1.1), 0.1),
+        (ExponentialDecay(r0=np.e ** 2, rate=2.0), 0.1),
+    ], ids=["logistic6", "logistic8", "logistic10", "exponential", "logistic6_shifted",
+            "exponential_shifted"])
+    def test_trapezoid_oracle_to_rounding(self, m, sigma):
+        # the integrand is a low-degree cosine polynomial, which the
+        # trapezoid rule integrates exactly up to rounding
+        p = ModelParams(D=1.0, sigma=sigma, l=20.0)
+        s = scan_modes(p, m)
+        closed = expansion_coefficients(s.i_a, p, m, s).eta
+        assert eta_by_quadrature(p, m, s) == pytest.approx(closed, rel=1e-12, abs=0.0)
+
     def test_first_order_projection_vanishes(self, summary, exp6):
         scale = abs(exp6.eta)
         assert abs(adjoint_projection_first_order(P, REF, summary)) < 1e-9 * scale
@@ -156,30 +174,6 @@ class TestEta:
         shifted = _eta_closed_form(exp6.lambda_j, exp6.sigma0, exp6.sigma2 + 1.0, exp6.a,
                                    exp6.d1, exp6.d2, exp6.d3, exp6.d4, -2.0, 0.0, 64.0)
         assert shifted - base == pytest.approx(exp6.a / 2, rel=1e-12)
-
-
-class TestSimpsonMatchesScipy:
-    """The in-house Simpson rule against scipy.integrate.simpson."""
-
-    @pytest.mark.parametrize("m", [
-        LogisticDecay(steepness=6.0),
-        LogisticDecay(steepness=8.0),
-        LogisticDecay(steepness=10.0),
-        ExponentialDecay(rate=3.0),
-    ], ids=["logistic6", "logistic8", "logistic10", "exponential"])
-    def test_quadratures_equal_scipy_value(self, m, monkeypatch):
-        s = scan_modes(P, m)
-        ours = (eta_by_quadrature(P, m, s), adjoint_projection_first_order(P, m, s))
-        monkeypatch.setattr(asymptotics, "_simpson", lambda y, x: simpson(y, x=x))
-        assert (eta_by_quadrature(P, m, s), adjoint_projection_first_order(P, m, s)) == ours
-
-    @pytest.mark.parametrize("n", [3, 5, 101, 4097])
-    def test_uneven_grid(self, n):
-        # spacings over four decades, so every rounding of the node weights shows
-        rng = np.random.default_rng(3)
-        x = np.cumsum(10.0 ** rng.uniform(-3.0, 1.0, n))
-        y = rng.normal(size=n)
-        assert asymptotics._simpson(y, x) == simpson(y, x=x)
 
 
 class TestApproximateState:

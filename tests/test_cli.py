@@ -366,6 +366,19 @@ class TestCommands:
         events_lines = (out1 / "events.jsonl").read_text().splitlines()
         assert "meta" in json.loads(events_lines[0])
 
+    def test_simulate_without_a_pattern_reports_mode_0(self, tmp_path, capsys):
+        # at sigma = 0.7 the uniform state is stable: the run ends steady on
+        # it, with no pattern left for a dominant mode or a peak to name
+        path = tmp_path / "uniform.yaml"
+        path.write_text(GOOD_CONFIG.replace("sigma: 0.32", "sigma: 0.7")
+                        .replace("  n: 64\n  t_end: 3.0", "  n: 256\n  t_end: 100.0"))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(path), "--out", str(out), "--seed", "0"]) == 0
+        assert "steady=True dominant_mode=0 peaks=0.0" in capsys.readouterr().out
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["steady"] is True and summary["t_final"] < 100.0
+        assert (summary["dominant_mode"], summary["peak_count"]) == (0, 0.0)
+
     def test_seed_flag_decides_the_noise_and_the_headers(self, tmp_path):
         path = tmp_path / "seeded.yaml"
         path.write_text(GOOD_CONFIG.replace("  t_end: 3.0", "  t_end: 1.0"))

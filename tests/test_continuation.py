@@ -290,6 +290,16 @@ class TestTraceBranch:
         with pytest.raises(SeedFailureError, match="mode 10 seed converged onto mode"):
             trace_branch(10, params(0.3), REF, sigma_min=0.05, n=16)
 
+    def test_seed_collapsed_onto_uniform_state_is_seed_failure(self, monkeypatch):
+        # a seed that Newton carries onto (1, 1) has no pattern, so mode 0
+        def uniform_point(init, p, m):
+            ones = np.ones_like(init.u)
+            return continuation._branch_point(p.l, ones, ones.copy(), p.sigma, 1, 0.0)
+
+        monkeypatch.setattr(continuation, "newton_steady", uniform_point)
+        with pytest.raises(SeedFailureError, match="mode 6 seed converged onto mode 0$"):
+            trace_branch(6, params(0.3), REF, sigma_min=0.05, n=64)
+
     def test_no_branch_beyond_cutoff(self):
         with pytest.raises(SeedFailureError):
             trace_branch(12, params(0.3), REF, sigma_min=0.05)

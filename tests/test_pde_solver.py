@@ -59,6 +59,12 @@ def cosine_field(j, amplitude, n=256, l=20.0):
     return Field(u=1.0 + pattern, v=1.0 + pattern, l=l)
 
 
+def noisy_uniform_field():
+    """(1, 1) plus rounding noise in u: normal noise of scale 1e-15."""
+    u = 1.0 + 1e-15 * np.random.default_rng(0).standard_normal(65)
+    return Field(u=u, v=np.ones_like(u), l=20.0)
+
+
 class TestField:
     def test_grid_properties(self):
         f = uniform_field(n=64)
@@ -530,17 +536,25 @@ class TestCertifiedStop:
 
 class TestModalSpectrum:
     def test_pure_mode(self):
-        f = cosine_field(6, 0.01)
-        spec = modal_spectrum(f)
-        assert spec.dominant == 6
-        assert spec.amplitude(6) == pytest.approx(0.01, rel=1e-6)
-        others = [abs(spec.amplitude(j)) for j in range(1, 20) if j != 6]
-        assert max(others) < 1e-12
+        # 2e-4 is just above PATTERN_FLOOR
+        for amplitude in (0.01, 2e-4):
+            spec = modal_spectrum(cosine_field(6, amplitude))
+            assert spec.dominant == 6
+            assert spec.amplitude(6) == pytest.approx(amplitude, rel=1e-6)
+            others = [abs(spec.amplitude(j)) for j in range(1, 20) if j != 6]
+            assert max(others) < 1e-12
 
     def test_uniform_field(self):
-        spec = modal_spectrum(uniform_field())
+        for f in (uniform_field(), noisy_uniform_field()):
+            spec = modal_spectrum(f)
+            assert spec.dominant == 0
+            assert np.max(np.abs(spec.coefficients)) < 1e-13
+
+    def test_below_pattern_floor(self):
+        # 5e-5 is half PATTERN_FLOOR: a resolved mode-6 wave, but no pattern
+        spec = modal_spectrum(cosine_field(6, 5e-5))
         assert spec.dominant == 0
-        assert np.max(np.abs(spec.coefficients)) < 1e-13
+        assert spec.amplitude(6) == pytest.approx(5e-5, rel=1e-6)
 
     def test_mixture_argmax(self):
         x = np.linspace(0.0, 20.0, 257)
@@ -611,7 +625,8 @@ class TestCosineProjection:
 
 class TestCountPeaks:
     def test_mode6_pattern(self):
-        assert count_peaks(cosine_field(6, 0.02)) == 3.0
+        for amplitude in (0.02, 2e-4):
+            assert count_peaks(cosine_field(6, amplitude)) == 3.0
 
     def test_mode4_pattern(self):
         assert count_peaks(cosine_field(4, 0.02)) == 2.0
@@ -620,13 +635,45 @@ class TestCountPeaks:
         assert count_peaks(cosine_field(6, -0.02)) == 3.0
 
     def test_uniform_is_flat(self):
-        assert count_peaks(uniform_field()) == 0.0
+        # rounding noise, and a wave below PATTERN_FLOOR, are no pattern
+        for f in (uniform_field(), noisy_uniform_field(), cosine_field(6, 5e-5)):
+            assert count_peaks(f) == 0.0
 
     def test_prominence_filters_ripples(self):
         x = np.linspace(0.0, 20.0, 513)
         u = 1.0 + 0.1 * np.cos(4 * np.pi * x / 20) + 0.002 * np.cos(16 * np.pi * x / 20)
         f = Field(u=u, v=np.ones_like(u), l=20.0)
         assert count_peaks(f) == 2.0
+
+
+@st.composite
+def pattern_fields(draw):
+    """A cosine of a log-uniform amplitude around PATTERN_FLOOR, or uniform
+    noise of a log-uniform scale, over (1, 1) on a grid of n intervals."""
+    n = draw(st.sampled_from([16, 17, 64, 255, 256]))
+    x = np.linspace(0.0, 20.0, n + 1)
+    scale = 10.0 ** draw(st.floats(-16.0, -1.0))
+    if draw(st.booleans()):
+        shape = np.cos(draw(st.integers(1, n // 2)) * np.pi * x / 20.0)
+    else:
+        shape = np.random.default_rng(draw(st.integers(0, 2 ** 16))).uniform(-1.0, 1.0, n + 1)
+    return Field(u=1.0 + scale * shape, v=np.ones(n + 1), l=20.0)
+
+
+class TestPatternVerdict:
+    """modal_spectrum, count_peaks and the snapshot annotation read one rule."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(f=pattern_fields())
+    @example(f=cosine_field(6, 5e-5))
+    @example(f=cosine_field(6, 2e-4))
+    @example(f=noisy_uniform_field())
+    def test_one_verdict(self, f):
+        dominant, peaks = modal_spectrum(f).dominant, count_peaks(f)
+        assert (dominant == 0) == (peaks == 0.0)
+        _, modes, row_peaks = pde_solver._pattern_data(f.u[None, :], f.x, f.l)
+        assert (modes[0] or 0, row_peaks[0] or 0.0) == (dominant, peaks)
+        assert (modes[0] is None) == (row_peaks[0] is None)
 
 
 def mirrored(u):
