@@ -13,8 +13,10 @@ applied (divergence form).  The time stepper's steady states solve it and
 continuation traces its nonconstant branches.  This module is the only
 place the stencil is written down: the Laplacian, the stationary residual
 in the interleaved ordering (u_0, v_0, u_1, v_1, ...), its banded Jacobian,
-and the three diagonals of the signal equation's backward-Euler matrix.
-Each matrix has one layout, the one its LAPACK routine reads.
+and the three diagonals of a0 I - dt Lap_h diag(c), the matrix of each
+implicit solve of the time stepper (c = r for the density, the constant D
+for the signal).  Each matrix has one layout, the one its LAPACK routine
+reads.
 
 J, the Jacobian, lives in LAPACK's band layout: a Fortran-ordered
 (2 KL + KU + 1, 2 (N+1)) array, bandwidths (KL, KU) = (2, 3), whose row
@@ -57,7 +59,7 @@ __all__ = [
     "solve",
     "newton",
     "rightmost_eigenvalues",
-    "signal_band",
+    "implicit_band",
 ]
 
 # (lower, upper) bandwidths of the interleaved Jacobian
@@ -78,24 +80,14 @@ def interleave(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def laplacian(w: np.ndarray, h: float, out: np.ndarray | None = None) -> np.ndarray:
-    """3-point second difference with mirror (zero-flux) ghost closure.
-
-    The interior is (w[:-2] - 2 w[1:-1] + w[2:]) / h^2, evaluated in that
-    order in place in out, which must not share memory with w.
-    """
-    if out is None:
-        out = np.empty_like(w)
+def laplacian(w: np.ndarray, h: float) -> np.ndarray:
+    """3-point second difference with mirror (zero-flux) ghost closure: the
+    interior is (w[:-2] - 2 w[1:-1] + w[2:]) / h^2, evaluated in that order."""
     hh = h * h
-    inner = out[1:-1]
-    np.multiply(w[1:-1], 2.0, out=inner)
-    np.subtract(w[:-2], inner, out=inner)
-    np.add(inner, w[2:], out=inner)
-    np.divide(inner, hh, out=inner)
-    # the boundary rows in Python floats: the same IEEE operations as on
-    # numpy scalars, at a fraction of the per-operation cost
-    out[0] = 2.0 * (w.item(1) - w.item(0)) / hh
-    out[-1] = 2.0 * (w.item(-2) - w.item(-1)) / hh
+    out = np.empty_like(w)
+    out[1:-1] = (w[:-2] - 2.0 * w[1:-1] + w[2:]) / hh
+    out[0] = 2.0 * (w[1] - w[0]) / hh
+    out[-1] = 2.0 * (w[-2] - w[-1]) / hh
     return out
 
 
@@ -237,14 +229,22 @@ def rightmost_eigenvalues(ab: np.ndarray) -> np.ndarray:
     return lam[np.argsort(-lam.real, kind="stable")]
 
 
-def signal_band(dt: float, h: float, D: float, off: np.ndarray, d: np.ndarray) -> None:
-    """Fill the diagonals of (1 + dt) I - dt D Lap_h, the backward-Euler
-    matrix of the signal equation, for LAPACK gtsv: d (N+1) is the main
-    diagonal, and off (2N) holds the sub-diagonal dl in its first N entries
-    and the super-diagonal du in its last N, so one fill writes both."""
-    c = D * dt / (h * h)
-    edge = -2.0 * c  # the inward weight doubled at the mirrored ends
-    off.fill(-c)
-    off[d.size - 2] = edge  # dl[-1]
-    off[d.size - 1] = edge  # du[0]
-    d.fill(1.0 + dt + 2.0 * c)
+def implicit_band(a0: float, dt: float, h: float, c, off: np.ndarray, d: np.ndarray) -> None:
+    """Fill the diagonals of a0 I - dt Lap_h diag(c) for LAPACK gtsv, with c
+    an array of N+1 node values or one constant.  Entry (i, j) of
+    Lap_h diag(c) is L_ij c_j.  With w = (dt / h^2) c, d (N+1) gets the main
+    diagonal a0 + 2 w, and off (2N) the sub-diagonal dl = -w[:-1] in its
+    first N entries and the super-diagonal du = -w[1:] in its last N, the
+    mirrored weights dl[-1] and du[0] doubled, so one buffer holds both."""
+    npts = d.size
+    w = np.multiply(dt / (h * h), c)
+    dl, du = off[:npts - 1], off[npts - 1:]
+    if np.ndim(w):
+        np.negative(w[:-1], out=dl)
+        np.negative(w[1:], out=du)
+    else:
+        off.fill(-w)
+    dl[-1] *= 2.0
+    du[0] *= 2.0
+    np.multiply(w, 2.0, out=d)
+    d += a0

@@ -7,32 +7,57 @@ boundaries:
     dv/dt = D Lap_h v - v + u
 
 The discrete operators (mirror-closure Laplacian, stationary residual and
-the signal equation's backward-Euler matrix) come from ``discrete``, the
-same model continuation solves; with sigma = 0 the trapezoidal mass of u is
-conserved to rounding.  Time stepping is IMEX: the stiff linear v-equation
-is advanced by backward Euler through a tridiagonal solve, everything else
-explicitly, with the step size capped by the explicit diffusion bound
-dt <= DT_SAFETY h^2 / max r (DT_SAFETY = 0.4).  Any steady state of the
-scheme solves the spatially discrete stationary system exactly, independent
-of dt.
+the band of each implicit solve) come from ``discrete``, the same model
+continuation solves.  Time stepping is SBDF2, the second-order linearly
+implicit BDF scheme (Ascher, Ruuth & Wetton, SIAM J. Numer. Anal. 32,
+1995).  With r frozen at the extrapolated signal r* = r(2 v^n - v^(n-1)),
+the motility term Lap_h(r* u) is linear in u, so a step is two tridiagonal
+solves, u first, then v with the new u:
+
+    (3/2 I - dt Lap_h diag(r*)) u^(n+1)
+        = 2 u^n - u^(n-1)/2 + dt sigma (2 f(u^n) - f(u^(n-1))),  f(u) = u (1 - u)
+    ((3/2 + dt) I - dt D Lap_h) v^(n+1) = 2 v^n - v^(n-1)/2 + dt u^(n+1)
+
+The first step, and the first step of a different size, is backward Euler
+with r* = r(v^n): a0 = 1 in place of 3/2, right sides u^n + dt sigma f(u^n)
+and v^n.  No stability bound caps the step: dt is the step itself (default
+0.1, below).  A fixed point of either step solves the discrete stationary
+system exactly, since the BDF difference vanishes there, so steady states
+do not depend on dt.  At sigma = 0 the trapezoid weights w satisfy
+w^T Lap_h = 0, so each step keeps the trapezoid mass of u to rounding: the
+backward-Euler step keeps it, and the BDF2 combination of two equal masses
+gives a third.  SBDF2 is not positivity preserving: where u is steep,
+2 u^n - u^(n-1)/2 can go negative, and a step that loses positivity is a
+PositivityLossError as before.
+
+The default dt = 0.1 was chosen by an accuracy rule fixed before criterion
+10's transition times were read: the largest 0.1 / 2^k at which criterion
+11's fitted growth rate is within 0.5% of the dispersion root (a quarter of
+its 2% tolerance) and criterion 10's 4->8 time equals its value at dt / 2.
+At n = 512 criterion 11's error is 0.28, 0.062, 0.024 and 0.016% at dt =
+0.1, 0.05, 0.025 and 0.0125, and the 4->8 time is 51 at each.
 
 Snapshot k = 1, 2, ... is at k snapshot_every while that is below
-(1 - LAST_STEP_SLACK) t_end, and the last one at t_end.  A step that would
-reach the next snapshot time within (1 + LAST_STEP_SLACK) full steps takes
-dt = t_snap - t and lands on it exactly, so rounding (of a sum of capped
-steps, or of a multiple just below t_end) leaves no sliver step; all others
-are full steps.  The run ends after the snapshot at t_end, or earlier when
-steady, so the last snapshot is always the final state.
+(1 - LAST_STEP_SLACK) t_end, and the last one at t_end.  Each snapshot
+interval is split into ceil(span / dt) equal steps, the last of which lands
+on the snapshot time exactly, so no sliver step remains.  Every interval
+has the span snapshot_every and so the same steps, except a last interval
+to a t_end off the grid (its span more than LAST_STEP_SLACK t_end from
+snapshot_every): there the step size changes, and the interval starts with
+a backward-Euler step.  The run ends after the snapshot at t_end, or
+earlier when steady, so the last snapshot is always the final state.
 
 Whether a run is steady is decided at snapshot steps only, from the
 max-norm rate max|new - old| / dt of the step that reached the snapshot.
 At sigma = 0 mass conservation makes the Jacobian singular, so there the
 run is steady once that rate is below steady_tol, unless the step was
-clipped below a quarter of the longest step the schedule allows, the
-smaller of the full step and snapshot_every.  For sigma != 0 the only way
-a run ends steady is the certified stop.  It is tried when the rate is below
-STOP_RATE (1e-3) and no attempt was made in the last STOP_RETRY (10) time
-units, and it ends the run when all of these hold:
+below a quarter of the smaller of dt and snapshot_every.  Equal steps make
+every other step at least half that, so only a short last interval to an
+off-grid t_end can have such a step, whose rate may be rounding noise.
+For sigma != 0 the only way a run ends steady is the certified stop.  It
+is tried when the rate is below STOP_RATE (1e-3) and no attempt was made in
+the last STOP_RETRY (10) time units, and it ends the run when all of these
+hold:
 
   (a) ``discrete.newton`` converges from the current state;
   (b) its solution lies within STOP_DIST (1e-2, max-norm) of that state;
@@ -47,16 +72,18 @@ takes the place of the snapshot at the stop time.  Every earlier snapshot
 is the one the full run records.
 
 A run whose snapshots would hold over MAX_SNAPSHOT_VALUES floats, or that
-would take over MAX_STEPS steps as long as its first, is a ColonyKitError.
-The snapshot count follows from the schedule before the first step, and
-each snapshot is written once, into its row of the returned histories; a
-run that stops early keeps a copy of the rows it wrote.
+would take over MAX_STEPS steps, is a ColonyKitError.  Both counts follow
+from the schedule before the first step.  Each snapshot is written once,
+into its row of the returned histories; a run that stops early keeps a
+copy of the rows it wrote.
 
 A state outside [-B_MAX, B_MAX] (B_MAX = 100), or not finite, is a BlowUpError,
 the initial state already before the first step, and so are an asymptotic
-seed that overflows and a signal solve that LAPACK finds singular: with
-D dt / h^2 so large that the 1 + dt of its diagonal rounds away, the matrix
-is the Neumann Laplacian's, which is singular.
+seed that overflows and a density or signal solve that LAPACK gtsv
+(scipy's compiled wrapper, which ``_compiled`` loads without importing
+scipy.linalg) finds singular: where a0 rounds away beside dt r / h^2, or
+a0 + dt beside D dt / h^2, the matrix is a multiple of the Neumann
+Laplacian, which is singular.
 
 The cosine amplitudes of a state u are the trapezoid projections of
 u - mean(u) onto cos(pi j x / l), j = 0 .. N/2.  On the uniform grid that is
@@ -75,14 +102,6 @@ snapshots with fixed hysteresis: a new dominant mode must exceed
 EVENT_MARGIN times the current one, and a change counts once it lasts
 EVENT_PERSIST snapshots.
 
-The step loop is written for per-call overhead, which dominates at a few
-hundred nodes: the state lives in two preallocated (2, N+1) arrays (row 0
-is u, row 1 is v) that swap roles each step, and the signal solve calls
-LAPACK gtsv (scipy's compiled wrapper, which ``_compiled`` loads without
-importing scipy.linalg) directly on three diagonals that share one
-buffer.  The blow-up and positivity checks read one minimum per row and
-one maximum of the new state.
-
 Peak counting runs the compiled core of scipy.signal.find_peaks, which
 ``_compiled`` loads on the first count without importing scipy.signal.
 """
@@ -100,12 +119,11 @@ from ._compiled import dgtsv, peak_finding
 from .asymptotics import expansion_coefficients, second_order_profiles
 from .discrete import (
     band_array,
-    laplacian,
+    implicit_band,
     linearize,
     newton,
     residual,
     rightmost_eigenvalues,
-    signal_band,
 )
 from .errors import (BlowUpError, ColonyKitError, NewtonError, PositivityLossError,
                      SingularJacobianError)
@@ -127,7 +145,6 @@ __all__ = [
     "count_peaks",
 ]
 
-DT_SAFETY = 0.4
 PATTERN_FLOOR = 1e-4
 EVENT_PERSIST = 3
 EVENT_MARGIN = 2.0
@@ -136,7 +153,7 @@ STOP_RETRY = 10.0
 STOP_DIST = 1e-2
 LAST_STEP_SLACK = 1e-9
 B_MAX = 100.0
-# far above the criteria's protocol runs: about 2.1e6 steps, 2.6e6 values
+# far above the criteria's protocol runs: at most 25000 steps, 2.6e6 values
 MAX_STEPS = 1e8
 MAX_SNAPSHOT_VALUES = 1e8
 # the even extensions one block of the cosine projection holds (512 kB)
@@ -208,7 +225,7 @@ class SimConfig:
     motility: MotilityModel
     init: InitSpec
     n: int = 512
-    dt: float | None = None          # None: stability-bound step, recomputed each step
+    dt: float = 0.1                  # the step; snapshot intervals are split into equal steps <= dt
     t_end: float = 5000.0
     steady_tol: float = 1e-8         # decides steady at sigma = 0 only
     snapshot_every: float = 1.0
@@ -216,9 +233,7 @@ class SimConfig:
     def __post_init__(self):
         if self.n < 16:
             raise ValueError(f"resolution n must be >= 16, got {self.n}")
-        if self.dt is not None and not _finite_positive(self.dt):
-            raise ValueError(f"dt must be finite and > 0 when given, got {self.dt}")
-        for name in ("t_end", "steady_tol", "snapshot_every"):
+        for name in ("dt", "t_end", "steady_tol", "snapshot_every"):
             if not _finite_positive(getattr(self, name)):
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
 
@@ -462,8 +477,22 @@ def _multiples_below(step: float, bound: float) -> float:
     return k
 
 
-def _raise_out_of_bound(state: np.ndarray, t: float, b_max: float):
-    if not np.all(np.isfinite(state)):
+def _steps(span: float, dt: float) -> float:
+    """ceil(span / dt), the equal steps of at most dt that cover span; inf
+    past MAX_STEPS."""
+    q = span / dt
+    return math.ceil(q) if q <= MAX_STEPS else math.inf
+
+
+def _minima_within_bound(u: np.ndarray, v: np.ndarray, t: float, b_max: float):
+    """(min u, min v) of a state with max(|u|, |v|) <= b_max, else a
+    BlowUpError.  The bound is tested as max <= b_max and -min <= b_max, from
+    the minima the positivity test needs anyway; both reductions propagate
+    NaN, so this also catches NaN and inf."""
+    lo_u, lo_v = float(u.min()), float(v.min())
+    if max(float(u.max()), float(v.max())) <= b_max and -lo_u <= b_max and -lo_v <= b_max:
+        return lo_u, lo_v
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
         raise BlowUpError(f"non-finite values at t={t:.6g}")
     raise BlowUpError(f"solution norm exceeded bound {b_max} at t={t:.6g}")
 
@@ -477,102 +506,93 @@ def simulate(config: SimConfig) -> Trajectory:
     p, m = config.params, config.motility
     f0 = initial_field(config.init, p, m, config.n)
     h, D, sigma, b_max = f0.h, p.D, p.sigma, B_MAX
-    dt_cap, t_end, steady_tol = config.dt, config.t_end, config.steady_tol
-    every, last_step = config.snapshot_every, 1.0 + LAST_STEP_SLACK
+    dt, t_end, steady_tol = config.dt, config.t_end, config.steady_tol
+    every = config.snapshot_every
     t_last = (1.0 - LAST_STEP_SLACK) * t_end  # a later multiple of every is t_end
-    dt_bound = DT_SAFETY * h * h  # the explicit bound is dt_bound / max r
     npts = f0.u.size
-    snapshots = 2 + _multiples_below(every, t_last)  # t = 0, the multiples and t_end
+    multiples = _multiples_below(every, t_last)
+    snapshots = 2 + multiples  # t = 0, the multiples and t_end
     if snapshots * 2 * npts > MAX_SNAPSHOT_VALUES:
         raise ColonyKitError(f"the snapshots would hold over MAX_SNAPSHOT_VALUES = "
                              f"{MAX_SNAPSHOT_VALUES:.0e} values")
-    # each step writes the buffer nxt from cur, then the two swap; both are
-    # kept as (buffer, u row, v row)
-    state = np.stack([f0.u, f0.v])
-    spare = np.empty_like(state)
-    cur, nxt = (state, *state), (spare, *spare)
-    tmp = np.empty(npts)
-    lap_buf = np.empty_like(tmp)
-    # gtsv's diagonals in one buffer, refilled by signal_band every step:
-    # off is the sub-diagonal dl followed by the super-diagonal du
+    # the last interval, to t_end, is a regular one unless t_end is off the grid
+    last_span = t_end - multiples * every
+    if abs(last_span - every) <= LAST_STEP_SLACK * t_end:
+        last_span = every
+    steps_every, steps_last = _steps(every, dt), _steps(last_span, dt)
+    if (multiples * steps_every if multiples else 0) + steps_last > MAX_STEPS:
+        raise ColonyKitError(f"the run would take over MAX_STEPS = {MAX_STEPS:.0e} "
+                             f"steps of dt = {dt:.3g}")
+    u, v = f0.u, f0.v
+    lo_u, lo_v = _minima_within_bound(u, v, 0.0, b_max)
+    # gtsv's diagonals in one buffer, refilled by implicit_band for each
+    # solve: off is the sub-diagonal dl followed by the super-diagonal du
     band = np.empty(3 * npts - 2)
     off, d = band[:2 * npts - 2], band[2 * npts - 2:]
     dl, du = off[:npts - 1], off[npts - 1:]
-    lo_old0, lo_old1 = state.min(axis=1).tolist()
-    if not (float(state.max()) <= b_max and -lo_old0 <= b_max and -lo_old1 <= b_max):
-        _raise_out_of_bound(state, 0.0, b_max)
-    multiply, subtract, add = np.multiply, np.subtract, np.add
-    max_reduce, min_reduce = np.maximum.reduce, np.minimum.reduce
 
     x = f0.x
     last_try = -math.inf
     # snapshot k is row k; rows past the last snapshot of an early stop are never written
     times = [0.0]
     u_hist, v_hist = np.empty((snapshots, npts)), np.empty((snapshots, npts))
-    u_hist[0], v_hist[0] = f0.u, f0.v
+    u_hist[0], v_hist[0] = u, v
     t, k, steady = 0.0, 1, False
+    # the previous state, f(u) there and the step that left it; a step of
+    # another size (the first one too) is a backward-Euler step
+    u_old = v_old = f_old = None
+    step_old = math.nan
 
     # a run that blows up past the float range reaches the BlowUpError check
     # through inf/NaN values; numpy need not warn on the way there
     with np.errstate(over="ignore", invalid="ignore"):
         while t < t_end:
-            now, u, v = cur
-            new, u_new, v_new = nxt
-            t_snap = k * every if k * every < t_last else t_end
-            rv = m.evaluate(v, 0)
-            dt_full = dt_bound / float(max_reduce(rv))
-            if dt_cap is not None:
-                dt_full = min(dt_full, dt_cap)
-            if t == 0.0 and t_end > MAX_STEPS * dt_full:
-                raise ColonyKitError(f"the run would take over MAX_STEPS = {MAX_STEPS:.0e} "
-                                     f"steps of dt = {dt_full:.3g}")
-            if t_snap - t <= dt_full * last_step:
-                dt, t_new = t_snap - t, t_snap
+            if k * every < t_last:
+                t_snap, span, steps = k * every, every, steps_every
             else:
-                dt, t_new = dt_full, t + dt_full
-            # u_new = u + dt * (Lap_h(rv u) + sigma u (1 - u)), evaluated in that order
-            lap = laplacian(multiply(rv, u, out=tmp), h, lap_buf)
-            multiply(u, sigma, out=tmp)
-            subtract(1.0, u, out=u_new)
-            multiply(tmp, u_new, out=tmp)
-            add(lap, tmp, out=tmp)
-            multiply(tmp, dt, out=tmp)
-            add(u, tmp, out=u_new)
-            # backward Euler for v: solve (1 + dt - dt D Lap_h) v_new = v + dt u_new in place
-            multiply(u_new, dt, out=v_new)
-            add(v, v_new, out=v_new)
-            signal_band(dt, h, D, off, d)
-            if dgtsv(dl, d, du, v_new, 1, 1, 1, 1)[-1] != 0:  # overwrite all four in place
-                raise BlowUpError(f"signal solve singular at t={t_new:.6g}")
+                t_snap, span, steps = t_end, last_span, steps_last
+            step = span / steps
+            t_start = t
+            for i in range(1, steps + 1):
+                t_new = t_snap if i == steps else t_start + i * step
+                fu = u * (1.0 - u)
+                if step == step_old:  # BDF2
+                    a0, u_part, v_part = 1.5, 2.0 * u - 0.5 * u_old, 2.0 * v - 0.5 * v_old
+                    rv, react = m.evaluate(2.0 * v - v_old, 0), 2.0 * fu - f_old
+                else:  # backward Euler
+                    a0, u_part, v_part = 1.0, u, v
+                    rv, react = m.evaluate(v, 0), fu
+                implicit_band(a0, step, h, rv, off, d)
+                *_, u_new, info = dgtsv(dl, d, du, u_part + step * sigma * react, 1, 1, 1, 1)
+                if info != 0:
+                    raise BlowUpError(f"density solve singular at t={t_new:.6g}")
+                implicit_band(a0 + step, step, h, D, off, d)
+                *_, v_new, info = dgtsv(dl, d, du, v_part + step * u_new, 1, 1, 1, 1)
+                if info != 0:
+                    raise BlowUpError(f"signal solve singular at t={t_new:.6g}")
+                lo_u_new, lo_v_new = _minima_within_bound(u_new, v_new, t_new, b_max)
+                if lo_u_new <= 0 < lo_u or lo_v_new <= 0 < lo_v:
+                    raise PositivityLossError(f"positivity lost at t={t_new:.6g}")
+                u_old, v_old, f_old, step_old = u, v, fu, step
+                u, v, lo_u, lo_v = u_new, v_new, lo_u_new, lo_v_new
+            t = t_snap
 
-            # max|x| <= b_max, tested as max x <= b_max and -min x <= b_max for
-            # the minimum of each row, which the positivity test needs anyway;
-            # both reductions propagate NaN, so this also catches NaN and inf
-            lo0, lo1 = min_reduce(new, axis=1).tolist()
-            if not (float(max_reduce(new, axis=None)) <= b_max
-                    and -lo0 <= b_max and -lo1 <= b_max):
-                _raise_out_of_bound(new, t_new, b_max)
-            if lo0 <= 0 < lo_old0 or lo1 <= 0 < lo_old1:
-                raise PositivityLossError(f"positivity lost at t={t_new:.6g}")
-            cur, nxt, lo_old0, lo_old1, t = nxt, cur, lo0, lo1, t_new
-            if t == t_snap:
-                rate = float(np.max(np.abs(new - now))) / dt
-                if sigma == 0:
-                    # the rate of a step clipped well below the longest one the
-                    # schedule allows (dt_full or snapshot_every) is rounding noise
-                    steady = rate < steady_tol and dt >= 0.25 * min(dt_full, every)
-                elif (rate < STOP_RATE and t - last_try >= STOP_RETRY
-                        and k >= EVENT_PERSIST):
-                    last_try = t
-                    settled = _certified_steady_state(cur[0], u_hist[k - EVENT_PERSIST:k],
-                                                      x, h, p, m)
-                    if settled is not None:
-                        cur, steady = (settled, *settled), True
-                times.append(t)
-                u_hist[k], v_hist[k] = cur[1], cur[2]
-                if steady:
-                    break
-                k += 1
+            rate = max(float(np.max(np.abs(u - u_old))), float(np.max(np.abs(v - v_old)))) / step
+            if sigma == 0:
+                # the rate of a step well below the longest one the schedule
+                # allows (dt or snapshot_every) is rounding noise
+                steady = rate < steady_tol and step >= 0.25 * min(dt, every)
+            elif rate < STOP_RATE and t - last_try >= STOP_RETRY and k >= EVENT_PERSIST:
+                last_try = t
+                settled = _certified_steady_state(np.stack([u, v]), u_hist[k - EVENT_PERSIST:k],
+                                                  x, h, p, m)
+                if settled is not None:
+                    (u, v), steady = settled, True
+            times.append(t)
+            u_hist[k], v_hist[k] = u, v
+            if steady:
+                break
+            k += 1
 
     if len(times) < snapshots:  # an early stop keeps only the rows it wrote
         u_hist, v_hist = u_hist[:len(times)].copy(), v_hist[:len(times)].copy()

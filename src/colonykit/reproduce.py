@@ -29,6 +29,7 @@ from .asymptotics import (
     second_order_profiles,
 )
 from .continuation import Termination, trace_branch
+from .discrete import band_array, linearize, newton, rightmost_eigenvalues
 from .errors import ColonyKitError
 from .linear_analysis import (
     ModelParams,
@@ -39,6 +40,7 @@ from .linear_analysis import (
 )
 from .motility import LogisticDecay
 from .pde_solver import (
+    EVENT_MARGIN,
     AsymptoticMode,
     ExplicitField,
     Field,
@@ -321,6 +323,35 @@ def _protocol_outcome(traj):
     return spec.dominant, count_peaks(traj.final)
 
 
+def _transition_prediction(ctx, traj, t_48):
+    """What sets the 8->6 time of the mode-4 run.  Its initial state holds
+    only the cosine modes 4k, a subspace the model keeps, so mode 6 grows
+    only from rounding noise, at the rate of the mode-8 state's rightmost
+    eigenvalue.  Returns |c6| at the 4->8 event, that eigenvalue (at the
+    Newton-refined state from the event's snapshot) and the predicted time
+    t_48 + ln(A / |c6|) / rate, where A = EVENT_MARGIN |c8| of the mode-8
+    state is the amplitude at which mode 6 takes over; None where a step
+    fails."""
+    out = {"c6_at_4_to_8": None, "mode8_eigenvalue": None, "predicted_8_to_6": None}
+    if t_48 is None:
+        return out
+    f = traj.field(int(np.searchsorted(traj.times, t_48)))
+    sigma, D, m = ctx.PROTOCOLS["mode4_at_032_scaled"][0], REFERENCE_D, ctx.motility
+    c6 = abs(modal_spectrum(f).amplitude(6))
+    out["c6_at_4_to_8"] = c6
+    try:
+        u, v, _, _, _ = newton(f.u, f.v, f.h, D, sigma, m)
+        lam = rightmost_eigenvalues(linearize(u, v, f.h, D, sigma, m, band_array(u.size)))
+    except ColonyKitError:
+        return out
+    rate = float(lam[0].real) if lam.size else math.nan
+    out["mode8_eigenvalue"] = rate
+    amplitude = EVENT_MARGIN * abs(modal_spectrum(Field(u=u, v=v, l=f.l)).amplitude(8))
+    if rate > 0 and c6 > 0:
+        out["predicted_8_to_6"] = t_48 + math.log(amplitude / c6) / rate
+    return out
+
+
 @_criterion("mode selection and transition timeline")
 def _crit_mode_selection(ctx):
     data = {}
@@ -338,14 +369,18 @@ def _crit_mode_selection(ctx):
     t_86 = changes.get((8, 6))
     settle = traj.settle_time
     times = {"mode_4_to_8": t_48, "mode_8_to_6": t_86, "settled": settle}
-    data["transition"] = dict(times, dominant=dom, peaks=peaks)
+    prediction = _transition_prediction(ctx, traj, t_48)
+    data["transition"] = dict(times, dominant=dom, peaks=peaks, **prediction)
     ok &= dom == 6 and peaks == 3.0
     for key, ref in REF_TRANSITION.items():
         got = times[key]
         ok &= got is not None and abs(got - ref) <= TRANSITION_REL_TOL * ref
     detail = "; ".join(
         [f"{k}: mode {v['dominant']}, {v['peaks']} peaks" for k, v in data.items() if k != "transition"]
-        + [f"transition times {times} vs {REF_TRANSITION} (30% windows)"]
+        + [f"transition times {times} vs {REF_TRANSITION} (30% windows)",
+           "8->6 from rounding noise: |c6|={c6_at_4_to_8} at 4->8, mode-8 rate "
+           "{mode8_eigenvalue}, predicted at {predicted_8_to_6}".format(
+               **{k: "n/a" if v is None else f"{v:.4g}" for k, v in prediction.items()})]
     )
     return ok, detail, data
 

@@ -79,13 +79,11 @@ def test_criterion_08_asymptotic_residual_order(ctx):
     assert result.passed, result.detail
 
 
-@pytest.mark.slow
 def test_criterion_09_stable_regime(ctx):
     result = _run(rp._crit_stable_regime, ctx)
     assert result.passed, result.detail
 
 
-@pytest.mark.slow
 def test_criterion_10_mode_selection_and_transitions(ctx):
     result = _run(rp._crit_mode_selection, ctx)
     assert result.passed, result.detail
@@ -116,7 +114,6 @@ def test_criterion_12_fails_cleanly_on_a_degenerate_trace(monkeypatch, terminati
     assert result.detail == f"{count}, none within 5e-3 below sigma0"
 
 
-@pytest.mark.slow
 def test_criterion_13_stability_verdicts(ctx):
     result = _run(rp._crit_stability_verdicts, ctx)
     assert result.passed, result.detail

@@ -616,13 +616,24 @@ class TestCommands:
 
     def test_singular_signal_solve_exit_code(self, tmp_path, capsys):
         # 1 + dt rounds away beside D dt / h^2: the signal matrix is the
-        # Neumann Laplacian's, which LAPACK finds singular
+        # Neumann Laplacian's, which LAPACK finds singular in the first step
         path = tmp_path / "huge_d.yaml"
         path.write_text(GOOD_CONFIG.replace("D: 1.0", "D: 1.0e+300")
                         .replace("n: 64", "n: 16").replace("t_end: 3.0", "t_end: 1.0"))
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
-        assert err == "error: signal solve singular at t=1\n"
+        assert err == "error: signal solve singular at t=0.1\n"
+
+    def test_singular_density_solve_exit_code(self, tmp_path, capsys):
+        # 1 rounds away beside dt r(v) / h^2: the density matrix is
+        # -dt Lap_h diag(r), singular as the Neumann Laplacian is
+        path = tmp_path / "huge_r.yaml"
+        path.write_text(GOOD_CONFIG.replace("steepness: 8.0\n  center: 1.0",
+                                            "r0: 1.0e+300\n  rate: 1.0")
+                        .replace("family: logistic_decay", "family: exponential_decay"))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: density solve singular at t=0.1\n"
 
     @pytest.mark.parametrize("command", ["analyze", "expand", "simulate", "continue"])
     def test_tiny_length_is_config_error(self, tmp_path, capsys, command):
@@ -656,13 +667,13 @@ class TestCommands:
         assert run.stderr == "error: the scan window exceeds MAX_SCAN_MODES = 100000 modes\n"
 
     @pytest.mark.parametrize("edits, message", [
-        ([("l: 20.0", "l: 1.0e-3"), ("n: 64", "n: 16"), ("t_end: 3.0", "t_end: 1.0")],
-         "error: the run would take over MAX_STEPS = 1e+08 steps of dt = 3.01e-09\n"),
+        ([("t_end: 3.0", "t_end: 3.0\n  dt: 1.0e-9")],
+         "error: the run would take over MAX_STEPS = 1e+08 steps of dt = 1e-09\n"),
         ([("snapshot_every: 1.0", "snapshot_every: 1.0e-9")],
          "error: the snapshots would hold over MAX_SNAPSHOT_VALUES = 1e+08 values\n"),
     ], ids=["steps", "snapshots"])
     def test_unbounded_run_fails_at_once(self, tmp_path, edits, message):
-        # about 3e8 steps, or 3e9 snapshots of 130 values each; run in a child
+        # 3e9 steps, or 3e9 snapshots of 130 values each; run in a child
         # with a timeout, so a regression fails instead of hanging
         text = GOOD_CONFIG
         for old, new in edits:

@@ -405,7 +405,6 @@ class TestTraceBranch:
             trace_branch(6, params(0.3), REF, **{"sigma_min": 0.05, **kwargs})
 
 
-@pytest.mark.slow
 class TestDynamicCrossCheck:
     """Time integration agrees with the branch stability verdicts.  The
     departure of a wrong-mode branch point is criterion 13's dynamic check
