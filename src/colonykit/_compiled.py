@@ -1,10 +1,10 @@
 """LAPACK's banded solvers, expit and find_peaks's core from scipy's compiled
 modules alone.
 
-LAPACK's dgtsv, dgbsv, dgbtrf and dgbtrs live in the extension module
-``scipy.linalg._flapack``, ``expit`` in ``scipy.special._special_ufuncs``
-and the two functions ``scipy.signal.find_peaks`` runs in
-``scipy.signal._peak_finding_utils``.
+LAPACK's dgtsv, dgbtrf and dgbtrs, which only ``discrete`` calls, live in
+the extension module ``scipy.linalg._flapack``, ``expit`` in
+``scipy.special._special_ufuncs`` and the two functions
+``scipy.signal.find_peaks`` runs in ``scipy.signal._peak_finding_utils``.
 Importing them through ``scipy.linalg`` and ``scipy.special`` runs those
 packages' ``__init__`` files, about 0.4 s that mostly goes to
 ``scipy._lib._array_api`` and the numpy modules it pulls in.  Here each
@@ -26,7 +26,7 @@ import importlib.util
 import os
 import sys
 
-__all__ = ["dgtsv", "dgbsv", "dgbtrf", "dgbtrs", "expit", "peak_finding"]
+__all__ = ["dgtsv", "dgbtrf", "dgbtrs", "expit", "peak_finding"]
 
 
 def _module(package: str, name: str):
@@ -61,8 +61,8 @@ def load(package: str, name: str, attrs: tuple[str, ...], public: str) -> tuple:
         return tuple(getattr(module, a) for a in attrs)
 
 
-dgtsv, dgbsv, dgbtrf, dgbtrs = load("linalg", "_flapack", ("dgtsv", "dgbsv", "dgbtrf", "dgbtrs"),
-                                    "scipy.linalg.lapack")
+dgtsv, dgbtrf, dgbtrs = load("linalg", "_flapack", ("dgtsv", "dgbtrf", "dgbtrs"),
+                             "scipy.linalg.lapack")
 (expit,) = load("special", "_special_ufuncs", ("expit",), "scipy.special")
 
 

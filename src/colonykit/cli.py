@@ -239,7 +239,7 @@ def cmd_simulate(cfg: ExperimentConfig, out) -> int:
     summary = {
         "meta": _json_meta(cfg),
         "steady": traj.steady,
-        "t_end_reached": traj.t_end_reached,
+        "t_end_reached": not traj.steady,
         "t_final": float(traj.times[-1]),
         "dominant_mode": spec.dominant,
         "peak_count": count_peaks(traj.final),

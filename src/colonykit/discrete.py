@@ -13,26 +13,28 @@ applied (divergence form).  The time stepper's steady states solve it and
 continuation traces its nonconstant branches.  This module is the only
 place the stencil is written down: the Laplacian, the stationary residual
 in the interleaved ordering (u_0, v_0, u_1, v_1, ...), its banded Jacobian,
-and the three diagonals of a0 I - dt Lap_h diag(c), the matrix of each
-implicit solve of the time stepper (c = r for the density, the constant D
-for the signal).  Each matrix has one layout, the one its LAPACK routine
-reads.
+and the implicit solves of the time stepper, a0 I - dt Lap_h diag(c) with
+c = r for the density and the constant D for the signal.  It is also the
+only module that calls LAPACK, through scipy's compiled wrappers, which
+``_compiled`` loads without importing scipy.linalg: gtsv for the implicit
+solves, gbtrf and gbtrs for J.  Each matrix has one layout, the one its
+LAPACK routine reads.
 
 J, the Jacobian, lives in LAPACK's band layout: a Fortran-ordered
 (2 KL + KU + 1, 2 (N+1)) array, bandwidths (KL, KU) = (2, 3), whose row
 KL + KU + i - j holds J[i, j] below KL rows of pivoting workspace.
-``linearize`` fills it by strided slices and ``solve`` calls LAPACK gbsv on
-it in place, as ``rightmost_eigenvalues`` calls gbtrf; both are scipy's
-compiled wrappers, which ``_compiled`` loads without importing scipy.linalg.
+``linearize`` fills it by strided slices, and gbtrf factors it in place.
 ``newton``, the one Newton iteration, reuses one band array for its steps,
 pinned (fixed sigma: the bordered system whose border row pins sigma,
 Keller 1977) or as continuation's pseudo-arclength corrector, to residual
 max-norm NEWTON_TOL (1e-10), by default within MAX_NEWTON_ITERS (25) steps.
+Each step factors J with gbtrf and solves for its two right sides with
+gbtrs, which are the two calls LAPACK's gbsv makes.
 ``rightmost_eigenvalues`` gives the eigenvalues of J that decide the
 stability of a steady state.  It runs unrestarted shift-invert Arnoldi
 (Meerbergen, Spence & Roose, BIT 34, 1994) with ARNOLDI_VECTORS (60)
-Krylov vectors of (J - s I)^-1, s = ARNOLDI_SHIFT (0.5), on one LAPACK
-banded LU.  The eigenvalues nearest s converge first.  s lies right of the
+Krylov vectors of (J - s I)^-1, s = ARNOLDI_SHIFT (0.5), on one gbtrf
+LU.  The eigenvalues nearest s converge first.  s lies right of the
 rightmost eigenvalues of the model's steady states, so those are among
 them.  The uniform state at large sigma needs the 60 vectors: its spectrum
 lies at -0.13 and below for sigma >= 0.7, and with 30 no Ritz value
@@ -46,7 +48,7 @@ import math
 
 import numpy as np
 
-from ._compiled import dgbsv, dgbtrf, dgbtrs
+from ._compiled import dgbtrf, dgbtrs, dgtsv
 from .errors import NewtonConvergenceError, SingularJacobianError
 from .motility import MotilityModel
 
@@ -56,10 +58,9 @@ __all__ = [
     "residual",
     "band_array",
     "linearize",
-    "solve",
     "newton",
     "rightmost_eigenvalues",
-    "implicit_band",
+    "implicit_solve",
 ]
 
 # (lower, upper) bandwidths of the interleaved Jacobian
@@ -107,7 +108,7 @@ def band_array(npts: int) -> np.ndarray:
 def linearize(u, v, h: float, D: float, sigma: float, m: MotilityModel, ab: np.ndarray) -> np.ndarray:
     """Write the Jacobian of the interleaved residual at (u, v) into rows KL:
     of the ``band_array`` ab and return ab.  Every band entry inside the
-    matrix is written, so ab may hold the LU factors of an earlier ``solve``."""
+    matrix is written, so ab may hold the LU factors of an earlier step."""
     hh = h * h
     rv = m.evaluate(v, 0)
     rpv_u = m.evaluate(v, 1) * u
@@ -131,15 +132,6 @@ def linearize(u, v, h: float, D: float, sigma: float, m: MotilityModel, ab: np.n
     sub2[0:-2:2] = sub_w * rv[:-1]
     sub2[1:-2:2] = D * sub_w
     return ab
-
-
-def solve(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve J x = rhs for J written into ab by ``linearize`` and rhs one vector or
-    Fortran-ordered columns; ab is overwritten by the LU factors and rhs by x."""
-    _, _, x, info = dgbsv(KL, KU, ab, rhs, overwrite_ab=1, overwrite_b=1)
-    if info != 0:
-        raise SingularJacobianError(f"stationary linearization is singular (gbsv info {info})")
-    return x
 
 
 def newton(u, v, h: float, D: float, sigma: float, m: MotilityModel, border=None, max_steps=None):
@@ -179,7 +171,11 @@ def newton(u, v, h: float, D: float, sigma: float, m: MotilityModel, border=None
             rhs[:, 0] = F
             rhs[0::2, 1] = u * (1.0 - u)
             rhs[1::2, 1] = 0.0
-            a, b = solve(linearize(u, v, h, D, sigma, m, ab), rhs).T
+            lu, ipiv, info = dgbtrf(linearize(u, v, h, D, sigma, m, ab), KL, KU, overwrite_ab=1)
+            if info != 0:
+                raise SingularJacobianError(
+                    f"stationary linearization is singular (gbtrf info {info})")
+            a, b = dgbtrs(lu, KL, KU, rhs, ipiv, overwrite_b=1)[0].T
             denom = tan_s - float(tan_x @ b) * w
             if abs(denom) < 1e-14:
                 raise SingularJacobianError("bordered system is singular (tangent orthogonal)")
@@ -229,22 +225,17 @@ def rightmost_eigenvalues(ab: np.ndarray) -> np.ndarray:
     return lam[np.argsort(-lam.real, kind="stable")]
 
 
-def implicit_band(a0: float, dt: float, h: float, c, off: np.ndarray, d: np.ndarray) -> None:
-    """Fill the diagonals of a0 I - dt Lap_h diag(c) for LAPACK gtsv, with c
-    an array of N+1 node values or one constant.  Entry (i, j) of
-    Lap_h diag(c) is L_ij c_j.  With w = (dt / h^2) c, d (N+1) gets the main
-    diagonal a0 + 2 w, and off (2N) the sub-diagonal dl = -w[:-1] in its
-    first N entries and the super-diagonal du = -w[1:] in its last N, the
-    mirrored weights dl[-1] and du[0] doubled, so one buffer holds both."""
-    npts = d.size
-    w = np.multiply(dt / (h * h), c)
-    dl, du = off[:npts - 1], off[npts - 1:]
-    if np.ndim(w):
-        np.negative(w[:-1], out=dl)
-        np.negative(w[1:], out=du)
-    else:
-        off.fill(-w)
+def implicit_solve(a0: float, dt: float, h: float, c, rhs: np.ndarray):
+    """The solution x of (a0 I - dt Lap_h diag(c)) x = rhs by LAPACK gtsv, or
+    None when gtsv finds the matrix singular; c is an array of N+1 node
+    values or one constant, and rhs is overwritten.  Entry (i, j) of
+    Lap_h diag(c) is L_ij c_j.  With w = (dt / h^2) c the main diagonal is
+    a0 + 2 w, the sub-diagonal -w[:-1] and the super-diagonal -w[1:], the
+    mirrored weights, the last of the sub- and the first of the
+    super-diagonal, doubled."""
+    w = dt / (h * h) * np.broadcast_to(c, rhs.shape)
+    dl, du = -w[:-1], -w[1:]
     dl[-1] *= 2.0
     du[0] *= 2.0
-    np.multiply(w, 2.0, out=d)
-    d += a0
+    *_, x, info = dgtsv(dl, a0 + 2.0 * w, du, rhs, 1, 1, 1, 1)
+    return x if info == 0 else None

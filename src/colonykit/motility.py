@@ -61,12 +61,7 @@ class LogisticDecay:
 
     def evaluate(self, v, order: int = 0):
         k = self.steepness
-        x = np.subtract(v, self.center, dtype=float)
-        if order == 0 and x.ndim:
-            # the time stepper's call, once per step: one temporary, reused
-            # in place; (v - v0) * -k is the same IEEE product as -k (v - v0)
-            return expit(np.multiply(x, -k, out=x), out=x)
-        p = expit(-k * x)
+        p = expit(-k * np.subtract(v, self.center, dtype=float))
         if order == 0:
             out = p
         elif order == 1:

@@ -7,12 +7,12 @@ boundaries:
     dv/dt = D Lap_h v - v + u
 
 The discrete operators (mirror-closure Laplacian, stationary residual and
-the band of each implicit solve) come from ``discrete``, the same model
-continuation solves.  Time stepping is SBDF2, the second-order linearly
-implicit BDF scheme (Ascher, Ruuth & Wetton, SIAM J. Numer. Anal. 32,
-1995).  With r frozen at the extrapolated signal r* = r(2 v^n - v^(n-1)),
-the motility term Lap_h(r* u) is linear in u, so a step is two tridiagonal
-solves, u first, then v with the new u:
+each implicit solve) come from ``discrete``, the same model continuation
+solves and the only module that calls LAPACK.  Time stepping is SBDF2, the
+second-order linearly implicit BDF scheme (Ascher, Ruuth & Wetton, SIAM J.
+Numer. Anal. 32, 1995).  With r frozen at the extrapolated signal
+r* = r(2 v^n - v^(n-1)), the motility term Lap_h(r* u) is linear in u, so a
+step is two tridiagonal solves, u first, then v with the new u:
 
     (3/2 I - dt Lap_h diag(r*)) u^(n+1)
         = 2 u^n - u^(n-1)/2 + dt sigma (2 f(u^n) - f(u^(n-1))),  f(u) = u (1 - u)
@@ -79,11 +79,10 @@ copy of the rows it wrote.
 
 A state outside [-B_MAX, B_MAX] (B_MAX = 100), or not finite, is a BlowUpError,
 the initial state already before the first step, and so are an asymptotic
-seed that overflows and a density or signal solve that LAPACK gtsv
-(scipy's compiled wrapper, which ``_compiled`` loads without importing
-scipy.linalg) finds singular: where a0 rounds away beside dt r / h^2, or
-a0 + dt beside D dt / h^2, the matrix is a multiple of the Neumann
-Laplacian, which is singular.
+seed that overflows and a density or signal solve that
+``discrete.implicit_solve`` finds singular: where a0 rounds away beside
+dt r / h^2, or a0 + dt beside D dt / h^2, the matrix is a multiple of the
+Neumann Laplacian, which is singular.
 
 The cosine amplitudes of a state u are the trapezoid projections of
 u - mean(u) onto cos(pi j x / l), j = 0 .. N/2.  On the uniform grid that is
@@ -115,11 +114,11 @@ from typing import Union
 
 import numpy as np
 
-from ._compiled import dgtsv, peak_finding
+from ._compiled import peak_finding
 from .asymptotics import expansion_coefficients, second_order_profiles
 from .discrete import (
     band_array,
-    implicit_band,
+    implicit_solve,
     linearize,
     newton,
     residual,
@@ -289,10 +288,6 @@ class Trajectory:
     steady: bool
     events: tuple[Event, ...] = dataclass_field(default=())
 
-    @property
-    def t_end_reached(self) -> bool:
-        return not self.steady
-
     def field(self, i: int) -> Field:
         return Field(u=self.u_history[i], v=self.v_history[i], l=self.l)
 
@@ -310,11 +305,12 @@ class Trajectory:
         return {(ev.old, ev.new): ev.time for ev in self.events if ev.kind == "dominant_mode"}
 
 
-def _cosine_coefficients(u_rows: np.ndarray, x: np.ndarray, l: float, j_max: int) -> np.ndarray:
+def _cosine_coefficients(u_rows: np.ndarray, l: float) -> np.ndarray:
     """Trapezoid projections of u - mean(u) onto cos(pi j x / l), rows x
-    modes, by the blocked FFT of the module docstring."""
-    n = x.size - 1
-    weights = np.full(x.size, l / n)
+    modes j = 0 .. n//2, by the blocked FFT of the module docstring."""
+    n = u_rows.shape[1] - 1
+    j_max = n // 2
+    weights = np.full(n + 1, l / n)
     weights[0] *= 0.5
     weights[-1] *= 0.5
     mean = (u_rows @ weights) / l
@@ -348,7 +344,7 @@ class ModalSpectrum:
 
 def modal_spectrum(f: Field) -> ModalSpectrum:
     """Cosine amplitudes of u, modes 0..n//2, and its dominant mode."""
-    coeffs = _cosine_coefficients(f.u[None, :], f.x, f.l, f.n // 2)
+    coeffs = _cosine_coefficients(f.u[None, :], f.l)
     dominant = _dominant_modes(np.abs(coeffs[:, 1:]))[0]
     return ModalSpectrum(coefficients=coeffs[0], dominant=dominant or 0)
 
@@ -382,7 +378,7 @@ def count_peaks(f: Field) -> float:
     Peaks need a prominence of 10% of the field range, which ignores the
     small secondary ripples of the second-harmonic correction.
     """
-    return _pattern_data(f.u[None, :], f.x, f.l)[2][0] or 0.0
+    return _pattern_data(f.u[None, :], f.l)[2][0] or 0.0
 
 
 def stationary_residual(f: Field, p: ModelParams, m: MotilityModel) -> tuple[float, float]:
@@ -419,18 +415,18 @@ def _hysteresis_series(mags, modes, margin):
     return tuple(out)
 
 
-def _pattern_data(u_rows, x, l):
+def _pattern_data(u_rows, l):
     """Per row: cosine magnitudes of modes 1..n//2, the dominant mode and the
     peak count, both None without a pattern."""
-    mags = _cosine_coefficients(u_rows, x, l, (x.size - 1) // 2)[:, 1:]
+    mags = _cosine_coefficients(u_rows, l)[:, 1:]
     np.abs(mags, out=mags)
     modes = _dominant_modes(mags)
     peaks = tuple(None if j is None else _count_peaks(row) for row, j in zip(u_rows, modes))
     return mags, modes, peaks
 
 
-def _annotate(times, u_hist, x, l):
-    mags, modes, peaks = _pattern_data(u_hist, x, l)
+def _annotate(times, u_hist, l):
+    mags, modes, peaks = _pattern_data(u_hist, l)
     event_series = _hysteresis_series(mags, modes, EVENT_MARGIN)
     events = _debounced_changes(times, event_series, EVENT_PERSIST, "dominant_mode")
     events += _debounced_changes(times, peaks, EVENT_PERSIST, "peak_count")
@@ -438,7 +434,7 @@ def _annotate(times, u_hist, x, l):
     return tuple(events)
 
 
-def _certified_steady_state(cur, recent, x, h, p: ModelParams, m: MotilityModel):
+def _certified_steady_state(cur, recent, h, p: ModelParams, m: MotilityModel):
     """The discrete steady state that ends the run at the state cur, or None.
 
     It is Newton's solution from cur (a) if that lies within STOP_DIST of
@@ -453,7 +449,7 @@ def _certified_steady_state(cur, recent, x, h, p: ModelParams, m: MotilityModel)
     state = np.stack([u, v])
     if not np.abs(state - cur).max() <= STOP_DIST:
         return None
-    _, modes, peaks = _pattern_data(np.vstack([recent, u]), x, p.l)
+    _, modes, peaks = _pattern_data(np.vstack([recent, u]), p.l)
     if len(set(zip(modes, peaks))) != 1:
         return None
     try:
@@ -525,13 +521,6 @@ def simulate(config: SimConfig) -> Trajectory:
                              f"steps of dt = {dt:.3g}")
     u, v = f0.u, f0.v
     lo_u, lo_v = _minima_within_bound(u, v, 0.0, b_max)
-    # gtsv's diagonals in one buffer, refilled by implicit_band for each
-    # solve: off is the sub-diagonal dl followed by the super-diagonal du
-    band = np.empty(3 * npts - 2)
-    off, d = band[:2 * npts - 2], band[2 * npts - 2:]
-    dl, du = off[:npts - 1], off[npts - 1:]
-
-    x = f0.x
     last_try = -math.inf
     # snapshot k is row k; rows past the last snapshot of an early stop are never written
     times = [0.0]
@@ -562,13 +551,11 @@ def simulate(config: SimConfig) -> Trajectory:
                 else:  # backward Euler
                     a0, u_part, v_part = 1.0, u, v
                     rv, react = m.evaluate(v, 0), fu
-                implicit_band(a0, step, h, rv, off, d)
-                *_, u_new, info = dgtsv(dl, d, du, u_part + step * sigma * react, 1, 1, 1, 1)
-                if info != 0:
+                u_new = implicit_solve(a0, step, h, rv, u_part + step * sigma * react)
+                if u_new is None:
                     raise BlowUpError(f"density solve singular at t={t_new:.6g}")
-                implicit_band(a0 + step, step, h, D, off, d)
-                *_, v_new, info = dgtsv(dl, d, du, v_part + step * u_new, 1, 1, 1, 1)
-                if info != 0:
+                v_new = implicit_solve(a0 + step, step, h, D, v_part + step * u_new)
+                if v_new is None:
                     raise BlowUpError(f"signal solve singular at t={t_new:.6g}")
                 lo_u_new, lo_v_new = _minima_within_bound(u_new, v_new, t_new, b_max)
                 if lo_u_new <= 0 < lo_u or lo_v_new <= 0 < lo_v:
@@ -585,7 +572,7 @@ def simulate(config: SimConfig) -> Trajectory:
             elif rate < STOP_RATE and t - last_try >= STOP_RETRY and k >= EVENT_PERSIST:
                 last_try = t
                 settled = _certified_steady_state(np.stack([u, v]), u_hist[k - EVENT_PERSIST:k],
-                                                  x, h, p, m)
+                                                  h, p, m)
                 if settled is not None:
                     (u, v), steady = settled, True
             times.append(t)
@@ -598,4 +585,4 @@ def simulate(config: SimConfig) -> Trajectory:
         u_hist, v_hist = u_hist[:len(times)].copy(), v_hist[:len(times)].copy()
     times_arr = np.asarray(times)
     return Trajectory(times=times_arr, u_history=u_hist, v_history=v_hist, l=p.l,
-                      steady=steady, events=_annotate(times_arr, u_hist, x, p.l))
+                      steady=steady, events=_annotate(times_arr, u_hist, p.l))

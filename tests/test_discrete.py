@@ -1,19 +1,26 @@
-"""Oracle tests for the band-layout linearization, the direct LAPACK solve and
-the one Newton iteration.
+"""Oracle tests for the band-layout linearization, the banded LAPACK solves,
+the one Newton iteration and the implicit solve of the time stepper.
 
 The reference functions below are the assembly and solves they replaced: the
 Jacobian assembled by fancy indexing into a fresh (6, 2N) array, and Newton
 at fixed sigma and the bordered corrector as two loops solving through
 scipy.linalg.solve_banded.  ``discrete.newton`` keeps their arithmetic, so
-every comparison is exact (np.array_equal).
+every comparison is exact (np.array_equal).  Newton factors J with LAPACK
+gbtrf and solves with gbtrs, the two calls gbsv makes; ``gbsv`` below, on
+scipy's public wrapper, is the oracle for that pair.
 """
 
 import contextlib
+import importlib
+import pkgutil
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import LinAlgError, solve_banded
+from scipy.linalg.lapack import dgbsv
+
+import colonykit
 
 from colonykit import (
     ExponentialDecay,
@@ -27,12 +34,12 @@ from colonykit import (
 from colonykit import continuation, discrete
 from colonykit.discrete import (
     band_array,
+    implicit_solve,
     interleave,
     linearize,
     newton,
     residual,
     rightmost_eigenvalues,
-    solve,
 )
 
 REF = LogisticDecay(steepness=8.0, center=1.0)
@@ -70,6 +77,15 @@ def reference_solve(ab, rhs):
         return solve_banded((2, 3), ab, rhs, check_finite=False)
     except LinAlgError as exc:
         raise SingularJacobianError(f"stationary linearization is singular: {exc}") from exc
+
+
+def gbsv(ab, rhs):
+    """Solve J x = rhs by LAPACK gbsv on the ``band_array`` ab, through scipy's
+    public wrapper; ab is overwritten by the LU factors and rhs by x."""
+    _, _, x, info = dgbsv(discrete.KL, discrete.KU, ab, rhs, overwrite_ab=1, overwrite_b=1)
+    if info != 0:
+        raise SingularJacobianError(f"gbsv info {info}")
+    return x
 
 
 def reference_newton(u, v, h, D, sigma, m):
@@ -173,13 +189,15 @@ class TestLinearize:
         # gbsv writes into ab even when it finds that Jacobian singular
         ab = band_array(n + 1)
         with contextlib.suppress(SingularJacobianError):
-            solve(linearize(v, u, h, D, sigma, m, ab), np.ones(2 * (n + 1)))
+            gbsv(linearize(v, u, h, D, sigma, m, ab), np.ones(2 * (n + 1)))
         linearize(u, v, h, D, sigma, m, ab)
         assert ab.flags.f_contiguous
         assert np.array_equal(ab[discrete.KL:], ref)
 
 
 class TestSolve:
+    """gbtrf then gbtrs, the pair ``newton`` calls on the band it fills."""
+
     @pytest.mark.parametrize("columns", [1, 2])
     def test_matches_solve_banded(self, columns):
         n = 64
@@ -187,21 +205,99 @@ class TestSolve:
         h = 20.0 / n
         rhs = np.random.default_rng(4).standard_normal((2 * (n + 1), columns)).squeeze()
         ref = reference_solve(reference_jacobian(u, v, h, 1.0, 0.3, REF), rhs)
-        got = solve(linearize(u, v, h, 1.0, 0.3, REF, band_array(n + 1)), np.asfortranarray(rhs))
-        assert np.array_equal(got, ref)
+        ab = linearize(u, v, h, 1.0, 0.3, REF, band_array(n + 1))
+        expected = gbsv(ab.copy(order="F"), rhs.copy(order="F"))
+        lu, ipiv, info = discrete.dgbtrf(ab, discrete.KL, discrete.KU, overwrite_ab=1)
+        assert info == 0 and lu is ab
+        got = discrete.dgbtrs(lu, discrete.KL, discrete.KU, rhs.copy(order="F"), ipiv)[0]
+        assert np.array_equal(got, ref) and np.array_equal(got, expected)
 
     @pytest.mark.parametrize("column", [None, 0, 5, 33])
-    def test_singular_jacobian_raises(self, column):
+    def test_singular_jacobian_raises(self, column, monkeypatch):
+        # newton's first J with one zero column, or zero throughout
         n = 16
-        ab = band_array(n + 1)
-        if column is not None:
-            u, v = random_state(n, 0)
-            linearize(u, v, 20.0 / n, 1.0, 0.3, REF, ab)
-            ab[:, column] = 0.0
-        with pytest.raises(SingularJacobianError):
-            solve(ab, np.ones(2 * (n + 1)))
+        u, v = random_state(n, 0)
+        args = (u, v, 20.0 / n, 1.0, 0.3, REF)
+
+        def singular(*call):
+            ab = linearize(*call)
+            ab[:, slice(None) if column is None else column] = 0.0
+            return ab
+
+        monkeypatch.setattr(discrete, "linearize", singular)
+        with pytest.raises(SingularJacobianError, match="gbtrf info"):
+            newton(*args)
+        ab = singular(*args, band_array(n + 1))
         with pytest.raises(SingularJacobianError):
             reference_solve(ab[discrete.KL:], np.ones(2 * (n + 1)))
+        with pytest.raises(SingularJacobianError):
+            gbsv(ab, np.ones(2 * (n + 1)))
+
+
+def gbsv_step(u, v, h, D, sigma, m, border):
+    """The iterate after one step of ``newton`` from (u, v, sigma), with J in
+    a fresh band array solved by ``gbsv``."""
+    tan_x, tan_s, anchor_x, anchor_s, ds, w = border
+    F = residual(u, v, h, D, sigma, m)
+    N = float(tan_x @ (interleave(u, v) - anchor_x)) * w + tan_s * (sigma - anchor_s) - ds
+    rhs = np.zeros((2 * u.size, 2), order="F")
+    rhs[:, 0] = F
+    rhs[0::2, 1] = u * (1.0 - u)
+    a, b = gbsv(linearize(u, v, h, D, sigma, m, band_array(u.size)), rhs).T
+    d_sigma = (float(tan_x @ a) * w - N) / (tan_s - float(tan_x @ b) * w)
+    delta = -a - d_sigma * b
+    return u + delta[0::2], v + delta[1::2], sigma + d_sigma
+
+
+def assert_gbsv_iterates(monkeypatch, u, v, h, D, sigma, m, border=None, max_steps=None):
+    """Each iterate of ``newton`` is ``gbsv_step`` of the one before, bit for
+    bit; returns how many steps were compared."""
+    iterates = []
+
+    def recording(u, v, h, D, sigma, m):
+        iterates.append((u, v, sigma))
+        return residual(u, v, h, D, sigma, m)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(discrete, "residual", recording)
+        with contextlib.suppress(NewtonConvergenceError, SingularJacobianError):
+            newton(u, v, h, D, sigma, m, border, max_steps)
+    pinned = (np.zeros(2 * u.size), 1.0, 0.0, sigma, 0.0, 1.0)
+    for (u0, v0, s0), (u1, v1, s1) in zip(iterates, iterates[1:]):
+        u_ref, v_ref, s_ref = gbsv_step(u0, v0, h, D, s0, m, border or pinned)
+        assert np.array_equal(u1, u_ref) and np.array_equal(v1, v_ref) and s1 == s_ref
+    return len(iterates) - 1
+
+
+class TestGbsvOracle:
+    """``newton``'s iterates against steps solved by LAPACK gbsv."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(m=st.sampled_from(MODELS), sigma=st.floats(0.05, 1.0), D=st.floats(0.1, 10.0),
+           n=st.integers(16, 200), j=st.integers(1, 12), amplitude=st.floats(0.0, 0.9),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_pinned(self, m, sigma, D, n, j, amplitude, seed):
+        x = np.linspace(0.0, 1.0, n + 1)
+        noise = np.random.default_rng(seed).uniform(-0.01, 0.01, (2, n + 1))
+        u = 1.0 + amplitude * np.cos(np.pi * j * x) + noise[0]
+        v = 1.0 + amplitude * np.cos(np.pi * j * x) + noise[1]
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            assert assert_gbsv_iterates(monkeypatch, u, v, 20.0 / n, D, sigma, m) >= 1
+
+    def test_bordered(self, monkeypatch):
+        # every corrector of a trace, failed ones included
+        calls = []
+
+        def recording(*args):
+            calls.append(args)
+            return newton(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(continuation, "newton", recording)
+            trace_branch(6, P, REF, sigma_min=0.05, n=64)
+        correctors = [args for args in calls if len(args) > 6]
+        steps = [assert_gbsv_iterates(monkeypatch, *args) for args in correctors]
+        assert len(steps) >= 10 and max(steps) == continuation.MAX_CORRECTOR_STEPS
 
 
 def test_newton_rejects_non_finite_residual():
@@ -346,3 +442,51 @@ class TestAgainstReference:
         ref = rightmost_eigenvalues(ab)
         assert got.size >= 4
         assert np.array_equal(got, ref)
+
+
+def tridiagonal_band(a0, dt, h, c, npts):
+    """a0 I - dt Lap_h diag(c) in solve_banded's (1, 1) layout, c an array or
+    a constant: entry (i, j) of Lap_h diag(c) is L_ij c_j, with the mirrored
+    weight doubled in rows 0 and N."""
+    w = dt / (h * h) * np.broadcast_to(c, npts)
+    ab = np.zeros((3, npts))
+    ab[0, 1:] = -w[1:]
+    ab[0, 1] *= 2.0
+    ab[1] = a0 + 2.0 * w
+    ab[2, :-1] = -w[:-1]
+    ab[2, -2] *= 2.0
+    return ab
+
+
+class TestImplicitSolve:
+    @pytest.mark.parametrize("n", [16, 17, 256])
+    @pytest.mark.parametrize("c", ["array", "constant"])
+    # unit right sides on the two mirrored rows, and one on every row
+    @pytest.mark.parametrize("row", [0, -1, None])
+    def test_matches_solve_banded(self, n, c, row):
+        rng = np.random.default_rng(n)
+        c = rng.uniform(0.05, 2.0, n + 1) if c == "array" else 0.7
+        h, dt = 20.0 / n, 0.1
+        if row is None:
+            rhs = rng.uniform(0.5, 1.5, n + 1)
+        else:
+            rhs = np.zeros(n + 1)
+            rhs[row] = 1.0
+        for a0 in (1.0, 1.5, 1.5 + dt):
+            ref = solve_banded((1, 1), tridiagonal_band(a0, dt, h, c, n + 1), rhs,
+                               check_finite=False)
+            assert np.array_equal(implicit_solve(a0, dt, h, c, rhs.copy()), ref)
+
+    def test_singular_matrix_gives_none(self):
+        # a0 = 0 and c = 0: the zero matrix
+        assert implicit_solve(0.0, 0.1, 1.0, 0.0, np.ones(17)) is None
+
+
+def test_only_discrete_calls_lapack():
+    # f2py wraps each LAPACK routine in an object of type "fortran"
+    holders = set()
+    for info in pkgutil.iter_modules(colonykit.__path__):
+        module = importlib.import_module(f"colonykit.{info.name}")
+        if any(type(value).__name__ == "fortran" for value in vars(module).values()):
+            holders.add(info.name)
+    assert holders == {"_compiled", "discrete"}

@@ -95,12 +95,15 @@ class TestEvaluate:
     @pytest.mark.parametrize("m", [LogisticDecay(), ExponentialDecay()])
     @pytest.mark.parametrize("order", [0, 1, 2, 3])
     def test_return_types(self, m, order):
-        # callers use the result as it comes: float64 arrays, Python floats
+        # callers use the result as it comes: float64 arrays, Python floats;
+        # the argument is left as it was
         assert type(m.evaluate(1.0, order)) is float
         for v in (np.array([0.5, 1.0, 2.0]), np.array([0, 1, 2]), np.full((2, 3), 1.5)):
+            v0 = v.copy()
             out = m.evaluate(v, order)
             assert isinstance(out, np.ndarray)
             assert out.dtype == np.float64 and out.shape == v.shape
+            assert np.array_equal(v, v0) and v.dtype == v0.dtype
 
     def test_vectorized(self):
         m = ExponentialDecay(r0=1.0, rate=1.0)
