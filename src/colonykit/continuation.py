@@ -3,21 +3,21 @@
 The discrete stationary system of ``discrete`` (the one the time stepper's
 steady states solve) is solved by ``discrete.newton``: at fixed sigma by
 ``newton_steady`` and for a trace's seed, and bordered by the arclength
-condition as the corrector.  Branches in the growth rate are traced by
-pseudo-arclength continuation: secant predictor, Newton corrector on the
-bordered system, adaptive step.
-The state part of the arclength metric is mean-squared so domain resolution
-does not change the parameterization.
+condition as the corrector.  ``trace_branch`` traces a branch in the
+growth rate by pseudo-arclength continuation, one loop over
+``_arclength_step``: secant predictor, bordered Newton corrector, halving
+retry.  The state part of the arclength metric is mean-squared so domain
+resolution does not change the parameterization.
 
 Fixed settings: the corrector converges at its residual max-norm
 NEWTON_TOL (1e-10) and gives up after MAX_CORRECTOR_STEPS (7) Newton steps.
 The seed lies SEED_OFFSET (1e-3) below the grid's own onset, and the first
-arclength step is DS_START (1e-3).  Step control doubles the step
-after a corrector that needed at most 3 steps, up to DS_MAX (5e-2), and
-halves it on failure down to DS_MIN (1e-5).  A corrector with max|u - 1|
-below COLLAPSE_FLOOR (1e-9) has collapsed onto the uniform state.  A trace
-stops, tested in this order, at sigma_min, at MAX_POINTS (2000) points, on
-corrector failure at DS_MIN, outside the box [1 / B_MAX, B_MAX]
+arclength step is DS_START (1e-3).  The loop doubles the step after a
+corrector that needed at most 3 steps, up to DS_MAX (5e-2).  The step
+function halves it down to DS_MIN (1e-5) after a corrector that fails or
+collapses onto the uniform state (max|u - 1| below COLLAPSE_FLOOR, 1e-9).
+A trace stops, tested in this order, at sigma_min, at MAX_POINTS (2000)
+points, on corrector failure at DS_MIN, outside the box [1 / B_MAX, B_MAX]
 (``pde_solver.B_MAX``, 100, the simulator's blow-up bound), on a repeated
 point, or after MAX_FOLDS (4) folds.
 """
@@ -32,7 +32,7 @@ import numpy as np
 
 from .asymptotics import epsilon_for_sigma, expansion_coefficients, second_order_profiles
 from .discrete import interleave, newton
-from .errors import ColonyKitError, NewtonConvergenceError, NewtonError, SeedFailureError
+from .errors import ColonyKitError, NewtonError, SeedFailureError
 from .linear_analysis import BifurcationSummary, ModelParams, _bifurcation_sigma, scan_modes
 from .motility import MotilityModel, taylor_at_one
 from .pde_solver import B_MAX, Field, modal_spectrum
@@ -107,6 +107,25 @@ def _branch_point(l, u, v, sigma, iters, res) -> BranchPoint:
 # ---------------------------------------------------------------------------
 
 
+def _arclength_step(X, s, tan_x, tan_s, ds, h, p, m, w):
+    """Predict ds along the secant from (X, s) and correct by the bordered
+    ``newton``, halving ds after a failed or collapsed corrector down to
+    DS_MIN.  Returns (point, ds), or (None, ds) once DS_MIN fails too."""
+    while True:
+        try:
+            bp = _branch_point(p.l, *newton(
+                X[0::2] + ds * tan_x[0::2], X[1::2] + ds * tan_x[1::2], h, p.D, s + ds * tan_s, m,
+                (tan_x, tan_s, X, s, ds, w), MAX_CORRECTOR_STEPS,
+            ))
+        except NewtonError:
+            bp = None
+        if bp is not None and bp.amplitude >= COLLAPSE_FLOOR:
+            return bp, ds
+        if ds <= DS_MIN * (1 + 1e-12):
+            return None, ds
+        ds = max(DS_MIN, 0.5 * ds)
+
+
 def trace_branch(
     j: int,
     p: ModelParams,
@@ -124,14 +143,13 @@ def trace_branch(
     ``newton_steady`` at sigma_h - SEED_OFFSET solves it from the
     second-order approximate state at sigma0_j - SEED_OFFSET.  A seed that
     fails or whose dominant mode (``modal_spectrum``; 0 for a collapsed
-    seed) is not j raises SeedFailureError.  The trace then follows the
-    branch by pseudo-arclength steps (doubling after fast corrector
-    convergence, halving on failure); the first starts along -sigma, so its
-    corrector is a natural step of DS_START.  It returns at the first exit
-    met, in loop order: sigma_min, the point cap, corrector failure at the
-    minimum step, a state outside the box (not kept), a repeated point
-    (kept; also NEWTON_FAILURE) or the fold budget.  Raises ValueError
-    unless sigma_min is finite and >= 0 and n >= 16.
+    seed) is not j raises SeedFailureError.  The trace then loops over
+    ``_arclength_step``, the first along -sigma (a natural step of
+    DS_START), and returns at the first exit met, in loop order: sigma_min,
+    the point cap, corrector failure at the minimum step, a state outside
+    the box (not kept), a repeated point (kept; also NEWTON_FAILURE) or the
+    fold budget.  Raises ValueError unless sigma_min is finite and >= 0 and
+    n >= 16.
     """
     if not (math.isfinite(sigma_min) and sigma_min >= 0):
         raise ValueError(f"sigma_min must be finite and >= 0, got {sigma_min}")
@@ -169,35 +187,14 @@ def trace_branch(
     tan_x, tan_s = np.zeros_like(X_cur), -1.0
     step_size = DS_START
     folds = 0
-    while True:
-        if points[-1].sigma <= sigma_min:
-            return BranchCurve(j, tuple(points), Termination.REACHED_SIGMA_MIN)
-        if len(points) >= MAX_POINTS:
-            return BranchCurve(j, tuple(points), Termination.MAX_POINTS)
-        u_pred = X_cur[0::2] + step_size * tan_x[0::2]
-        v_pred = X_cur[1::2] + step_size * tan_x[1::2]
-        s_pred = s_cur + step_size * tan_s
-        try:
-            bp = _branch_point(p.l, *newton(
-                u_pred, v_pred, h, p.D, s_pred, m,
-                (tan_x, tan_s, X_cur, s_cur, step_size, w), MAX_CORRECTOR_STEPS,
-            ))
-            if bp.amplitude < COLLAPSE_FLOOR:
-                raise NewtonConvergenceError("corrector collapsed onto the uniform state")
-        except NewtonError:
-            if step_size <= DS_MIN * (1 + 1e-12):
-                return BranchCurve(j, tuple(points), Termination.NEWTON_FAILURE)
-            step_size = max(DS_MIN, 0.5 * step_size)
-            continue
-
-        u_new, v_new = bp.field.u, bp.field.v
-        lo = min(float(np.min(u_new)), float(np.min(v_new)))
-        hi = max(float(np.max(u_new)), float(np.max(v_new)))
-        if lo < 1.0 / B_MAX or hi > B_MAX:
+    while points[-1].sigma > sigma_min and len(points) < MAX_POINTS:
+        bp, step_size = _arclength_step(X_cur, s_cur, tan_x, tan_s, step_size, h, p, m, w)
+        if bp is None:
+            return BranchCurve(j, tuple(points), Termination.NEWTON_FAILURE)
+        X_new = interleave(bp.field.u, bp.field.v)
+        if np.min(X_new) < 1.0 / B_MAX or np.max(X_new) > B_MAX:
             return BranchCurve(j, tuple(points), Termination.AMPLITUDE_BOUND)
-
         points.append(bp)
-        X_new = interleave(u_new, v_new)
         d_x, d_s = X_new - X_cur, bp.sigma - s_cur
         scale = math.sqrt(float(d_x @ d_x) * w + d_s * d_s)
         if scale == 0.0:  # the corrector returned the previous point
@@ -211,3 +208,5 @@ def trace_branch(
         tan_x, tan_s = d_x / scale, d_s / scale
         if bp.newton_iters <= 3:
             step_size = min(2.0 * step_size, DS_MAX)
+    end = Termination.REACHED_SIGMA_MIN if points[-1].sigma <= sigma_min else Termination.MAX_POINTS
+    return BranchCurve(j, tuple(points), end)

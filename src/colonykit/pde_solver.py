@@ -73,9 +73,9 @@ is the one the full run records.
 
 A run whose snapshots would hold over MAX_SNAPSHOT_VALUES floats, or that
 would take over MAX_STEPS steps, is a ColonyKitError.  Both counts follow
-from the schedule before the first step.  Each snapshot is written once,
-into its row of the returned histories; a run that stops early keeps a
-copy of the rows it wrote.
+from the schedule, before the initial field is built.  Each snapshot is
+written once, into its row of the returned histories; a run that stops
+early keeps a copy of the rows it wrote.
 
 A state outside [-B_MAX, B_MAX] (B_MAX = 100), or not finite, is a BlowUpError,
 the initial state already before the first step, and so are an asymptotic
@@ -500,12 +500,10 @@ def simulate(config: SimConfig) -> Trajectory:
     state, or, at sigma = 0 only, when the max-norm rate at a snapshot step
     drops below steady_tol."""
     p, m = config.params, config.motility
-    f0 = initial_field(config.init, p, m, config.n)
-    h, D, sigma, b_max = f0.h, p.D, p.sigma, B_MAX
     dt, t_end, steady_tol = config.dt, config.t_end, config.steady_tol
     every = config.snapshot_every
     t_last = (1.0 - LAST_STEP_SLACK) * t_end  # a later multiple of every is t_end
-    npts = f0.u.size
+    npts = config.n + 1
     multiples = _multiples_below(every, t_last)
     snapshots = 2 + multiples  # t = 0, the multiples and t_end
     if snapshots * 2 * npts > MAX_SNAPSHOT_VALUES:
@@ -519,6 +517,8 @@ def simulate(config: SimConfig) -> Trajectory:
     if (multiples * steps_every if multiples else 0) + steps_last > MAX_STEPS:
         raise ColonyKitError(f"the run would take over MAX_STEPS = {MAX_STEPS:.0e} "
                              f"steps of dt = {dt:.3g}")
+    f0 = initial_field(config.init, p, m, config.n)
+    h, D, sigma, b_max = f0.h, p.D, p.sigma, B_MAX
     u, v = f0.u, f0.v
     lo_u, lo_v = _minima_within_bound(u, v, 0.0, b_max)
     last_try = -math.inf

@@ -671,10 +671,13 @@ class TestCommands:
          "error: the run would take over MAX_STEPS = 1e+08 steps of dt = 1e-09\n"),
         ([("snapshot_every: 1.0", "snapshot_every: 1.0e-9")],
          "error: the snapshots would hold over MAX_SNAPSHOT_VALUES = 1e+08 values\n"),
-    ], ids=["steps", "snapshots"])
+        ([("n: 64\n  t_end", "n: 10000000000000\n  t_end")],
+         "error: the snapshots would hold over MAX_SNAPSHOT_VALUES = 1e+08 values\n"),
+    ], ids=["steps", "snapshots", "n"])
     def test_unbounded_run_fails_at_once(self, tmp_path, edits, message):
-        # 3e9 steps, or 3e9 snapshots of 130 values each; run in a child
-        # with a timeout, so a regression fails instead of hanging
+        # 3e9 steps, 3e9 snapshots of 130 values each, or 4 snapshots of
+        # 2e13 values each, rejected before the initial field is allocated;
+        # run in a child with a timeout, so a regression fails instead of hanging
         text = GOOD_CONFIG
         for old, new in edits:
             text = text.replace(old, new)
@@ -687,6 +690,21 @@ class TestCommands:
             capture_output=True, text=True, timeout=5)
         assert run.returncode == 1
         assert run.stderr == message
+
+    def test_unallocatable_grid_is_runtime_error(self, tmp_path):
+        # continue has no size bound; a grid past any address space is one
+        # numpy refuses at once, reported as a runtime failure
+        path = tmp_path / "huge_n.yaml"
+        path.write_text(GOOD_CONFIG.replace("0.45\n  n: 64", "0.45\n  n: 1000000000000000"))
+        run = subprocess.run(
+            [sys.executable, "-m", "colonykit.cli", "continue", "--config", str(path),
+             "--out", str(tmp_path / "o")],
+            env=dict(os.environ, PYTHONPATH=str(Path(colonykit.__file__).resolve().parents[1])),
+            capture_output=True, text=True, timeout=60)
+        assert run.returncode == 1
+        assert run.stderr.startswith("error: Unable to allocate ")
+        assert run.stderr.count("\n") == 1
+        assert os.listdir(tmp_path / "o") == []
 
     @pytest.mark.parametrize("command", ["simulate", "analyze"])
     @pytest.mark.parametrize("below", [False, True], ids=["file", "below_file"])

@@ -334,6 +334,24 @@ class TestTraceBranch:
         assert steps[0] == continuation.DS_START and steps[-1] == continuation.DS_MIN
         assert np.all(np.diff(steps) < 0)
 
+    def test_collapsed_corrector_is_retried_at_half_the_step(self, monkeypatch):
+        # a corrector that lands on the uniform state (1, 1) has left the
+        # branch: it is not kept, and the step is tried again at half the size
+        steps = []
+
+        def newton(u, v, h, D, sigma, m, border=None, max_steps=None):
+            if border is not None:
+                steps.append(border[4])
+                if len(steps) == 1:
+                    return np.ones_like(u), np.ones_like(v), sigma, 1, 0.0
+            return discrete.newton(u, v, h, D, sigma, m, border, max_steps)
+
+        monkeypatch.setattr(continuation, "newton", newton)
+        curve = trace_branch(6, params(0.3), REF, sigma_min=0.05, n=64)
+        assert steps[:2] == [continuation.DS_START, continuation.DS_START / 2]
+        assert curve.termination is Termination.REACHED_SIGMA_MIN
+        assert all(bp.amplitude >= continuation.COLLAPSE_FLOOR for bp in curve.points)
+
     def test_fold_budget_reported(self):
         # at n = 128 the mode-4 trace turns back in sigma again and again;
         # the fold past MAX_FOLDS ends it, the point that made it kept
