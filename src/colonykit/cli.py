@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import struct
 import sys
-import tempfile
 from contextlib import suppress
-from itertools import repeat
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .asymptotics import expansion_coefficients
@@ -38,9 +37,6 @@ from .pde_solver import count_peaks, modal_spectrum, simulate
 from .reproduce import format_report, run_reproduction
 
 __all__ = ["main"]
-
-# snapshots per pool task; with 1 the kymograph run's writer was about 1.5x slower
-SNAPSHOTS_PER_TASK = 16
 
 
 def _json_meta(cfg: ExperimentConfig) -> dict:
@@ -130,13 +126,6 @@ def _float_reprs(a) -> list[str]:
     return repr(a.tolist())[1:-1].split(", ")
 
 
-def _cpus() -> int:
-    """CPUs this process may run on; 1 where os lacks fork or sched_getaffinity."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
 def _snapshot_rows(x_cols: list[str], t: float, u, v) -> str:
     """The rows t,x,u,v of one snapshot, every value the repr of the float."""
     t_col = repr(t) + ","
@@ -144,83 +133,30 @@ def _snapshot_rows(x_cols: list[str], t: float, u, v) -> str:
                     in zip(x_cols, _float_reprs(u), _float_reprs(v))])
 
 
-# what the pool's initializer hands a writer worker at fork: the x column
-# reprs, the times and the u/v histories, none of them pickled
-_snapshots = None
-
-
-def _hand_over(*snapshots) -> None:
-    global _snapshots
-    _snapshots = snapshots
-
-
-def _write_part(start: int, part: str) -> int:
-    """In a writer worker: the rows of SNAPSHOTS_PER_TASK snapshots from
-    start into part, a file the parent made; returns its size in bytes."""
-    x_cols, times, u_history, v_history = _snapshots
-    stop = start + SNAPSHOTS_PER_TASK
-    # r+, not w: a part the parent has removed is not made again
-    with open(part, "r+b") as fh:
-        fh.writelines(_snapshot_rows(x_cols, t, u, v).encode() for t, u, v
-                      in zip(times[start:stop], u_history[start:stop], v_history[start:stop]))
-        return fh.tell()
-
-
-def _append_part(out_fd: int, part: str, size: int) -> None:
-    """Copy the size bytes of part to out_fd in the kernel, then remove part."""
-    with open(part, "rb") as src:
-        offset = 0
-        while offset < size:
-            sent = os.sendfile(out_fd, src.fileno(), offset, size - offset)
-            if sent == 0:
-                raise OSError(f"snapshot part {part} ended after {offset} of {size} bytes")
-            offset += sent
-    os.unlink(part)
-
-
 def _write_snapshots_csv(path: Path, cfg: ExperimentConfig, traj) -> None:
     """The snapshots as CSV rows (see _snapshot_rows), in order after the
-    header.  Tasks of SNAPSHOTS_PER_TASK snapshots are formatted by one
-    worker process per usable CPU, at most one per task, each into a part
-    file beside path that the parent appends and removes; with one worker
-    the rows are formatted in-process.  The bytes do not depend on the
-    number of processes, and no text passes through the parent's memory.
-    A worker that dies is an OSError; after any failure no part is left."""
-    x_cols = [s + "," for s in _float_reprs(traj.final.x)]
-    times = traj.times.tolist()
-    starts = range(0, len(times), SNAPSHOTS_PER_TASK)
-    workers = min(_cpus(), len(starts))
-    if workers == 1:
-        with path.open("w") as fh:
-            fh.write(_csv_header(cfg, ["t", "x", "u", "v"]))
-            fh.writelines(map(_snapshot_rows, repeat(x_cols), times,
-                              traj.u_history, traj.v_history))
-        return
-    # imported here: they are about a tenth of the CLI's set-up time
-    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-    from multiprocessing import get_context
-    # fork, not spawn: the workers start with colonykit and the snapshots
-    # loaded, and they are all started before the pool's thread
-    pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"), initializer=_hand_over,
-                               initargs=(x_cols, times, traj.u_history, traj.v_history))
-    parts = []
-    try:
-        for _ in starts:
-            fd, part = tempfile.mkstemp(".part", path.name + ".", path.parent)
-            os.close(fd)
-            parts.append(part)
-        sizes = pool.map(_write_part, starts, parts)
-        with path.open("wb") as fh:
-            fh.write(_csv_header(cfg, ["t", "x", "u", "v"]).encode())
-            fh.flush()
-            for part, size in zip(parts, sizes):
-                _append_part(fh.fileno(), part, size)
-    except BrokenProcessPool as exc:
-        raise OSError(f"a snapshot writer process died: {exc}") from exc
-    finally:
-        pool.shutdown(cancel_futures=True)
-        for part in parts:  # those not appended, after a failure
-            Path(part).unlink(missing_ok=True)
+    header.  A snapshot whose x, u and v are each 0 or of magnitude in
+    [1e-4, 1e16) is formatted by orjson, whose shortest round-trip digits
+    are repr's in that range; outside it the two spell numbers differently
+    (1e-05 against 0.00001, 1e+16 against 1e16, and orjson writes null for
+    nan and inf), so such a snapshot is formatted by _snapshot_rows."""
+    # imported here, not with the CLI, so it adds nothing to another command's set-up
+    import orjson
+    x = traj.final.x
+    x_cols = [s + "," for s in _float_reprs(x)]
+    xuv = np.empty((x.size, 3))  # C-contiguous, as orjson requires
+    xuv[:, 0] = x
+    with path.open("wb") as fh:
+        fh.write(_csv_header(cfg, ["t", "x", "u", "v"]).encode())
+        for t, u, v in zip(traj.times.tolist(), traj.u_history, traj.v_history):
+            xuv[:, 1], xuv[:, 2] = u, v
+            size = np.abs(xuv)
+            if not np.all((xuv == 0.0) | ((size >= 1e-4) & (size < 1e16))):
+                fh.write(_snapshot_rows(x_cols, t, u, v).encode())
+                continue
+            t_col = repr(t).encode() + b","
+            text = orjson.dumps(xuv, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2]
+            fh.write(t_col + text.replace(b"],[", b"\n" + t_col) + b"\n")
 
 
 def _write_snapshots_binary(path: Path, cfg: ExperimentConfig, traj) -> None:

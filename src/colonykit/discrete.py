@@ -233,7 +233,7 @@ def implicit_solve(a0: float, dt: float, h: float, c, rhs: np.ndarray):
     a0 + 2 w, the sub-diagonal -w[:-1] and the super-diagonal -w[1:], the
     mirrored weights, the last of the sub- and the first of the
     super-diagonal, doubled."""
-    w = dt / (h * h) * np.broadcast_to(c, rhs.shape)
+    w = np.multiply(dt / (h * h), c, out=np.empty_like(rhs))
     dl, du = -w[:-1], -w[1:]
     dl[-1] *= 2.0
     du[0] *= 2.0

@@ -4,9 +4,9 @@ import pytest
 
 
 @pytest.fixture(autouse=True)
-def no_leaked_writer_processes():
-    """Fail a test that leaves a child process behind: a snapshot writer's
-    pool worker, or a multiprocessing resource tracker."""
+def no_leaked_child_processes():
+    """Fail a test that leaves a child process behind, running or unreaped:
+    no command starts one, and a test's fresh interpreter is waited for."""
     yield
     try:
         pid, _ = os.waitpid(-1, os.WNOHANG)

@@ -8,14 +8,12 @@ import json
 import math
 import os
 import re
-import signal
 import struct
 import subprocess
 import sys
-from multiprocessing import resource_tracker
-from multiprocessing.process import BaseProcess
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -239,11 +237,26 @@ def compiled_files_present():
 
 def test_cli_import_leaves_heavy_scipy_modules_out():
     # the peak finder's core is loaded on the first peak count, not at import,
-    # and the snapshot writer's process pool on the first parallel write
+    # and orjson on the first CSV write
     names = ("scipy.signal", "scipy.integrate", "scipy.stats", "scipy.signal._peak_finding_utils",
-             "multiprocessing", "concurrent.futures.process")
+             "multiprocessing", "concurrent.futures.process", "orjson")
     for module in ("colonykit", "colonykit.cli"):
         assert loaded_after_import(module, names) == "[]", module
+    # a CSV write loads orjson and nothing that starts processes
+    code = f"""if True:
+        import sys, tempfile
+        from pathlib import Path
+        import numpy as np
+        from colonykit import Trajectory, cli
+        from colonykit.config import parse_config
+        traj = Trajectory(times=np.arange(3.0), u_history=np.ones((3, 9)),
+                          v_history=np.ones((3, 9)), l=8.0, steady=False)
+        with tempfile.TemporaryDirectory() as out:
+            cli._write_snapshots_csv(Path(out) / "snapshots.csv", parse_config({GOOD_CONFIG!r}), traj)
+        print([m for m in ("orjson", "multiprocessing", "concurrent.futures.process")
+               if m in sys.modules])
+    """
+    assert fresh_interpreter(code) == "['orjson']"
 
 
 @pytest.mark.skipif(not compiled_files_present(),
@@ -455,6 +468,38 @@ class TestCommands:
         assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
         assert len(calls) == 3 and list(out.iterdir()) == []
+
+    def test_failed_csv_write_leaves_no_output(self, config_file, tmp_path, monkeypatch, capsys):
+        real_open, writes = Path.open, []
+
+        class FillingDisk:
+            """The header and the first snapshot fit, the second does not."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                writes.append(data)
+                if len(writes) == 3:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return self.fh.write(data)
+
+        def open_filling(path, *args, **kwargs):
+            fh = real_open(path, *args, **kwargs)
+            return FillingDisk(fh) if path.name == "snapshots.csv" else fh
+
+        monkeypatch.setattr(Path, "open", open_filling)
+        out = tmp_path / "results"
+        assert main(["simulate", "--config", str(config_file), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+        assert writes[1].startswith(b"0.0,0.0,") and writes[2].startswith(b"1.0,0.0,")
+        assert len(writes) == 3 and list(out.iterdir()) == []
 
     def test_continue(self, config_file, tmp_path):
         out = tmp_path / "results"
@@ -795,7 +840,6 @@ class TestCommands:
         if name == "snapshots.bin":
             config_file.write_text(GOOD_CONFIG.replace(
                 "  t_end: 3.0", "  t_end: 3.0\n  snapshot_format: binary"))
-        monkeypatch.setattr(cli, "_cpus", lambda: 1)
         monkeypatch.setattr(cli, "run_reproduction", lambda progress: [
             CriterionResult(1, "critical values", "pass", "as published")])
         monkeypatch.setattr(Path, "open", open_failing)
@@ -832,83 +876,106 @@ class TestCommands:
         assert capsys.readouterr().out == f"{format_report(results)}\nwrote {report}\n"
 
 
-def random_trajectory(snapshots, n=16, seed=0):
-    """Snapshots of values over many decades, both signs and both zeros."""
-    rng = np.random.default_rng(seed)
+def _signed(magnitudes):
+    return st.tuples(st.booleans(), magnitudes).map(lambda s: -s[1] if s[0] else s[1])
 
-    def values():
-        shape = (snapshots, n + 1)
-        vals = rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.integers(-30, 30, shape)
-        vals[:, 0], vals[:, 1] = 0.0, -0.0
-        return vals
 
-    u_hist, v_hist = values(), values()
-    times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.0, 1.0, snapshots - 1))])
-    return Trajectory(times=times, u_history=u_hist, v_history=v_hist, l=7.0, steady=False)
+# values orjson spells as repr does: 0, or a magnitude in [1e-4, 1e16)
+IN_RANGE = st.one_of(st.sampled_from([0.0, -0.0]),
+                     st.integers(-10 ** 15, 10 ** 15).map(float),
+                     _signed(st.floats(1e-4, 1e16, exclude_max=True)))
+# finite values the two spell differently, as 1e-05 against 0.00001
+OUT_OF_RANGE = _signed(st.floats(0.0, 1e-4, exclude_min=True, exclude_max=True)
+                       | st.floats(1e16, allow_infinity=False))
+
+
+def fallbacks_and_bytes(path, traj):
+    """Write traj with the CSV writer and with per_value_csv beside it;
+    the number of snapshots the writer formats with _snapshot_rows, and
+    whether the two files hold the same bytes."""
+    cfg = parse_config(GOOD_CONFIG)
+    with mock.patch.object(cli, "_snapshot_rows", wraps=cli._snapshot_rows) as rows:
+        cli._write_snapshots_csv(path, cfg, traj)
+    ref = path.with_suffix(".ref")
+    per_value_csv(ref, cfg, traj)
+    return rows.call_count, path.read_bytes() == ref.read_bytes()
+
+
+class TestSnapshotCsvBytes:
+    """The CSV writer's bytes are per_value_csv's: orjson formats a snapshot
+    whose x, u and v are all in range, _snapshot_rows any other."""
+
+    @pytest.mark.parametrize("kind", ["in_range", "out_of_range", "mixed"])
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_bytes_match_per_value_writer(self, tmp_path, kind, data):
+        n = data.draw(st.integers(1, 12), label="n")
+        snapshots = data.draw(st.integers(1, 4), label="snapshots")
+        # l / n >= 1e-3 keeps every x in range
+        l = data.draw(st.floats(0.012, 1e3), label="l")
+        values = st.lists(OUT_OF_RANGE if kind == "out_of_range" else IN_RANGE,
+                          min_size=2 * (n + 1), max_size=2 * (n + 1))
+        u, v = np.array([data.draw(values) for _ in range(snapshots)]).reshape(
+            snapshots, 2, n + 1).transpose(1, 0, 2).copy()
+        out_of_range = snapshots if kind == "out_of_range" else 0
+        if kind == "mixed":
+            # one value out of range in each drawn snapshot, the others in range
+            for i in data.draw(st.sets(st.integers(0, snapshots - 1)), label="mixed"):
+                history = data.draw(st.sampled_from([u, v]))
+                history[i, data.draw(st.integers(0, n))] = data.draw(OUT_OF_RANGE)
+                out_of_range += 1
+        times = np.cumsum(data.draw(st.lists(st.floats(0.0, 1e6), min_size=snapshots,
+                                             max_size=snapshots)))
+        traj = Trajectory(times=times, u_history=u, v_history=v, l=l, steady=False)
+        assert fallbacks_and_bytes(tmp_path / "snapshots.csv", traj) == (out_of_range, True)
+
+    def test_range_edges(self, tmp_path):
+        below, top = np.nextafter(1e-4, 0.0), np.nextafter(1e16, 0.0)
+        # in range: both zeros, both ends, integral floats, a repr with 17 digits
+        u_in = [0.0, -0.0, 1e-4, -top, 2.0, -3.0, 123456789.0, 2.0 ** 53, 0.1 + 0.2]
+        v_in = [1.0, 1e15, -1e-4, top, 1e6, 12345.678, 7.0, -0.0, 1 / 3]
+        # the first snapshot has one value out of range, the last is all in range
+        u = np.array([u_in[:-1] + [below], u_in, u_in])
+        v = np.array([v_in, [*v_in[:-1], 1e16], v_in])
+        traj = Trajectory(times=np.array([0.0, 5e-5, 1e-4]), u_history=u, v_history=v,
+                          l=8.0, steady=False)
+        path = tmp_path / "snapshots.csv"
+        assert fallbacks_and_bytes(path, traj) == (2, True)
+        rows = path.read_text().splitlines()[4:]
+        # t below 1e-4 is always repr's spelling
+        assert rows[0].startswith("0.0,0.0,0.0,1.0") and rows[9].startswith("5e-05,0.0,")
+        assert rows[8].endswith(",9.999999999999999e-05,0.3333333333333333")
+        assert rows[17].endswith(",1e+16")
+        assert rows[18:21] == ["0.0001,0.0,0.0,1.0", "0.0001,1.0,-0.0,1000000000000000.0",
+                               "0.0001,2.0,0.0001,-0.0001"]
+        assert rows[21] == "0.0001,3.0,-9999999999999998.0,9999999999999998.0"
+        assert rows[25] == "0.0001,7.0,9007199254740992.0,-0.0"
+
+    def test_non_finite_values_are_reprs(self, tmp_path):
+        # orjson writes null for nan and inf, so they take _snapshot_rows
+        u = np.array([[np.nan, 1.0, -np.inf], [1.0, 1.0, 1.0]])
+        v = np.array([[np.inf, 2.0, 0.5], [2.0, 2.0, 2.0]])
+        traj = Trajectory(times=np.array([0.0, 1.0]), u_history=u, v_history=v, l=2.0,
+                          steady=False)
+        path = tmp_path / "snapshots.csv"
+        assert fallbacks_and_bytes(path, traj) == (1, True)
+        assert path.read_text().splitlines()[4:7] == ["0.0,0.0,nan,inf", "0.0,1.0,1.0,2.0",
+                                                      "0.0,2.0,-inf,0.5"]
 
 
 class TestSnapshotWriterProcesses:
-    """The CSV writer formats on a fork-context process pool of one worker
-    per usable CPU (cli._cpus), in-process with one."""
-
-    @pytest.fixture(autouse=True)
-    def no_resource_tracker(self):
-        # a process pool on the fork context starts no resource tracker; a
-        # left-over one is a child process too, which conftest also fails
-        yield
-        assert resource_tracker._resource_tracker._pid is None
-
-    @pytest.fixture()
-    def started(self, monkeypatch):
-        """The processes multiprocessing starts during the test."""
-        processes, start = [], BaseProcess.start
-
-        def counting_start(process):
-            processes.append(process)
-            start(process)
-
-        monkeypatch.setattr(BaseProcess, "start", counting_start)
-        return processes
-
-    @pytest.fixture()
-    def writer_config(self, tmp_path):
-        """GOOD_CONFIG with 49 snapshots: 4 tasks, so 3 CPUs give 3 workers."""
-        path = tmp_path / "many_snapshots.yaml"
-        path.write_text(GOOD_CONFIG.replace("  snapshot_every: 1.0", "  snapshot_every: 0.0625"))
-        return path
-
-    # 1, 2 and 3 tasks of cli.SNAPSHOTS_PER_TASK = 16 snapshots
-    @pytest.mark.parametrize("snapshots", [1, 17, 40])
-    def test_bytes_do_not_depend_on_process_count(self, tmp_path, monkeypatch, started,
-                                                  snapshots):
-        traj = random_trajectory(snapshots)
-        cfg = parse_config(GOOD_CONFIG)
-        per_value_csv(tmp_path / "ref.csv", cfg, traj)
-        for cpus in (1, 2, 3):
-            monkeypatch.setattr(cli, "_cpus", lambda: cpus)
-            started.clear()
-            path = tmp_path / f"cpus{cpus}.csv"
-            cli._write_snapshots_csv(path, cfg, traj)
-            assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes(), cpus
-            workers = min(cpus, math.ceil(snapshots / cli.SNAPSHOTS_PER_TASK))
-            assert len(started) == (workers if workers > 1 else 0), cpus
-            assert not any(process.is_alive() for process in started)
-            assert [f.name for f in tmp_path.iterdir() if f.suffix == ".part"] == []
-
-    def test_short_part_is_an_error(self, tmp_path):
-        # a part shorter than the size its worker reported
-        part = tmp_path / "snapshots.csv.x.part"
-        part.write_bytes(b"0.0,1.0,2.0,3.0\n")
-        with (tmp_path / "snapshots.csv").open("wb") as out:
-            with pytest.raises(OSError, match=r"ended after 16 of 20 bytes$"):
-                cli._append_part(out.fileno(), str(part), 20)
+    """The CSV writer formats and writes every snapshot in the calling
+    process; it starts none, and leaves no file beside its output."""
 
     def test_parent_memory_does_not_grow_with_the_csv(self, tmp_path):
-        # 101 snapshots at n = 4096, over 20 MB of CSV, on two workers in a
-        # fresh interpreter; the rows are drawn one at a time, so the peak
-        # before the writer is close to what is resident.  The peak is
-        # VmHWM, not ru_maxrss: a spawned process's ru_maxrss starts from
-        # the peak of the process that spawned it, here pytest's
+        # 101 snapshots at n = 4096, over 20 MB of CSV, in a fresh
+        # interpreter; odd rows over many decades (formatted by
+        # _snapshot_rows), even rows in range (by orjson).  The rows are
+        # drawn one at a time, so the peak before the writer is close to
+        # what is resident.  The peak is VmHWM, not ru_maxrss: a spawned
+        # process's ru_maxrss starts from the peak of the process that
+        # spawned it, here pytest's
         code = f"""if True:
             from pathlib import Path
             import numpy as np
@@ -921,12 +988,12 @@ class TestSnapshotWriterProcesses:
 
             rng = np.random.default_rng(0)
             u, v = np.empty((2, 101, 4097))
-            for row in (*u, *v):
-                row[:] = rng.uniform(-1, 1, row.size) * 10.0 ** rng.integers(-30, 30, row.size)
+            for i, row in enumerate((*u, *v)):
+                scale = 10.0 ** rng.integers(-30, 30, row.size) if i % 2 else 1.0
+                row[:] = rng.uniform(0.5, 1.5, row.size) * scale
             traj = Trajectory(times=np.arange(101.0), u_history=u, v_history=v, l=7.0,
                               steady=False)
             cfg = parse_config({GOOD_CONFIG!r})
-            cli._cpus = lambda: 2
             out = Path({str(tmp_path)!r})
             before = peak_kb()
             cli._write_snapshots_csv(out / "snapshots.csv", cfg, traj)
@@ -939,52 +1006,11 @@ class TestSnapshotWriterProcesses:
         assert names == "['snapshots.csv']"
         assert int(grown_kb) < 6 * 1024, f"the peak RSS grew by {int(grown_kb) / 1024:.1f} MB"
 
-    @pytest.mark.parametrize("failure", ["raises", "killed"])
-    def test_failed_child_leaves_no_output(self, writer_config, tmp_path, monkeypatch, capfd,
-                                           started, failure):
-        parent = os.getpid()
-        float_reprs = cli._float_reprs
-
-        def failing_in_worker(a):
-            if os.getpid() != parent:
-                if failure == "killed":
-                    os.kill(os.getpid(), signal.SIGKILL)
-                raise OSError(errno.ENOSPC, "No space left on device")
-            return float_reprs(a)
-
-        monkeypatch.setattr(cli, "_cpus", lambda: 3)
-        monkeypatch.setattr(cli, "_float_reprs", failing_in_worker)
-        out = tmp_path / "results"
-        assert main(["simulate", "--config", str(writer_config), "--out", str(out)]) == 1
-        err = capfd.readouterr().err
-        if failure == "raises":
-            assert err == "error: [Errno 28] No space left on device\n"
-        else:
-            assert err.startswith("error: a snapshot writer process died: ")
-            assert err.count("\n") == 1
-        assert list(out.iterdir()) == []
-        assert len(started) == 3 and not any(process.is_alive() for process in started)
-
-    def test_failure_in_parent_stops_the_children(self, writer_config, tmp_path, monkeypatch,
-                                                  capsys, started):
-        # the header is written once the workers are formatting
-        def failing_header(cfg):
-            raise OSError(errno.ENOSPC, "No space left on device")
-
-        monkeypatch.setattr(cli, "_cpus", lambda: 3)
-        monkeypatch.setattr(cli, "_meta_lines", failing_header)
-        out = tmp_path / "results"
-        assert main(["simulate", "--config", str(writer_config), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
-        assert list(out.iterdir()) == []
-        assert len(started) == 3 and not any(process.is_alive() for process in started)
-
     def test_simulate_error_before_the_writer_leaves_no_output(self, config_file, tmp_path,
                                                                 monkeypatch):
         def blow_up(sim_config):
             raise BlowUpError("solution norm exceeded bound")
 
-        monkeypatch.setattr(cli, "_cpus", lambda: 3)
         monkeypatch.setattr(cli, "simulate", blow_up)
         out = tmp_path / "results"
         assert main(["simulate", "--config", str(config_file), "--out", str(out)]) == 1
