@@ -7,7 +7,15 @@ rate rho:
     rho**2 + [(D + r(1)) lam + 1 + sigma] rho
            + [sigma + r(1) lam] (1 + D lam) + r'(1) lam = 0.
 
-The constant coefficient vanishes exactly at the bifurcation value
+Its roots are real for a decreasing r: with A = sigma + r(1) lam and
+B = 1 + D lam the coefficients are b = A + B and c = A B + r'(1) lam, so
+the discriminant is
+
+    b**2 - 4 c = (sigma + r(1) lam - 1 - D lam)**2 - 4 r'(1) lam >= 0,
+
+and b >= 1.  The uniform state therefore loses stability only where the
+constant coefficient c changes sign, and c vanishes exactly at the
+bifurcation value
 
     sigma_j = -[r'(1) / (1 + D lam_j) + r(1)] lam_j,    lam_j = (pi j / l)**2,
 
@@ -113,9 +121,11 @@ def bifurcation_sigma(j: int, p: ModelParams, m: MotilityModel) -> float:
 
 
 def dispersion_roots(lam: float, p: ModelParams, m: MotilityModel) -> tuple[complex, complex]:
-    """Both growth-rate roots for eigenvalue lam, ordered by descending real part.
+    """Both growth-rate roots for eigenvalue lam, in descending order.
 
-    Real roots are returned with exactly zero imaginary part.
+    The roots are real, since r is decreasing: the discriminant equals
+    (sigma + r(1) lam - 1 - D lam)**2 - 4 r'(1) lam >= 0 (module
+    docstring).  Each is returned as a complex with zero imaginary part.
     """
     if lam < 0:
         raise ValueError(f"eigenvalue must be >= 0, got {lam}")
@@ -129,19 +139,10 @@ def _bifurcation_sigma(lam: float, p: ModelParams, r1: float, rp1: float) -> flo
 def _dispersion_roots(lam: float, p: ModelParams, r1: float, rp1: float) -> tuple[complex, complex]:
     b = (p.D + r1) * lam + 1.0 + p.sigma
     c = (p.sigma + r1 * lam) * (1.0 + p.D * lam) + rp1 * lam
-    disc = b * b - 4.0 * c
-    if disc >= 0.0:
-        # avoid cancellation: compute the large-magnitude root first
-        s = math.sqrt(disc)
-        q = -0.5 * (b + math.copysign(s, b)) if b != 0 else 0.5 * s
-        if q == 0.0:  # b == 0 and disc == 0
-            roots = (complex(0.0), complex(0.0))
-        else:
-            roots = (complex(q), complex(c / q))
-    else:
-        s = math.sqrt(-disc)
-        roots = (complex(-0.5 * b, 0.5 * s), complex(-0.5 * b, -0.5 * s))
-    return tuple(sorted(roots, key=lambda z: -z.real))
+    # b >= 1 and b^2 - 4c >= 0 (module docstring); a negative value is
+    # rounding.  The large-magnitude root first avoids cancellation.
+    q = -0.5 * (b + math.sqrt(max(b * b - 4.0 * c, 0.0)))
+    return tuple(sorted((complex(q), complex(c / q)), key=lambda z: -z.real))
 
 
 def critical_sigma(p: ModelParams, m: MotilityModel) -> tuple[float, float]:

@@ -460,8 +460,8 @@ def _certified_steady_state(cur, recent, h, p: ModelParams, m: MotilityModel):
 
 
 def _multiples_below(step: float, bound: float) -> float:
-    """The number of k >= 1 with k * step < bound, in floating point as the
-    step loop computes it; inf when that exceeds 2**53."""
+    """The number of k >= 1 with k * step < bound, each product rounded as
+    simulate's snapshot times are; inf when that exceeds 2**53."""
     q = bound / step
     if not q < 2.0 ** 53:
         return math.inf
@@ -502,9 +502,9 @@ def simulate(config: SimConfig) -> Trajectory:
     p, m = config.params, config.motility
     dt, t_end, steady_tol = config.dt, config.t_end, config.steady_tol
     every = config.snapshot_every
-    t_last = (1.0 - LAST_STEP_SLACK) * t_end  # a later multiple of every is t_end
     npts = config.n + 1
-    multiples = _multiples_below(every, t_last)
+    # snapshots 1 .. multiples are regular; a later multiple of every is t_end
+    multiples = _multiples_below(every, (1.0 - LAST_STEP_SLACK) * t_end)
     snapshots = 2 + multiples  # t = 0, the multiples and t_end
     if snapshots * 2 * npts > MAX_SNAPSHOT_VALUES:
         raise ColonyKitError(f"the snapshots would hold over MAX_SNAPSHOT_VALUES = "
@@ -526,7 +526,7 @@ def simulate(config: SimConfig) -> Trajectory:
     times = [0.0]
     u_hist, v_hist = np.empty((snapshots, npts)), np.empty((snapshots, npts))
     u_hist[0], v_hist[0] = u, v
-    t, k, steady = 0.0, 1, False
+    steady = False
     # the previous state, f(u) there and the step that left it; a step of
     # another size (the first one too) is a backward-Euler step
     u_old = v_old = f_old = None
@@ -535,13 +535,13 @@ def simulate(config: SimConfig) -> Trajectory:
     # a run that blows up past the float range reaches the BlowUpError check
     # through inf/NaN values; numpy need not warn on the way there
     with np.errstate(over="ignore", invalid="ignore"):
-        while t < t_end:
-            if k * every < t_last:
+        for k in range(1, snapshots):
+            if k <= multiples:
                 t_snap, span, steps = k * every, every, steps_every
             else:
                 t_snap, span, steps = t_end, last_span, steps_last
             step = span / steps
-            t_start = t
+            t_start = times[-1]
             for i in range(1, steps + 1):
                 t_new = t_snap if i == steps else t_start + i * step
                 fu = u * (1.0 - u)
@@ -562,24 +562,22 @@ def simulate(config: SimConfig) -> Trajectory:
                     raise PositivityLossError(f"positivity lost at t={t_new:.6g}")
                 u_old, v_old, f_old, step_old = u, v, fu, step
                 u, v, lo_u, lo_v = u_new, v_new, lo_u_new, lo_v_new
-            t = t_snap
 
             rate = max(float(np.max(np.abs(u - u_old))), float(np.max(np.abs(v - v_old)))) / step
             if sigma == 0:
                 # the rate of a step well below the longest one the schedule
                 # allows (dt or snapshot_every) is rounding noise
                 steady = rate < steady_tol and step >= 0.25 * min(dt, every)
-            elif rate < STOP_RATE and t - last_try >= STOP_RETRY and k >= EVENT_PERSIST:
-                last_try = t
+            elif rate < STOP_RATE and t_snap - last_try >= STOP_RETRY and k >= EVENT_PERSIST:
+                last_try = t_snap
                 settled = _certified_steady_state(np.stack([u, v]), u_hist[k - EVENT_PERSIST:k],
                                                   h, p, m)
                 if settled is not None:
                     (u, v), steady = settled, True
-            times.append(t)
+            times.append(t_snap)
             u_hist[k], v_hist[k] = u, v
             if steady:
                 break
-            k += 1
 
     if len(times) < snapshots:  # an early stop keeps only the rows it wrote
         u_hist, v_hist = u_hist[:len(times)].copy(), v_hist[:len(times)].copy()

@@ -207,16 +207,19 @@ def _crit_critical_values(ctx: ReproductionContext):
     return all(checks.values()), detail, checks
 
 
+def _published_check(label, computed, published, tol, relative=False):
+    """Whether every computed value lies within tol of its published value
+    (within tol times its size when relative), the detail line
+    label key=value at 6 significant digits, and the computed values."""
+    ok = all(abs(computed[k] - ref) <= (tol * abs(ref) if relative else tol)
+             for k, ref in published.items())
+    return ok, " ".join(f"{label}{k}={computed[k]:.6g}" for k in published), computed
+
+
 @_criterion("bifurcation values sigma0_6..11")
 def _crit_bifurcation_table(ctx):
-    rows = {}
-    ok = True
-    for j, ref in REF_SIGMA0.items():
-        val = ctx.summary.mode(j).sigma_j
-        rows[j] = val
-        ok &= abs(val - ref) <= 5e-5
-    detail = " ".join(f"sigma0_{j}={rows[j]:.6g}" for j in REF_SIGMA0)
-    return ok, detail, rows
+    computed = {j: ctx.summary.mode(j).sigma_j for j in REF_SIGMA0}
+    return _published_check("sigma0_", computed, REF_SIGMA0, 5e-5)
 
 
 @_criterion("bifurcation-value ordering")
@@ -245,14 +248,8 @@ def _crit_ordering(ctx):
 
 @_criterion("second-order corrections sigma2_6..11")
 def _crit_sigma2_table(ctx):
-    rows = {}
-    ok = True
-    for j, ref in REF_SIGMA2.items():
-        val = ctx.expansion(j).sigma2
-        rows[j] = val
-        ok &= abs(val - ref) <= 2e-3 * abs(ref)
-    detail = " ".join(f"sigma2_{j}={rows[j]:.6g}" for j in REF_SIGMA2)
-    return ok, detail, rows
+    computed = {j: ctx.expansion(j).sigma2 for j in REF_SIGMA2}
+    return _published_check("sigma2_", computed, REF_SIGMA2, 2e-3, relative=True)
 
 
 @_criterion("stability constant eta")
@@ -268,17 +265,11 @@ def _crit_eta(ctx):
 @_criterion("pattern coefficients of mode 6")
 def _crit_pattern_coefficients(ctx):
     e = ctx.expansion(6)
-    values = {
-        "a": (e.a, REF_A6),
-        "wavenumber": (e.wavenumber, REF_WAVENUMBER6),
-        "d1": (e.d1, REF_D1),
-        "d3": (e.d3, REF_D1),
-        "d2": (e.d2, REF_D2),
-        "d4": (e.d4, REF_D4),
-    }
-    ok = all(abs(got - ref) <= 5e-4 for got, ref in values.values())
-    detail = " ".join(f"{k}={got:.6g}" for k, (got, ref) in values.items())
-    return ok, detail, values
+    computed = {"a": e.a, "wavenumber": e.wavenumber, "d1": e.d1, "d3": e.d3,
+                "d2": e.d2, "d4": e.d4}
+    published = {"a": REF_A6, "wavenumber": REF_WAVENUMBER6, "d1": REF_D1, "d3": REF_D1,
+                 "d2": REF_D2, "d4": REF_D4}
+    return _published_check("", computed, published, 5e-4)
 
 
 @_criterion("all branches backward (sigma2 < 0, modes 1..11)")

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import colonykit.reproduce as rp
-from colonykit import BranchCurve, BranchPoint, ColonyKitError, Field, Termination
+from colonykit import (BranchCurve, BranchPoint, ColonyKitError, Event, Field,
+                       NewtonConvergenceError, Termination, Trajectory)
 
 
 @pytest.fixture(scope="session")
@@ -32,6 +33,8 @@ def test_criterion_01_critical_values(ctx):
 def test_criterion_02_bifurcation_table(ctx):
     result = _run(rp._crit_bifurcation_table, ctx)
     assert result.passed, result.detail
+    assert result.detail == ("sigma0_6=0.496694 sigma0_7=0.490111 sigma0_8=0.434978 "
+                             "sigma0_9=0.333723 sigma0_10=0.189499 sigma0_11=0.00541021")
 
 
 def test_criterion_03_ordering_interleaving(ctx):
@@ -57,6 +60,8 @@ def test_criterion_03_ordering_chain_as_published(ctx):
 def test_criterion_04_second_order_corrections(ctx):
     result = _run(rp._crit_sigma2_table, ctx)
     assert result.passed, result.detail
+    assert result.detail == ("sigma2_6=-5.45694 sigma2_7=-8.55233 sigma2_8=-13.4555 "
+                             "sigma2_9=-21.4103 sigma2_10=-34.1442 sigma2_11=-54.0143")
 
 
 def test_criterion_05_eta_with_quadrature_oracle(ctx):
@@ -67,6 +72,8 @@ def test_criterion_05_eta_with_quadrature_oracle(ctx):
 def test_criterion_06_pattern_coefficients(ctx):
     result = _run(rp._crit_pattern_coefficients, ctx)
     assert result.passed, result.detail
+    assert result.detail == ("a=1.88826 wavenumber=0.942478 d1=-1.78277 d3=-1.78277 "
+                             "d2=8.17364 d4=1.7952")
 
 
 def test_criterion_07_all_branches_backward(ctx):
@@ -87,6 +94,37 @@ def test_criterion_09_stable_regime(ctx):
 def test_criterion_10_mode_selection_and_transitions(ctx):
     result = _run(rp._crit_mode_selection, ctx)
     assert result.passed, result.detail
+
+
+def mode6_trajectory(events):
+    """Four snapshots of one mode-6 state (|c6| = 0.1, 3 peaks) at n = 64."""
+    x = np.linspace(0.0, 20.0, 65)
+    u = np.tile(1.0 + 0.1 * np.cos(6 * np.pi * x / 20.0), (4, 1))
+    return Trajectory(times=np.arange(4.0), u_history=u, v_history=u.copy(), l=20.0,
+                      steady=True, events=events)
+
+
+@pytest.mark.parametrize("events, c6", [
+    ((), "n/a"),
+    ((Event("dominant_mode", 2.0, 4, 8),), "0.1"),
+], ids=["no_4_to_8_event", "failed_newton"])
+def test_criterion_10_detail_without_a_prediction(monkeypatch, events, c6):
+    # without a 4->8 event there is nothing to predict from; with one, the
+    # Newton solve from its snapshot fails, so only |c6| is known
+    calls = []
+
+    def failing(*args):
+        calls.append(args)
+        raise NewtonConvergenceError("no convergence")
+
+    ctx = rp.ReproductionContext(n=64)
+    monkeypatch.setattr(ctx, "trajectory", lambda name: mode6_trajectory(events))
+    monkeypatch.setattr(rp, "newton", failing)
+    result = rp._crit_mode_selection(ctx)
+    assert len(calls) == len(events)
+    assert (result.cid, result.status) == (10, "fail")
+    assert result.detail.endswith(f"8->6 from rounding noise: |c6|={c6} at 4->8, "
+                                  "mode-8 rate n/a, predicted at n/a")
 
 
 def test_criterion_11_linear_growth_fidelity(ctx):

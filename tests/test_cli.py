@@ -369,6 +369,15 @@ class TestCommands:
         assert by_mode["6"][9] != ""  # eta reported for the admissible mode
         assert by_mode["5"][9] == ""
 
+    def test_expand_without_modes_lists_modes_1_to_i_c(self, tmp_path):
+        # configs/analyze_reference.yaml sets no expand.modes: the table
+        # holds every mode with sigma_j > 0, 1 .. i_c = 11
+        out = tmp_path / "results"
+        config = CONFIGS / "analyze_reference.yaml"
+        assert main(["expand", "--config", str(config), "--out", str(out)]) == 0
+        rows = (out / "expansion.csv").read_text().splitlines()[4:]
+        assert [row.split(",")[0] for row in rows] == [str(j) for j in range(1, 12)]
+
     def test_simulate_outputs_and_determinism(self, config_file, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(["simulate", "--config", str(config_file), "--out", str(out1)]) == 0

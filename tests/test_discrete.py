@@ -233,6 +233,13 @@ class TestSolve:
         with pytest.raises(SingularJacobianError):
             gbsv(ab, np.ones(2 * (n + 1)))
 
+    def test_shift_at_an_eigenvalue_raises(self):
+        # J = ARNOLDI_SHIFT I makes J - s I zero, which gbtrf cannot factor
+        ab = band_array(17)
+        ab[discrete.KL + discrete.KU] = discrete.ARNOLDI_SHIFT
+        with pytest.raises(SingularJacobianError, match="gbtrf info"):
+            rightmost_eigenvalues(ab)
+
 
 def gbsv_step(u, v, h, D, sigma, m, border):
     """The iterate after one step of ``newton`` from (u, v, sigma), with J in

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from colonykit import (
     ExponentialDecay,
@@ -21,6 +22,12 @@ from colonykit import (
 from colonykit import linear_analysis
 
 REF = LogisticDecay(steepness=8.0, center=1.0)
+
+# both decreasing motility families over a range of their parameters
+MOTILITIES = st.one_of(
+    st.builds(LogisticDecay, steepness=st.floats(0.1, 20.0), center=st.floats(-1.0, 3.0)),
+    st.builds(ExponentialDecay, r0=st.floats(0.1, 10.0), rate=st.floats(0.1, 10.0)),
+)
 
 
 def params(sigma=0.3, D=1.0, l=20.0):
@@ -98,6 +105,27 @@ class TestDispersionRoots:
             assert abs(z1 * z2 - c) <= 1e-12 * max(1.0, abs(c))
             assert abs(z1 + z2 + b) <= 1e-12 * max(1.0, abs(b))
             assert z1.real >= z2.real
+
+    @settings(max_examples=300, deadline=None)
+    @given(MOTILITIES, st.floats(0.01, 10.0), st.floats(0.0, 50.0), st.floats(0.0, 3.0))
+    @example(REF, 1.0, 0.0, math.nextafter(1.0, 2.0))
+    def test_roots_are_real(self, m, D, lam, sigma):
+        # r is decreasing, so the discriminant is a square minus
+        # 4 r'(1) lam >= 0, and Vieta holds at test_vieta_identities' tolerance
+        r1, rp1 = m.evaluate(1.0, 0), m.evaluate(1.0, 1)
+        b = (D + r1) * lam + 1.0 + sigma
+        c = (sigma + r1 * lam) * (1.0 + D * lam) + rp1 * lam
+        z1, z2 = dispersion_roots(lam, params(sigma=sigma, D=D), m)
+        assert z1.imag == 0.0 and z2.imag == 0.0
+        assert abs(z1 * z2 - c) <= 1e-12 * max(1.0, abs(c))
+        assert abs(z1 + z2 + b) <= 1e-12 * max(1.0, abs(b))
+        assert z1.real >= z2.real
+
+    def test_double_root_up_to_rounding_is_real(self):
+        # at lam = 0 the roots are -1 and -sigma; for sigma one ulp above 1
+        # the discriminant (1 + sigma)^2 - 4 sigma rounds below 0
+        sigma = math.nextafter(1.0, 2.0)
+        assert dispersion_roots(0.0, params(sigma=sigma), REF) == (-1.0, -sigma)
 
     def test_residual_of_quadratic(self):
         rng = np.random.default_rng(3)

@@ -18,8 +18,10 @@ from colonykit import (
     Field,
     LogisticDecay,
     ModelParams,
+    NewtonError,
     PositivityLossError,
     SimConfig,
+    SingularJacobianError,
     UniformPerturbed,
     count_peaks,
     epsilon_for_sigma,
@@ -382,14 +384,13 @@ class TestStateChecks:
         assert np.array_equal(traj.final.u, u_end)
         assert np.array_equal(traj.final.v, v_end)
 
-    @pytest.mark.slow
     def test_rate_stop_with_snapshots_shorter_than_the_full_step(self):
-        # snapshot_every 0.01 is below dt, so every step is one snapshot
+        # snapshot_every 0.05 is below dt, so every step is one snapshot
         # interval; the run must still end steady near where the
         # snapshot_every = 50 run above does
         cfg = SimConfig(params=params(0.0), motility=ExponentialDecay(r0=1.0, rate=0.5),
                         init=UniformPerturbed(amplitude=0.05, seed=3), n=32, t_end=1000.0,
-                        steady_tol=1e-6, snapshot_every=0.01)
+                        steady_tol=1e-6, snapshot_every=0.05)
         assert cfg.snapshot_every < cfg.dt
         times, us, vs, u_end, v_end = reference_run(cfg, rate_stop=True)
         traj = simulate(cfg)
@@ -468,6 +469,15 @@ class TestWorkBounds:
         assert traj.u_history.size + traj.v_history.size == 102
         monkeypatch.setattr(pde_solver, "MAX_SNAPSHOT_VALUES", 101)
         with pytest.raises(ColonyKitError, match="MAX_SNAPSHOT_VALUES"):
+            simulate(cfg)
+
+    def test_snapshot_count_past_the_float_grid(self):
+        # 1e18 multiples: past 2**53 the count is inf, and the run is refused
+        # before anything is allocated
+        assert pde_solver._multiples_below(1e-12, (1.0 - LAST_STEP_SLACK) * 1e6) == math.inf
+        cfg = SimConfig(params=params(0.3), motility=REF, init=UniformPerturbed(), n=16,
+                        t_end=1e6, snapshot_every=1e-12)
+        with pytest.raises(ColonyKitError, match="over MAX_SNAPSHOT_VALUES"):
             simulate(cfg)
 
     def test_steps(self, monkeypatch):
@@ -551,6 +561,33 @@ class TestCertifiedStop:
         traj = simulate(cfg)
         assert not traj.steady
         assert modal_spectrum(traj.final).dominant == 8
+
+    @pytest.mark.parametrize("target, error", [
+        ("newton", NewtonError("no convergence")),
+        ("rightmost_eigenvalues", SingularJacobianError("J - 0.5 I is singular (gbtrf info 1)")),
+    ], ids=["newton", "arnoldi"])
+    def test_failed_attempt_is_no_stop(self, target, error, monkeypatch):
+        # each attempt fails in Newton or in the spectrum, so the run goes on
+        # unsteady and records the snapshots of a run that never tries
+        cfg = SimConfig(params=params(0.8), motility=REF,
+                        init=UniformPerturbed(amplitude=0.01, seed=0), n=32, t_end=40.0)
+        assert simulate(cfg).steady  # the attempts succeed unpatched
+        calls = []
+
+        def failing(*args):
+            calls.append(args)
+            raise error
+
+        monkeypatch.setattr(pde_solver, target, failing)
+        traj = simulate(cfg)
+        monkeypatch.setattr(pde_solver, "STOP_RATE", 0.0)
+        full = simulate(cfg)
+        assert len(calls) >= 2
+        assert not traj.steady and not full.steady
+        assert np.array_equal(traj.times, full.times) and traj.times[-1] == cfg.t_end
+        assert np.array_equal(traj.u_history, full.u_history)
+        assert np.array_equal(traj.v_history, full.v_history)
+        assert traj.events == full.events
 
     @pytest.mark.parametrize("sigma", [0.8, 1.5, 3.0])
     def test_large_growth_rate_stops_at_uniform_state(self, sigma):
