@@ -31,7 +31,7 @@ from enum import Enum
 import numpy as np
 
 from .asymptotics import epsilon_for_sigma, expansion_coefficients, second_order_profiles
-from .discrete import interleave, newton
+from .discrete import grid_eigenvalue, interleave, newton
 from .errors import ColonyKitError, NewtonError, SeedFailureError
 from .linear_analysis import BifurcationSummary, ModelParams, _bifurcation_sigma, scan_modes
 from .motility import MotilityModel, taylor_at_one
@@ -163,10 +163,8 @@ def trace_branch(
         raise SeedFailureError(f"mode {j} has no branch to seed: {exc}") from exc
 
     h = p.l / n
-    # the grid's own onset, at its eigenvalue (4 / h^2) sin^2(pi j h / 2 l), lies
-    # above or below sigma0 by up to a few 1e-3 on a coarse grid
-    lam_h = (2.0 / h * math.sin(0.5 * math.pi * j * h / p.l)) ** 2
-    sigma_seed = _bifurcation_sigma(lam_h, p, *taylor_at_one(m, 2)) - SEED_OFFSET
+    # the grid's own onset lies above or below sigma0 by up to a few 1e-3 on a coarse grid
+    sigma_seed = _bifurcation_sigma(grid_eigenvalue(j, p.l, n), p, *taylor_at_one(m, 2)) - SEED_OFFSET
     if sigma_seed <= sigma_min:
         return BranchCurve(j, (), Termination.REACHED_SIGMA_MIN)
 

@@ -11,14 +11,14 @@ The discrete stationary system is
 with the motility product w = r(v) u formed before the Laplacian is
 applied (divergence form).  The time stepper's steady states solve it and
 continuation traces its nonconstant branches.  This module is the only
-place the stencil is written down: the Laplacian, the stationary residual
-in the interleaved ordering (u_0, v_0, u_1, v_1, ...), its banded Jacobian,
-and the implicit solves of the time stepper, a0 I - dt Lap_h diag(c) with
-c = r for the density and the constant D for the signal.  It is also the
-only module that calls LAPACK, through scipy's compiled wrappers, which
-``_compiled`` loads without importing scipy.linalg: gtsv for the implicit
-solves, gbtrf and gbtrs for J.  Each matrix has one layout, the one its
-LAPACK routine reads.
+place the stencil is written down: the Laplacian and its cosine-mode
+eigenvalues, the stationary residual in the interleaved ordering (u_0, v_0,
+u_1, v_1, ...), its banded Jacobian, and the implicit solves of the time
+stepper, a0 I - dt Lap_h diag(c) with c = r for the density and the
+constant D for the signal.  It is also the only module that calls LAPACK,
+through scipy's compiled wrappers, which ``_compiled`` loads without
+importing scipy.linalg: gtsv for the implicit solves, gbtrf and gbtrs for
+J.  Each matrix has one layout, the one its LAPACK routine reads.
 
 J, the Jacobian, lives in LAPACK's band layout: a Fortran-ordered
 (2 KL + KU + 1, 2 (N+1)) array, bandwidths (KL, KU) = (2, 3), whose row
@@ -30,16 +30,16 @@ Keller 1977) or as continuation's pseudo-arclength corrector, to residual
 max-norm NEWTON_TOL (1e-10), by default within MAX_NEWTON_ITERS (25) steps.
 Each step factors J with gbtrf and solves for its two right sides with
 gbtrs, which are the two calls LAPACK's gbsv makes.
-``rightmost_eigenvalues`` gives the eigenvalues of J that decide the
-stability of a steady state.  It runs unrestarted shift-invert Arnoldi
-(Meerbergen, Spence & Roose, BIT 34, 1994) with ARNOLDI_VECTORS (60)
-Krylov vectors of (J - s I)^-1, s = ARNOLDI_SHIFT (0.5), on one gbtrf
-LU.  The eigenvalues nearest s converge first.  s lies right of the
-rightmost eigenvalues of the model's steady states, so those are among
-them.  The uniform state at large sigma needs the 60 vectors: its spectrum
-lies at -0.13 and below for sigma >= 0.7, and with 30 no Ritz value
-converged there.  A call takes 4-6 ms at N = 256 and about 13 ms at
-N = 1024 (2 and 6 ms with 30).
+``rightmost_eigenvalues`` gives the eigenvalues of J at a state (u, v)
+that decide its stability.  It linearizes into a band array of its own and
+runs unrestarted shift-invert Arnoldi (Meerbergen, Spence & Roose, BIT 34,
+1994) with ARNOLDI_VECTORS (60) Krylov vectors of (J - s I)^-1, s =
+ARNOLDI_SHIFT (0.5), on one gbtrf LU.  The eigenvalues nearest s converge
+first.  s lies right of the rightmost eigenvalues of the model's steady
+states, so those are among them.  The uniform state at large sigma needs
+the 60 vectors: its spectrum lies at -0.13 and below for sigma >= 0.7, and
+with 30 no Ritz value converged there.  A call takes 4-6 ms at N = 256 and
+about 13 ms at N = 1024 (2 and 6 ms with 30).
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ from .motility import MotilityModel
 __all__ = [
     "interleave",
     "laplacian",
+    "grid_eigenvalue",
     "residual",
     "band_array",
     "linearize",
@@ -90,6 +91,13 @@ def laplacian(w: np.ndarray, h: float) -> np.ndarray:
     out[0] = 2.0 * (w[1] - w[0]) / hh
     out[-1] = 2.0 * (w[-2] - w[-1]) / hh
     return out
+
+
+def grid_eigenvalue(j: int, l: float, n: int) -> float:
+    """The grid's mode-j eigenvalue lam_h = (4 / h^2) sin^2(pi j h / 2 l),
+    h = l / n: Lap_h maps cos(pi j x / l) to -lam_h times itself."""
+    h = l / n
+    return (2.0 / h * math.sin(0.5 * math.pi * j * h / l)) ** 2
 
 
 def residual(u, v, h: float, D: float, sigma: float, m: MotilityModel) -> np.ndarray:
@@ -187,16 +195,17 @@ def newton(u, v, h: float, D: float, sigma: float, m: MotilityModel, border=None
     raise NewtonConvergenceError(f"no convergence after {max_steps} Newton steps (residual {res:.3e})")
 
 
-def rightmost_eigenvalues(ab: np.ndarray) -> np.ndarray:
-    """Converged eigenvalues of J nearest ARNOLDI_SHIFT, in descending order
-    of real part; the first gives the spectral abscissa.
+def rightmost_eigenvalues(u, v, h: float, D: float, sigma: float, m: MotilityModel) -> np.ndarray:
+    """Converged eigenvalues of J at (u, v) nearest ARNOLDI_SHIFT, in
+    descending order of real part; the first gives the spectral abscissa.
 
-    J is written into the ``band_array`` ab by ``linearize``; ab is
-    overwritten by the LU factors of J - s I.  A Ritz value theta of
-    (J - s I)^-1 maps to the eigenvalue s + 1/theta of J.  Only Ritz pairs
-    whose residual is below ARNOLDI_RTOL |theta| are returned.  Raises
-    SingularJacobianError when s is an eigenvalue.
+    J is linearized into a ``band_array`` of its own, which gbtrf overwrites
+    with the LU factors of J - s I; u and v stay unchanged.  A Ritz value
+    theta of (J - s I)^-1 maps to the eigenvalue s + 1/theta of J.  Only
+    Ritz pairs whose residual is below ARNOLDI_RTOL |theta| are returned.
+    Raises SingularJacobianError when s is an eigenvalue.
     """
+    ab = linearize(u, v, h, D, sigma, m, band_array(u.size))
     size = ab.shape[1]
     ab[KL + KU] -= ARNOLDI_SHIFT
     lu, ipiv, info = dgbtrf(ab, KL, KU, overwrite_ab=1)

@@ -139,9 +139,8 @@ def _bifurcation_sigma(lam: float, p: ModelParams, r1: float, rp1: float) -> flo
 def _dispersion_roots(lam: float, p: ModelParams, r1: float, rp1: float) -> tuple[complex, complex]:
     b = (p.D + r1) * lam + 1.0 + p.sigma
     c = (p.sigma + r1 * lam) * (1.0 + p.D * lam) + rp1 * lam
-    # b >= 1 and b^2 - 4c >= 0 (module docstring); a negative value is
-    # rounding.  The large-magnitude root first avoids cancellation.
-    q = -0.5 * (b + math.sqrt(max(b * b - 4.0 * c, 0.0)))
+    # the factored discriminant of the module docstring; the larger root first avoids cancellation
+    q = -0.5 * (b + math.sqrt((p.sigma + r1 * lam - 1.0 - p.D * lam) ** 2 - 4.0 * rp1 * lam))
     return tuple(sorted((complex(q), complex(c / q)), key=lambda z: -z.real))
 
 

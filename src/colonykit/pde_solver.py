@@ -116,14 +116,7 @@ import numpy as np
 
 from ._compiled import peak_finding
 from .asymptotics import expansion_coefficients, second_order_profiles
-from .discrete import (
-    band_array,
-    implicit_solve,
-    linearize,
-    newton,
-    residual,
-    rightmost_eigenvalues,
-)
+from .discrete import implicit_solve, newton, residual, rightmost_eigenvalues
 from .errors import (BlowUpError, ColonyKitError, NewtonError, PositivityLossError,
                      SingularJacobianError)
 from .linear_analysis import ModelParams
@@ -453,7 +446,7 @@ def _certified_steady_state(cur, recent, h, p: ModelParams, m: MotilityModel):
     if len(set(zip(modes, peaks))) != 1:
         return None
     try:
-        lam = rightmost_eigenvalues(linearize(u, v, h, p.D, p.sigma, m, band_array(u.size)))
+        lam = rightmost_eigenvalues(u, v, h, p.D, p.sigma, m)
     except SingularJacobianError:
         return None
     return state if lam.size and lam[0].real < 0 else None

@@ -28,8 +28,8 @@ from .asymptotics import (
     expansion_coefficients,
     second_order_profiles,
 )
-from .continuation import Termination, trace_branch
-from .discrete import band_array, linearize, newton, rightmost_eigenvalues
+from .continuation import Termination, newton_steady, trace_branch
+from .discrete import rightmost_eigenvalues
 from .errors import ColonyKitError
 from .linear_analysis import (
     ModelParams,
@@ -327,17 +327,17 @@ def _transition_prediction(ctx, traj, t_48):
     if t_48 is None:
         return out
     f = traj.field(int(np.searchsorted(traj.times, t_48)))
-    sigma, D, m = ctx.PROTOCOLS["mode4_at_032_scaled"][0], REFERENCE_D, ctx.motility
+    p, m = ctx.params(ctx.PROTOCOLS["mode4_at_032_scaled"][0]), ctx.motility
     c6 = abs(modal_spectrum(f).amplitude(6))
     out["c6_at_4_to_8"] = c6
     try:
-        u, v, _, _, _ = newton(f.u, f.v, f.h, D, sigma, m)
-        lam = rightmost_eigenvalues(linearize(u, v, f.h, D, sigma, m, band_array(u.size)))
+        g = newton_steady(f, p, m).field
+        lam = rightmost_eigenvalues(g.u, g.v, g.h, p.D, p.sigma, m)
     except ColonyKitError:
         return out
     rate = float(lam[0].real) if lam.size else math.nan
     out["mode8_eigenvalue"] = rate
-    amplitude = EVENT_MARGIN * abs(modal_spectrum(Field(u=u, v=v, l=f.l)).amplitude(8))
+    amplitude = EVENT_MARGIN * abs(modal_spectrum(g).amplitude(8))
     if rate > 0 and c6 > 0:
         out["predicted_8_to_6"] = t_48 + math.log(amplitude / c6) / rate
     return out

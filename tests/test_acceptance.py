@@ -119,7 +119,7 @@ def test_criterion_10_detail_without_a_prediction(monkeypatch, events, c6):
 
     ctx = rp.ReproductionContext(n=64)
     monkeypatch.setattr(ctx, "trajectory", lambda name: mode6_trajectory(events))
-    monkeypatch.setattr(rp, "newton", failing)
+    monkeypatch.setattr(rp, "newton_steady", failing)
     result = rp._crit_mode_selection(ctx)
     assert len(calls) == len(events)
     assert (result.cid, result.status) == (10, "fail")

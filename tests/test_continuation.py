@@ -23,7 +23,7 @@ from colonykit import (
 from colonykit import continuation, discrete
 from colonykit.asymptotics import BranchVerdict, second_order_profiles
 from colonykit.discrete import band_array, linearize, residual, rightmost_eigenvalues
-from colonykit.linear_analysis import _bifurcation_sigma
+from colonykit.linear_analysis import _bifurcation_sigma, scan_modes
 from colonykit.motility import taylor_at_one
 
 REF = LogisticDecay(steepness=8.0, center=1.0)
@@ -52,6 +52,11 @@ def dense_from_band(ab):
 def jacobian_at(bp):
     f = bp.field
     return linearize(f.u, f.v, f.h, 1.0, bp.sigma, REF, band_array(f.u.size))
+
+
+def spectrum_at(bp):
+    f = bp.field
+    return rightmost_eigenvalues(f.u, f.v, f.h, 1.0, bp.sigma, REF)
 
 
 class RationalDecay:
@@ -174,9 +179,8 @@ class TestRightmostEigenvalues:
             bp = min(curve.points, key=lambda q: abs(q.sigma - sigma))
         else:
             bp = newton_steady(Field(u=np.ones(129), v=np.ones(129), l=20.0), params(sigma), REF)
-        ab = jacobian_at(bp)
-        dense = np.linalg.eigvals(dense_from_band(ab))
-        got = rightmost_eigenvalues(ab)
+        dense = np.linalg.eigvals(dense_from_band(jacobian_at(bp)))
+        got = spectrum_at(bp)
         dense = dense[np.argsort(-dense.real)]
         assert got.size >= 4
         # the rightmost eigenvalues, conjugate pairs matched by |Im|
@@ -194,9 +198,20 @@ class TestRightmostEigenvalues:
         sigma = e.sigma0 - 1e-3
         bp = newton_steady(asymptotic_field(j, sigma), params(sigma), REF)
         assert bp.amplitude > 1e-3 and modal_spectrum(bp.field).dominant == j
-        abscissa = rightmost_eigenvalues(jacobian_at(bp))[0].real
+        abscissa = spectrum_at(bp)[0].real
         assert (abscissa < 0) == (e.verdict is BranchVerdict.STABLE_ADMISSIBLE)
         assert (abscissa < 0) == (j == 6)
+
+    @pytest.mark.parametrize("j, unstable", zip(range(1, 12), [9, 8, 6, 4, 2, 0, 1, 3, 5, 7, 10]))
+    def test_unstable_count_is_modes_with_larger_onset(self, j, unstable):
+        # near onset the mode-j branch keeps the uniform state's unstable
+        # modes: every k != j with sigma0_k > sigma0_j
+        summary = scan_modes(params(0.3), REF)
+        onset = summary.mode(j).sigma_j
+        assert sum(mi.sigma_j > onset for mi in summary.modes) == unstable
+        curve = trace_branch(j, params(0.3), REF, sigma_min=max(0.0, onset - 0.01), n=128, summary=summary)
+        lam = spectrum_at(curve.points[2])
+        assert np.count_nonzero(lam.real > 0) == unstable
 
     def test_slow_eigenvalue_matches_gamma2_near_onset(self, branch6):
         # exchange of stability at the mode-6 onset: the rightmost real
@@ -209,7 +224,7 @@ class TestRightmostEigenvalues:
             eps = abs(modal_spectrum(bp.field).amplitude(6)) / abs(e.a)
             if eps > 0.035:
                 break
-            lam = rightmost_eigenvalues(jacobian_at(bp))
+            lam = spectrum_at(bp)
             slow = lam[lam.imag == 0][0].real
             near.append((eps, slow / (eps ** 2 * e.gamma2)))
         assert len(near) >= 4 and near[0][0] < 0.015
@@ -257,10 +272,9 @@ class TestTraceBranch:
     @pytest.mark.parametrize("n", [32, 128, 1024])
     @pytest.mark.parametrize("j", range(1, 12))
     def test_seeds_below_the_grids_own_onset(self, j, n):
-        # the grid's onset, at its eigenvalue (4 / h^2) sin^2(pi j h / 2 l),
-        # lies up to a few 1e-3 off sigma0 on a coarse grid, on either side
-        h = 20.0 / n
-        lam_h = (2.0 / h * np.sin(0.5 * np.pi * j * h / 20.0)) ** 2
+        # the grid's onset, at its eigenvalue lam_h, lies up to a few 1e-3
+        # off sigma0 on a coarse grid, on either side
+        lam_h = discrete.grid_eigenvalue(j, 20.0, n)
         sigma_h = _bifurcation_sigma(lam_h, params(0.3), *taylor_at_one(REF, 2))
         offset = continuation.SEED_OFFSET
         curve = trace_branch(j, params(0.3), REF, sigma_min=sigma_h - offset - 1e-4, n=n)

@@ -36,6 +36,7 @@ from colonykit.discrete import (
     band_array,
     implicit_solve,
     interleave,
+    laplacian,
     linearize,
     newton,
     residual,
@@ -233,12 +234,20 @@ class TestSolve:
         with pytest.raises(SingularJacobianError):
             gbsv(ab, np.ones(2 * (n + 1)))
 
-    def test_shift_at_an_eigenvalue_raises(self):
+    def test_shift_at_an_eigenvalue_raises(self, monkeypatch):
         # J = ARNOLDI_SHIFT I makes J - s I zero, which gbtrf cannot factor
-        ab = band_array(17)
-        ab[discrete.KL + discrete.KU] = discrete.ARNOLDI_SHIFT
+        n = 16
+        u, v = random_state(n, 0)
+
+        def shifted(*call):
+            ab = linearize(*call)
+            ab[:] = 0.0
+            ab[discrete.KL + discrete.KU] = discrete.ARNOLDI_SHIFT
+            return ab
+
+        monkeypatch.setattr(discrete, "linearize", shifted)
         with pytest.raises(SingularJacobianError, match="gbtrf info"):
-            rightmost_eigenvalues(ab)
+            rightmost_eigenvalues(u, v, 20.0 / n, 1.0, 0.3, REF)
 
 
 def gbsv_step(u, v, h, D, sigma, m, border):
@@ -439,14 +448,23 @@ class TestAgainstReference:
         assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
 
     @pytest.mark.parametrize("j", [4, 6, 8])
-    def test_rightmost_eigenvalues(self, states, j):
+    def test_rightmost_eigenvalues(self, states, j, monkeypatch):
         f = states[j].field
+        u, v = f.u.copy(), f.v.copy()
         args = (f.u, f.v, f.h, 1.0, states[j].sigma, REF)
-        got = rightmost_eigenvalues(linearize(*args, band_array(f.u.size)))
-        # the LU array of the replaced code: C-ordered zeros
-        ab = np.zeros((2 * discrete.KL + discrete.KU + 1, 2 * f.u.size))
-        ab[discrete.KL:] = reference_jacobian(*args)
-        ref = rightmost_eigenvalues(ab)
+        got = rightmost_eigenvalues(*args)
+        # the state is only read, and a second call repeats the first
+        assert np.array_equal(f.u, u) and np.array_equal(f.v, v)
+        assert np.array_equal(rightmost_eigenvalues(*args), got)
+
+        def reference(*call):
+            ab = call[-1]
+            ab[discrete.KL:] = reference_jacobian(*call[:-1])
+            return ab
+
+        # the same Arnoldi on the Jacobian of the replaced assembly
+        monkeypatch.setattr(discrete, "linearize", reference)
+        ref = rightmost_eigenvalues(*args)
         assert got.size >= 4
         assert np.array_equal(got, ref)
 
@@ -497,3 +515,25 @@ def test_only_discrete_calls_lapack():
         if any(type(value).__name__ == "fortran" for value in vars(module).values()):
             holders.add(info.name)
     assert holders == {"_compiled", "discrete"}
+
+
+def test_only_discrete_holds_the_band_jacobian():
+    # every other module asks ``discrete`` by state: newton, rightmost_eigenvalues
+    holders = set()
+    for info in pkgutil.iter_modules(colonykit.__path__):
+        module = importlib.import_module(f"colonykit.{info.name}")
+        if any(value is band_array or value is linearize for value in vars(module).values()):
+            holders.add(info.name)
+    assert holders == {"discrete"}
+
+
+@pytest.mark.parametrize("n", [16, 17, 128, 1024])
+@pytest.mark.parametrize("j", [0, 1, 6, 11])
+def test_laplacian_eigenvalue_of_cosine_mode(j, n):
+    # Lap_h cos(pi j x / l) = -lam_h cos(pi j x / l), mirrored ends included
+    l = 20.0
+    mode = np.cos(np.pi * j * np.linspace(0.0, l, n + 1) / l)
+    lam_h = discrete.grid_eigenvalue(j, l, n)
+    # a few ulps of the stencil's largest weight 4 / h^2; 10 is the most seen
+    atol = 32 * np.finfo(float).eps * 4.0 * (n / l) ** 2
+    np.testing.assert_allclose(laplacian(mode, l / n), -lam_h * mode, rtol=0, atol=atol)

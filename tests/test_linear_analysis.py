@@ -123,9 +123,19 @@ class TestDispersionRoots:
 
     def test_double_root_up_to_rounding_is_real(self):
         # at lam = 0 the roots are -1 and -sigma; for sigma one ulp above 1
-        # the discriminant (1 + sigma)^2 - 4 sigma rounds below 0
+        # the unfactored discriminant (1 + sigma)^2 - 4 sigma rounds below 0
         sigma = math.nextafter(1.0, 2.0)
         assert dispersion_roots(0.0, params(sigma=sigma), REF) == (-1.0, -sigma)
+
+    def test_near_double_root_to_one_ulp(self):
+        # the factored discriminant is (sigma - 1)^2 at lam = 0, exact near
+        # sigma = 1; (1 + sigma)^2 - 4 sigma cancels, and the roots from it
+        # were off by up to 1.5e-8
+        for sigma in 1.0 + 1e-10 * np.arange(-2000, 2001):
+            got = dispersion_roots(0.0, params(sigma=float(sigma)), REF)
+            want = sorted((-1.0, -sigma), reverse=True)
+            assert all(z.imag == 0.0 for z in got)
+            assert np.all(np.abs(np.real(got) - want) <= np.spacing(np.abs(want))), sigma
 
     def test_residual_of_quadratic(self):
         rng = np.random.default_rng(3)

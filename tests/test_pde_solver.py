@@ -539,8 +539,8 @@ class TestCertifiedStop:
         bp = min(curve.points, key=lambda q: abs(q.sigma - 0.32))
         abscissas = []
 
-        def recording(ab):
-            lam = discrete.rightmost_eigenvalues(ab)
+        def recording(*state):
+            lam = discrete.rightmost_eigenvalues(*state)
             abscissas.append(lam[0].real)
             return lam
 
