@@ -2,7 +2,8 @@
 
 One YAML file describes an experiment: model parameters, the motility
 family, and per-command blocks.  It is read as UTF-8 and loaded by one
-PyYAML SafeLoader whose mappings record the source line of each key; any
+PyYAML SafeLoader whose mappings record the source line of each key and
+which reads YAML 1.2's exponent floats such as 2e1 as numbers; any
 failure to read or load it, from invalid UTF-8 to a recursive alias, is a
 ConfigError.  Validation is strict; unknown keys are rejected and every
 diagnostic carries the offending key path and, when available, the source
@@ -14,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 
@@ -50,10 +52,17 @@ def _construct_mapping(loader, node):
 
 
 class _Loader(yaml.SafeLoader):
-    """SafeLoader whose mappings are ``_Mapping``."""
+    """SafeLoader whose mappings are ``_Mapping`` and whose floats include
+    YAML 1.2's exponent forms without a dot or an exponent sign (2e1,
+    1.0e308), which YAML 1.1 reads as strings."""
 
 
 _Loader.add_constructor("tag:yaml.org,2002:map", _construct_mapping)
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"),
+)
 
 
 def _load_yaml(text: str):

@@ -128,6 +128,20 @@ class TestConfigParsing:
     def test_hash_stable(self):
         assert parse_config(GOOD_CONFIG).config_hash == parse_config(GOOD_CONFIG).config_hash
 
+    @pytest.mark.parametrize("old, new, read", [
+        ("l: 20.0", "l: 2e1", lambda cfg: cfg.params.l == 20.0),
+        ("D: 1.0", "D: 1E-3", lambda cfg: cfg.params.D == 0.001),
+        ("steepness: 8.0", "steepness: 1.0e308", lambda cfg: cfg.motility.steepness == 1e308),
+        ("center: 1.0", "center: -5e0", lambda cfg: cfg.motility.center == -5.0),
+    ], ids=["2e1", "1E-3", "1.0e308", "-5e0"])
+    def test_exponent_without_dot_or_sign_is_a_float(self, old, new, read):
+        # YAML 1.1 reads these as strings; the loader takes YAML 1.2's floats
+        assert read(parse_config(GOOD_CONFIG.replace(old, new)))
+
+    def test_overflowing_exponent_is_not_finite(self):
+        with pytest.raises(ConfigError, match=r"params\.sigma \(line 3\): must be a finite number"):
+            parse_config(GOOD_CONFIG.replace("sigma: 0.32", "sigma: 1e999"))
+
     def test_expand_modes_rejects_booleans(self):
         # True is an int in Python; it used to become a row with j = True
         with pytest.raises(ConfigError, match="expand.modes"):

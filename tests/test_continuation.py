@@ -22,7 +22,7 @@ from colonykit import (
 )
 from colonykit import continuation, discrete
 from colonykit.asymptotics import BranchVerdict, second_order_profiles
-from colonykit.discrete import band_array, linearize, residual, rightmost_eigenvalues
+from colonykit.discrete import linearize, residual, rightmost_eigenvalues
 from colonykit.linear_analysis import _bifurcation_sigma, scan_modes
 from colonykit.motility import taylor_at_one
 
@@ -39,19 +39,21 @@ def asymptotic_field(j, sigma, n=256):
     return Field(*second_order_profiles(e, eps, np.linspace(0.0, 20.0, n + 1)), l=20.0)
 
 
-def dense_from_band(ab):
-    """The full matrix of a Jacobian in LAPACK's (2, 3)-band layout."""
-    size = ab.shape[1]
-    dense = np.zeros((size, size))
-    for col in range(size):
-        for row in range(max(0, col - 3), min(size, col + 3)):
-            dense[row, col] = ab[discrete.KL + 3 + row - col, col]
-    return dense
-
-
-def jacobian_at(bp):
+def dense_jacobian(bp):
+    """J at a branch point, dense, in the interleaved order (u_0, v_0, u_1,
+    ...), from the matrix L of Lap_h: the blocks L diag(r) + diag(sigma
+    (1 - 2 u)), L diag(r'(v) u), I and D L - I."""
     f = bp.field
-    return linearize(f.u, f.v, f.h, 1.0, bp.sigma, REF, band_array(f.u.size))
+    npts = f.u.size
+    L = np.diag(np.ones(npts - 1), 1) + np.diag(np.ones(npts - 1), -1) - 2.0 * np.eye(npts)
+    L[0, 1] = L[-1, -2] = 2.0
+    L /= f.h * f.h
+    J = np.empty((2 * npts, 2 * npts))
+    J[0::2, 0::2] = L * REF.evaluate(f.v, 0) + np.diag(bp.sigma * (1.0 - 2.0 * f.u))
+    J[0::2, 1::2] = L * (REF.evaluate(f.v, 1) * f.u)
+    J[1::2, 0::2] = np.eye(npts)
+    J[1::2, 1::2] = L - np.eye(npts)  # D = 1
+    return J
 
 
 def spectrum_at(bp):
@@ -92,15 +94,20 @@ class TestJacobian:
     @example(a=np.e ** 2, b=2.0, sigma=0.37, D=1.0, seed=5)
     @example(a=3.0, b=0.7, sigma=0.37, D=1.0, seed=5)
     def test_matches_finite_differences(self, family, a, b, sigma, D, seed):
-        # analytic banded assembly vs column-wise finite differences
+        # J from the block product, (J - s I) e + s e column by column,
+        # against finite differences of F; linearize factors J - s I, which
+        # mass conservation does not make singular at sigma = 0 as it does J
         m = family(a, b)
         rng = np.random.default_rng(seed)
         n = 12
         h = 20.0 / n
         u = 1.0 + 0.1 * rng.uniform(-1, 1, n + 1)
         v = 1.0 + 0.1 * rng.uniform(-1, 1, n + 1)
-        dense = dense_from_band(linearize(u, v, h, D, sigma, m, band_array(n + 1)))
+        shift = discrete.ARNOLDI_SHIFT
         m_size = 2 * (n + 1)
+        unit = np.eye(m_size)
+        lin = linearize(u, v, h, D, sigma, m, shift)
+        dense = np.column_stack([lin.apply(e) + shift * e for e in unit])
 
         def F(u_, v_):
             return residual(u_, v_, h, D, sigma, m)
@@ -179,7 +186,7 @@ class TestRightmostEigenvalues:
             bp = min(curve.points, key=lambda q: abs(q.sigma - sigma))
         else:
             bp = newton_steady(Field(u=np.ones(129), v=np.ones(129), l=20.0), params(sigma), REF)
-        dense = np.linalg.eigvals(dense_from_band(jacobian_at(bp)))
+        dense = np.linalg.eigvals(dense_jacobian(bp))
         got = spectrum_at(bp)
         dense = dense[np.argsort(-dense.real)]
         assert got.size >= 4

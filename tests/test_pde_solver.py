@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dgbsv
 from scipy.signal import find_peaks
 
 from colonykit import (
@@ -617,9 +616,8 @@ class TestCertifiedStop:
             traj = run_from(start, sigma, dt=dt, t_end=300.0)
             assert traj.steady
             f = newton_steady(traj.final, p, REF).field
-            ab = discrete.linearize(f.u, f.v, h, p.D, sigma, REF, discrete.band_array(f.u.size))
             res = discrete.residual(f.u, f.v, h, p.D, sigma, REF)
-            correction = dgbsv(discrete.KL, discrete.KU, ab, res)[2]
+            correction = discrete.linearize(f.u, f.v, h, p.D, sigma, REF).solve(res)
             finals.append(discrete.interleave(f.u, f.v) - correction)
         assert np.max(np.abs(finals[0] - finals[1])) <= 1e-10
 
