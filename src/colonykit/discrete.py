@@ -10,12 +10,14 @@ The discrete stationary system is
 
 with the motility product w = r(v) u formed before the Laplacian is
 applied (divergence form).  The time stepper's steady states solve it and
-continuation traces its nonconstant branches.  This module is the only
-place the stencil is written down: the Laplacian and its cosine-mode
-eigenvalues, the stationary residual in the interleaved ordering (u_0, v_0,
-u_1, v_1, ...), its Jacobian, and the implicit solves of the time stepper,
-a0 I - dt Lap_h diag(c) with c = r for the density and the constant D for
-the signal.  It is also the only module that calls LAPACK, through scipy's
+continuation traces its nonconstant branches.  The stencil is written
+down here only: ``laplacian`` applies it, both end rows included, and
+``_mirrored`` closes the sub- and super-diagonal of Lap_h diag(c), which
+every band below reads.  The module holds the cosine-mode eigenvalues, the
+stationary residual in the interleaved ordering (u_0, v_0, u_1, v_1, ...),
+its Jacobian, and the implicit solves of the time stepper, a0 I - dt Lap_h
+diag(c) with c = r for the density and the constant D for the signal.  It
+is also the only module that calls LAPACK, through scipy's
 compiled wrappers, which ``_compiled`` loads without importing
 scipy.linalg: gtsv for the implicit solves, gbtrf and gbtrs for J.  Each
 matrix has one layout, the one its LAPACK routine reads.
@@ -67,12 +69,11 @@ value converged there.
 
 Per call at N = 256, 512 and 1024 (best of 7 x 200 calls, a 2-vCPU Xeon,
 one BLAS thread): the assembly of S with its two motility evaluations
-36, 46 and 64 us, gbtrf 12, 24 and 48 us, and the two-column gbtrs 11,
-22 and 43 us.  gbtrf and gbtrs on J's interleaved (2, 3) band of 2(N+1)
+36, 45 and 59-66 us, gbtrf 12, 23 and 45 us, and the two-column gbtrs 11,
+21 and 42 us.  gbtrf and gbtrs on J's interleaved (2, 3) band of 2(N+1)
 columns took 44, 86 and 94 us and 31, 58 and 81 us.  A call of
-``rightmost_eigenvalues`` takes about 9, 15 and 21 ms, against 5.6, 8.4
-and 8.6 ms on the interleaved band: each Krylov vector now costs two
-reduced solves and a block product.
+``rightmost_eigenvalues`` takes about 6, 8 and 12 ms (best of 5 x 5
+calls): each Krylov vector costs two reduced solves and a block product.
 """
 
 from __future__ import annotations
@@ -124,6 +125,16 @@ def laplacian(w: np.ndarray, h: float) -> np.ndarray:
     out[0] = 2.0 * (w[1] - w[0]) / hh
     out[-1] = 2.0 * (w[-2] - w[-1]) / hh
     return out
+
+
+def _mirrored(lower, upper):
+    """Lap_h diag(c)'s sub- and super-diagonal, given fresh arrays of the
+    scaled node weights w[:-1] and w[1:] (w = c / h^2 times any common
+    factor): the ghost nodes w_{-1} = w_1 and w_{N+1} = w_{N-1} double the
+    last entry of lower and the first of upper, in place."""
+    lower[-1] *= 2.0
+    upper[0] *= 2.0
+    return lower, upper
 
 
 def grid_eigenvalue(j: int, l: float, n: int) -> float:
@@ -187,51 +198,41 @@ def linearize(u, v, h: float, D: float, sigma: float, m: MotilityModel,
     SingularJacobianError when gbtrf finds S_s, and so J - shift I,
     singular.
 
-    A_s and B are tridiagonal with entries L_ij r_j (less shift on the
-    diagonal, plus sigma (1 - 2 u_i)) and L_ij r'(v_j) u_j, and C_s has
-    D L_ij (less 1 + shift on the diagonal).  Each entry of S_s is B less
-    the sum of the products A_s[i, k] C_s[k, j]: the diagonal's three
-    summed from k = i, then k = i - 1, then k = i + 1, the first
-    off-diagonals' two from k = i, and the second off-diagonals' one.
+    S_s = B - A_s C_s is one tridiagonal x tridiagonal band product, formed
+    as B + A_s (-C_s) (negation is exact): its second off-diagonals, then
+    its first, then its diagonal, each entry's products summed from k = i,
+    then i - 1, then i + 1, and B added last.
     """
     hh = h * h
     w = 1.0 / hh
+    n = u.size - 1
     rv = m.evaluate(v, 0)
     rpv_u = m.evaluate(v, 1) * u
     growth = sigma * (1.0 - 2.0 * u)
-    # A_s and B by diagonal: up[i] = [i, i + 1] and down[i] = [i + 1, i],
-    # the mirrored weight doubled in up[0] and down[-1]
+    # the blocks by diagonal, down[i] = [i + 1, i], diag[i] = [i, i] and
+    # up[i] = [i, i + 1], and nc_* those of -C_s
+    a_down, a_up = _mirrored(w * rv[:-1], w * rv[1:])
     a_diag = -2.0 * rv / hh + growth - shift
-    a_up, a_down, b_up, b_down = w * rv[1:], w * rv[:-1], w * rpv_u[1:], w * rpv_u[:-1]
-    a_up[0] *= 2.0
-    b_up[0] *= 2.0
-    a_down[-1] *= 2.0
-    b_down[-1] *= 2.0
-    # C_s: off-diagonal c_off, 2 c_off at the mirrored ends, and diagonal c_diag
-    c_off = D * w
-    c_diag = -2.0 * D / hh - 1.0 - shift
+    b_down, b_up = _mirrored(w * rpv_u[:-1], w * rpv_u[1:])
+    nc_down, nc_up = np.empty(n), np.empty(n)  # filled: np.full costs more
+    nc_down.fill(-D * w)
+    nc_up.fill(-D * w)
+    _mirrored(nc_down, nc_up)
+    nc_diag = 2.0 * D / hh + 1.0 + shift
     ab = np.zeros((2 * KL + KU + 1, u.size), order="F")
     sup2, sup1, diag, sub1, sub2 = ab[KL:]
-    # the products through the off-diagonals, A[k + 1, k] C[k, k + 1] and
-    # A[k, k + 1] C[k + 1, k], k = 0..N-1
-    left = c_off * a_down
-    left[0] *= 2.0
-    right = c_off * a_up
-    right[-1] *= 2.0
-    np.negative(right[:-1], out=sup2[2:])
-    np.negative(left[1:], out=sub2[:-2])
-    up = np.multiply(c_off, a_diag[:-1], out=sup1[1:])
-    up[0] *= 2.0
-    up += c_diag * a_up
-    np.subtract(b_up, up, out=up)
-    down = np.multiply(c_off, a_diag[1:], out=sub1[:-1])
-    down[-1] *= 2.0
-    down += c_diag * a_down
-    np.subtract(b_down, down, out=down)
-    np.multiply(a_diag, c_diag, out=diag)
-    diag[1:] += left
-    diag[:-1] += right
-    np.subtract(-2.0 * rpv_u / hh, diag, out=diag)
+    np.multiply(a_up[:-1], nc_up[1:], out=sup2[2:])
+    np.multiply(a_down[1:], nc_down[:-1], out=sub2[:-2])
+    up = a_diag[:-1] * nc_up
+    up += a_up * nc_diag
+    np.add(up, b_up, out=sup1[1:])
+    down = a_diag[1:] * nc_down
+    down += a_down * nc_diag
+    np.add(down, b_down, out=sub1[:-1])
+    d = a_diag * nc_diag
+    d[1:] += a_down * nc_up
+    d[:-1] += a_up * nc_down
+    np.add(d, -2.0 * rpv_u / hh, out=diag)
     lu, ipiv, info = dgbtrf(ab, KL, KU, overwrite_ab=1)
     if info != 0:
         what = f"J - {shift} I" if shift else "stationary linearization"
@@ -338,12 +339,8 @@ def implicit_solve(a0: float, dt: float, h: float, c, rhs: np.ndarray):
     None when gtsv finds the matrix singular; c is an array of N+1 node
     values or one constant, and rhs is overwritten.  Entry (i, j) of
     Lap_h diag(c) is L_ij c_j.  With w = (dt / h^2) c the main diagonal is
-    a0 + 2 w, the sub-diagonal -w[:-1] and the super-diagonal -w[1:], the
-    mirrored weights, the last of the sub- and the first of the
-    super-diagonal, doubled."""
+    a0 + 2 w, and ``_mirrored`` closes the off-diagonals -w[:-1] and -w[1:]."""
     w = np.multiply(dt / (h * h), c, out=np.empty_like(rhs))
-    dl, du = -w[:-1], -w[1:]
-    dl[-1] *= 2.0
-    du[0] *= 2.0
+    dl, du = _mirrored(-w[:-1], -w[1:])
     *_, x, info = dgtsv(dl, a0 + 2.0 * w, du, rhs, 1, 1, 1, 1)
     return x if info == 0 else None

@@ -676,6 +676,37 @@ class TestImplicitSolve:
         assert implicit_solve(0.0, 0.1, 1.0, 0.0, np.ones(17)) is None
 
 
+def ghost_node_matrix(w):
+    """Dense Lap_h diag(c) from the scaled node weights w = c / h^2, entry by
+    entry: row i takes w_k at each neighbour k = i - 1, i + 1, a ghost node
+    k = -1 or N + 1 standing for its mirror image 1 or N - 1, and -2 w_i."""
+    npts = w.size
+    mirror = {-1: 1, npts: npts - 2}
+    dense = np.zeros((npts, npts))
+    for i in range(npts):
+        dense[i, i] = -2.0 * w[i]
+        for k in (i - 1, i + 1):
+            k = mirror.get(k, k)
+            dense[i, k] += w[k]
+    return dense
+
+
+# N = 1: each off-diagonal's one entry is a mirrored weight; N = 2: both
+# mirrored weights are w_1
+@pytest.mark.parametrize("n", [1, 2, 16, 17])
+def test_mirrored_bands_follow_the_ghost_nodes(n):
+    rng = np.random.default_rng(n)
+    c, h = rng.uniform(0.05, 3.0, n + 1), 20.0 / n
+    w = c / (h * h)
+    dense = ghost_node_matrix(w)
+    lower, upper = discrete._mirrored(w[:-1].copy(), w[1:].copy())
+    assert np.array_equal(lower, np.diag(dense, -1))
+    assert np.array_equal(upper, np.diag(dense, 1))
+    # the matrix is the one ``laplacian`` applies, up to rounding
+    x = rng.uniform(-1.0, 1.0, n + 1)
+    np.testing.assert_allclose(laplacian(c * x, h), dense @ x, rtol=1e-12, atol=1e-12 * w.max())
+
+
 def test_only_discrete_calls_lapack():
     # f2py wraps each LAPACK routine in an object of type "fortran"
     holders = set()
@@ -684,6 +715,24 @@ def test_only_discrete_calls_lapack():
         if any(type(value).__name__ == "fortran" for value in vars(module).values()):
             holders.add(info.name)
     assert holders == {"_compiled", "discrete"}
+
+
+def test_every_band_takes_its_mirror_closure_from_one_helper(monkeypatch):
+    # linearize reads A's, B's and C's off-diagonals through _mirrored, and
+    # implicit_solve its own; a closure written out again elsewhere fails here
+    count = [0]
+    closure = discrete._mirrored
+
+    def counted(lower, upper):
+        count[0] += 1
+        return closure(lower, upper)
+
+    monkeypatch.setattr(discrete, "_mirrored", counted)
+    u, v = random_state(16, 3)
+    linearize(u, v, 20.0 / 16, 1.0, 0.3, REF)
+    assert count == [3]
+    implicit_solve(1.5, 0.1, 20.0 / 16, u, v.copy())
+    assert count == [4]
 
 
 def test_only_discrete_holds_the_band_jacobian():
